@@ -1,7 +1,8 @@
 """A tiny concurrent functional language whose channels are governed by
 context-free session types: parser, kinding, linear typechecker, a
-sound-and-complete type equivalence decider, and a threaded interpreter with
-one-slot channel buffers."""
+sound-and-complete type equivalence decider, and an interpreter that runs
+every thread as an explicit-stack machine on one seeded scheduler, with
+one-slot channel buffers and immediate deadlock detection."""
 
 from .diagnostics import Diagnostic, DiagnosticError
 from .parser import parse_program, parse_type, parse_scheme

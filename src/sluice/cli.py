@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success / equivalent, 1 diagnostics / not equivalent, 2
-inconclusive (budget), 3 watchdog abort, 64 usage error.
+inconclusive (budget), 3 deadlock, 64 usage error.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from . import runtime as R
 from . import typecheck as T
 from .dual import dual
 from .parser import parse_program, parse_type
-from .syntax import SESSION, SL, pretty
+from .syntax import SESSION, SL, free_tvars, pretty
 
 EXIT_OK = 0
 EXIT_DIAGNOSTICS = 1
@@ -62,7 +62,7 @@ def _parse_cli_type(text: str):
         print(exc.diag.render("<type>"), file=sys.stderr)
         return None
     # free lowercase names are rigid variables at the default kind
-    env = {name: SL for name in _free_names(t)}
+    env = {name: SL for name in free_tvars(t)}
     try:
         K.synth_kind(env, t)
     except K.KindError as exc:
@@ -71,9 +71,19 @@ def _parse_cli_type(text: str):
     return t, env
 
 
-def _free_names(t):
-    from .syntax import free_tvars
-    return free_tvars(t)
+def _session_type(text: str, needs: str):
+    """A CLI type that must be a session type, or None once the reason is
+    printed; `needs` is the message when the type is well kinded but not a
+    session type."""
+    parsed = _parse_cli_type(text)
+    if parsed is None:
+        return None
+    t, env = parsed
+    # _parse_cli_type has kinded t already, so this cannot raise
+    if K.synth_kind(env, t).prekind != SESSION:
+        print(f"<type>:1:1: error: {needs}", file=sys.stderr)
+        return None
+    return t
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -85,9 +95,9 @@ def main(argv: list[str] | None = None) -> int:
 
     p_run = sub.add_parser("run", help="typecheck and run a program")
     p_run.add_argument("file")
-    p_run.add_argument("--seed", type=int, default=None, help="fix the scheduler randomization")
+    p_run.add_argument("--seed", type=int, default=None, help="fix the whole interleaving")
     p_run.add_argument("--quiescence", type=float, default=2.0,
-                       help="watchdog interval in seconds")
+                       help="accepted and ignored: deadlock is reported at once")
 
     p_equiv = sub.add_parser("equiv", help="decide equivalence of two types")
     p_equiv.add_argument("type1")
@@ -149,31 +159,15 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if verdict else EXIT_DIAGNOSTICS
 
     if args.command == "dual":
-        parsed = _parse_cli_type(args.type)
-        if parsed is None:
-            return EXIT_DIAGNOSTICS
-        t, env = parsed
-        try:
-            if K.synth_kind(env, t).prekind != SESSION:
-                print("<type>:1:1: error: dual is defined on session types", file=sys.stderr)
-                return EXIT_DIAGNOSTICS
-        except K.KindError as exc:
-            print(exc.diag.render("<type>"), file=sys.stderr)
+        t = _session_type(args.type, "dual is defined on session types")
+        if t is None:
             return EXIT_DIAGNOSTICS
         print(pretty(dual(t)))
         return EXIT_OK
 
     if args.command == "dump-grammar":
-        parsed = _parse_cli_type(args.type)
-        if parsed is None:
-            return EXIT_DIAGNOSTICS
-        t, env = parsed
-        try:
-            if K.synth_kind(env, t).prekind != SESSION:
-                print("<type>:1:1: error: dump-grammar needs a session type", file=sys.stderr)
-                return EXIT_DIAGNOSTICS
-        except K.KindError as exc:
-            print(exc.diag.render("<type>"), file=sys.stderr)
+        t = _session_type(args.type, "dump-grammar needs a session type")
+        if t is None:
             return EXIT_DIAGNOSTICS
         g, w = G.build_one(t)
         G.compute_norms(g)

@@ -1,5 +1,10 @@
 """Call-by-value interpreter with threads and buffered channels.
 
+Each sluice thread is the state of a CEK-style machine: the expression to
+evaluate (or the value just computed), its environment, and a continuation
+stack of frames. `run` drives every thread on the calling OS thread, so tail
+calls and deep recursion cost heap, not Python stack.
+
 A channel is two one-place slots; each end holds the pair crossed, so one
 end's write slot is the other end's read slot. Putting into a full slot and
 taking from an empty one block, which gives the asynchronous
@@ -10,16 +15,17 @@ The typechecker is the safety front-end; the runtime moves untyped payloads
 and never re-checks. Select/match labels travel in-band through the same
 slots as data, wrapped in a distinct tag.
 
-A watchdog aborts the run when every live thread has been blocked on a slot,
-with no progress, for a quiescence interval; the report lists each thread's
-blocking site.
+A scheduler seeded with `random.Random(seed)` picks the next thread at every
+channel operation, every fork and every time slice, so the seed fixes the
+whole interleaving. A thread parked on a slot is not runnable. As soon as
+main is unfinished and no thread can move, the run aborts with a report of
+each thread's blocking site.
 """
 
 from __future__ import annotations
 
+import operator
 import random
-import threading
-import time
 from dataclasses import dataclass
 
 from . import syntax as S
@@ -31,97 +37,26 @@ from .syntax import (
 _INT_MIN = -(2 ** 63)
 _INT_MAX = 2 ** 63 - 1
 
+# Machine steps a thread takes before the scheduler picks again, so that a
+# thread which never communicates cannot starve the others.
+_SLICE = 1000
+
+# Continuation frames one thread may hold. Runaway non-tail recursion ends
+# here with a runtime error instead of exhausting the host's memory: a
+# pending `n + sumTo (n - 1)` holds about 250 bytes, so the cap is ~250 MB.
+_MAX_FRAMES = 1_000_000
+
 
 class RuntimeAbort(Exception):
     """A runtime error in the evaluated program (overflow, division by zero)."""
 
 
 class WatchdogAbort(Exception):
-    """Every live thread was blocked on a slot for the whole quiescence window."""
+    """Main is unfinished and every live thread is blocked on a slot."""
 
     def __init__(self, report: list[str]):
         super().__init__("deadlock: " + "; ".join(report))
         self.report = report
-
-
-class _Cancelled(Exception):
-    """The main thread finished; forked threads unwind quietly."""
-
-
-class _RunState:
-    """Shared bookkeeping for one program run: live/blocked thread counts, a
-    progress version stamp, and the seeded jitter source."""
-
-    def __init__(self, seed: int | None, quiescence: float):
-        self.lock = threading.Lock()
-        self.live = 0
-        self.blocked: dict[int, str] = {}
-        self.version = 0
-        self.aborted = False
-        self.finished = False
-        self.quiescence = quiescence
-        self.rng = random.Random(seed)
-        self.report: list[str] = []
-
-    def thread_started(self) -> None:
-        with self.lock:
-            self.live += 1
-            self.version += 1
-
-    def thread_finished(self) -> None:
-        with self.lock:
-            self.live -= 1
-            ident = threading.get_ident()
-            self.blocked.pop(ident, None)
-            self.version += 1
-
-    def set_blocked(self, site: str) -> None:
-        with self.lock:
-            self.blocked[threading.get_ident()] = site
-            self.version += 1
-
-    def clear_blocked(self) -> None:
-        with self.lock:
-            self.blocked.pop(threading.get_ident(), None)
-            self.version += 1
-
-    def progressed(self) -> None:
-        with self.lock:
-            self.version += 1
-
-    def jitter(self) -> None:
-        # scheduling noise at communication points; the seed fixes the sequence
-        with self.lock:
-            r = self.rng.random()
-        if r < 0.4:
-            time.sleep(r * 0.003)
-
-    def check_liveness(self) -> None:
-        if self.aborted:
-            raise _Cancelled()
-        if self.finished:
-            raise _Cancelled()
-
-
-def _watchdog(state: _RunState) -> None:
-    last_version = -1
-    quiet_since: float | None = None
-    while True:
-        time.sleep(0.01)
-        with state.lock:
-            if state.finished or state.aborted:
-                return
-            stuck = state.live > 0 and len(state.blocked) == state.live
-            if not stuck or state.version != last_version:
-                last_version = state.version
-                quiet_since = None
-                continue
-            if quiet_since is None:
-                quiet_since = time.monotonic()
-            elif time.monotonic() - quiet_since >= state.quiescence:
-                state.report = sorted(set(state.blocked.values()))
-                state.aborted = True
-                return
 
 
 # ---------------------------------------------------------------------------
@@ -131,43 +66,19 @@ _EMPTY = object()
 
 
 class Slot:
-    """A one-place buffer: put blocks while full, take blocks while empty."""
+    """A one-place buffer and the threads parked until it changes. The
+    scheduler puts only into an empty slot and takes only from a full one."""
 
     def __init__(self) -> None:
-        self.cond = threading.Condition()
         self.value: object = _EMPTY
+        self.parked: list[_Thread] = []
 
-    def put(self, v: object, state: _RunState, site: str) -> None:
-        with self.cond:
-            waiting = False
-            while self.value is not _EMPTY:
-                state.check_liveness()
-                if not waiting:
-                    state.set_blocked(site)
-                    waiting = True
-                self.cond.wait(0.01)
-            if waiting:
-                state.clear_blocked()
-            self.value = v
-            state.progressed()
-            self.cond.notify_all()
+    def put(self, v: object) -> None:
+        self.value = v
 
-    def take(self, state: _RunState, site: str) -> object:
-        with self.cond:
-            waiting = False
-            while self.value is _EMPTY:
-                state.check_liveness()
-                if not waiting:
-                    state.set_blocked(site)
-                    waiting = True
-                self.cond.wait(0.01)
-            if waiting:
-                state.clear_blocked()
-            v = self.value
-            self.value = _EMPTY
-            state.progressed()
-            self.cond.notify_all()
-            return v
+    def take(self) -> object:
+        v, self.value = self.value, _EMPTY
+        return v
 
 
 @dataclass
@@ -182,15 +93,13 @@ def new_channel() -> tuple[ChannelEnd, ChannelEnd]:
     return ChannelEnd(s1, s2), ChannelEnd(s2, s1)
 
 
-def channel_send(v: object, end: ChannelEnd, state: _RunState, site: str = "send") -> ChannelEnd:
-    state.jitter()
-    end.write.put(v, state, site)
+def channel_send(v: object, end: ChannelEnd) -> ChannelEnd:
+    end.write.put(v)
     return end
 
 
-def channel_receive(end: ChannelEnd, state: _RunState, site: str = "receive") -> tuple[object, ChannelEnd]:
-    state.jitter()
-    return end.read.take(state, site), end
+def channel_receive(end: ChannelEnd) -> tuple[object, ChannelEnd]:
+    return end.read.take(), end
 
 
 # ---------------------------------------------------------------------------
@@ -223,49 +132,25 @@ class Builtin:
     args: tuple = ()
 
 
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "div": operator.floordiv, "mod": operator.mod}
+_BINARY = {"==": operator.eq, "<": operator.lt, "<=": operator.le, ">": operator.gt,
+           ">=": operator.ge, "&&": lambda x, y: x and y, "||": lambda x, y: x or y}
+_BUILTIN_ARITY = {"not": 1} | {name: 2 for name in _ARITH | _BINARY}
+
+
 def _builtin_apply(b: Builtin, args: tuple) -> object:
-    x, *rest = args
-    match b.name:
-        case "not":
-            return not x
-        case "+" | "-" | "*" | "div" | "mod":
-            y = rest[0]
-            if b.name == "+":
-                r = x + y
-            elif b.name == "-":
-                r = x - y
-            elif b.name == "*":
-                r = x * y
-            elif b.name == "div":
-                if y == 0:
-                    raise RuntimeAbort("division by zero")
-                r = x // y
-            else:
-                if y == 0:
-                    raise RuntimeAbort("division by zero")
-                r = x % y
-            if not (_INT_MIN <= r <= _INT_MAX):
-                raise RuntimeAbort("integer overflow")
-            return r
-        case "==":
-            return x == rest[0]
-        case "<":
-            return x < rest[0]
-        case "<=":
-            return x <= rest[0]
-        case ">":
-            return x > rest[0]
-        case ">=":
-            return x >= rest[0]
-        case "&&":
-            return x and rest[0]
-        case "||":
-            return x or rest[0]
-    raise RuntimeAbort(f"unknown builtin {b.name}")
-
-
-_BUILTIN_ARITY = {"not": 1, "+": 2, "-": 2, "*": 2, "div": 2, "mod": 2,
-                  "==": 2, "<": 2, "<=": 2, ">": 2, ">=": 2, "&&": 2, "||": 2}
+    if b.name == "not":
+        return not args[0]
+    x, y = args
+    if b.name not in _ARITH:
+        return _BINARY[b.name](x, y)
+    if y == 0 and b.name in ("div", "mod"):
+        raise RuntimeAbort("division by zero")
+    r = _ARITH[b.name](x, y)
+    if not (_INT_MIN <= r <= _INT_MAX):
+        raise RuntimeAbort("integer overflow")
+    return r
 
 
 @dataclass
@@ -306,156 +191,262 @@ def _pv(v: object, level: int) -> str:
 # ---------------------------------------------------------------------------
 # Evaluation
 
+# Continuation frames are tuples tagged by their first field:
+#   (_ARG, arg, env, app)        evaluate the argument of application `app`
+#   (_CALL, fun, app)            apply `fun` to the value
+#   (_PAIR, snd, env)            evaluate the second component
+#   (_PAIRED, fst)               build the pair
+#   (_LET, x, body, env)         bind x to the value, evaluate body
+#   (_LETPAIR, x, y, body, env)  bind the pair's components, evaluate body
+#   (_CASE, branches, env)       dispatch on the constructor
+#   (_IF, then, els, env)        dispatch on the boolean
+#   (_SEND,)                     `send v`, waiting for its channel end
+#   (_RECEIVE, site)             receive on the channel end
+#   (_SELECT, site)              send the label of the Select `site`
+#   (_MATCH, branches, env)      dispatch on the received label
+#   (_GLOBAL, name)              memoize a top-level value
+(_ARG, _CALL, _PAIR, _PAIRED, _LET, _LETPAIR, _CASE, _IF, _SEND, _RECEIVE,
+ _SELECT, _MATCH, _GLOBAL) = range(13)
 
-class _Interp:
-    def __init__(self, program: S.Program, state: _RunState):
+
+class _Thread:
+    """One sluice thread: `expr` to evaluate in `env` or, when `expr` is
+    None, `value` to return to the frames on `kont`. `op` is the channel
+    operation it waits to perform: (end, message, site), where the message
+    is _EMPTY for a receive."""
+
+    __slots__ = ("expr", "env", "value", "kont", "op")
+
+    def __init__(self, expr: Expr, env: dict[str, object]):
+        self.expr: Expr | None = expr
+        self.env = env
+        self.value: object = None
+        self.kont: list[tuple] = []
+        self.op: tuple[ChannelEnd, object, Expr] | None = None
+
+
+class _Machine:
+    """One run: its threads, the seeded scheduler and the memoized top-level
+    values."""
+
+    def __init__(self, program: S.Program, seed: int | None):
         self.program = program
-        self.state = state
         self.globals: dict[str, object] = {}
-        self.glock = threading.Lock()
+        self.rng = random.Random(seed)
+        self.runnable: list[_Thread] = []
+        self.parked: set[_Thread] = set()
 
-    def global_value(self, name: str) -> object:
-        with self.glock:
-            if name in self.globals:
-                return self.globals[name]
-        d = self.program.definitions.get(name)
-        if d is None:
-            if name in _BUILTIN_ARITY:
-                v: object = Builtin(name, _BUILTIN_ARITY[name])
+    def run(self, main: _Thread) -> object:
+        runnable, rng = self.runnable, self.rng
+        runnable.append(main)
+        while runnable:
+            i = rng.randrange(len(runnable))
+            th = runnable[i]
+            runnable[i] = runnable[-1]
+            runnable.pop()
+            if th.op is not None and not self._communicate(th):
+                continue
+            if not self._advance(th):
+                runnable.append(th)
+            elif th is main:
+                return th.value
+        raise WatchdogAbort(sorted({_site(th.op[2]) for th in self.parked}))
+
+    def _communicate(self, th: _Thread) -> bool:
+        """Perform th's channel operation and wake the threads parked on its
+        slot; or, if the slot is not ready, park th there and return False."""
+        end, message, _ = th.op
+        sending = message is not _EMPTY
+        slot = end.write if sending else end.read
+        if (slot.value is _EMPTY) != sending:
+            slot.parked.append(th)
+            self.parked.add(th)
+            return False
+        th.op = None
+        th.value = channel_send(message, end) if sending else channel_receive(end)
+        if slot.parked:
+            self.parked.difference_update(slot.parked)
+            self.runnable += slot.parked
+            slot.parked = []
+        return True
+
+    def _advance(self, th: _Thread) -> bool:
+        """Run th until it forks, reaches a channel operation or has taken
+        _SLICE steps; return True if it finished instead."""
+        e, env, v, k = th.expr, th.env, th.value, th.kont
+        for _ in range(_SLICE):
+            if e is not None:
+                cls = e.__class__
+                if cls is Var or cls is TypeApp:
+                    name = e.name
+                    if name in env:
+                        v, e = env[name], None
+                    elif name in self.globals:
+                        v, e = self.globals[name], None
+                    else:
+                        d = self.program.definitions.get(name)
+                        if d is not None and not d.params:
+                            k.append((_GLOBAL, name))
+                            e, env = d.body, {}
+                        else:
+                            v = self.globals[name] = self._constant(name, d)
+                            e = None
+                elif cls is App:
+                    k.append((_ARG, e.arg, env, e))
+                    e = e.fun
+                elif cls is Lit:
+                    v, e = e.value, None
+                elif cls is Let:
+                    k.append((_LET, e.x, e.body, env))
+                    e = e.bound
+                elif cls is LetPair:
+                    k.append((_LETPAIR, e.x, e.y, e.body, env))
+                    e = e.bound
+                elif cls is Lam:
+                    v, e = Closure(e.param, e.body, env), None
+                elif cls is IfE:
+                    k.append((_IF, e.then, e.els, env))
+                    e = e.cond
+                elif cls is Case:
+                    k.append((_CASE, e.branches, env))
+                    e = e.scrutinee
+                elif cls is PairE:
+                    k.append((_PAIR, e.snd, env))
+                    e = e.fst
+                elif cls is Send:
+                    k.append((_SEND,))
+                    e = e.expr
+                elif cls is Receive:
+                    k.append((_RECEIVE, e))
+                    e = e.expr
+                elif cls is Select:
+                    k.append((_SELECT, e))
+                    e = e.expr
+                elif cls is Match:
+                    k.append((_MATCH, e.branches, env))
+                    k.append((_RECEIVE, e))
+                    e = e.scrutinee
+                elif cls is New:
+                    v, e = new_channel(), None
+                elif cls is Fork:
+                    self.runnable.append(_Thread(e.expr, env))
+                    v, e = (), None
+                    break
+                else:
+                    raise RuntimeAbort(f"cannot evaluate {e!r}")
+                continue
+            if not k:
+                th.expr, th.value = None, v
+                return True
+            frame = k.pop()
+            tag = frame[0]
+            if tag == _ARG:
+                _, e, env, app = frame
+                k.append((_CALL, v, app))
+            elif tag == _CALL:
+                _, f, app = frame
+                cls = f.__class__
+                if cls is Closure:
+                    env = dict(f.env)
+                    env[f.param] = v
+                    e = f.body
+                elif cls is Builtin:
+                    args = f.args + (v,)
+                    v = _builtin_apply(f, args) if len(args) == f.arity else Builtin(f.name, f.arity, args)
+                elif cls is CtorVal:
+                    if len(f.args) >= f.arity:
+                        raise RuntimeAbort(f"constructor {f.tag} applied to too many arguments")
+                    v = CtorVal(f.tag, f.args + (v,), f.arity)
+                elif cls is _SendPartial:
+                    th.op = (v, f.value, app)
+                    break
+                else:
+                    raise RuntimeAbort(f"applying a non-function value {pretty_value(f)}")
+            elif tag == _LET:
+                _, x, e, env = frame
+                if x != "_":
+                    env = dict(env)
+                    env[x] = v
+            elif tag == _LETPAIR:
+                _, x, y, e, env = frame
+                env = dict(env)
+                if x != "_":
+                    env[x] = v[0]
+                if y != "_":
+                    env[y] = v[1]
+            elif tag == _IF:
+                _, then, els, env = frame
+                e = then if v else els
+            elif tag == _CASE:
+                _, branches, env = frame
+                for ctor, params, e in branches:
+                    if ctor == v.tag:
+                        break
+                else:
+                    raise RuntimeAbort(f"no case branch for {v.tag}")
+                env = dict(env)
+                for p, a in zip(params, v.args):
+                    if p != "_":
+                        env[p] = a
+            elif tag == _RECEIVE:
+                th.op = (v, _EMPTY, frame[1])
+                break
+            elif tag == _SELECT:
+                th.op = (v, LabelVal(frame[1].label), frame[1])
+                break
+            elif tag == _MATCH:
+                _, branches, env = frame
+                label, end = v
+                if not isinstance(label, LabelVal):
+                    raise RuntimeAbort("protocol mismatch: expected a label")
+                for name, binder, e in branches:
+                    if name == label.name:
+                        break
+                else:
+                    raise RuntimeAbort(f"no match branch for label {label.name}")
+                if binder != "_":
+                    env = dict(env)
+                    env[binder] = end
+            elif tag == _PAIR:
+                _, e, env = frame
+                k.append((_PAIRED, v))
+            elif tag == _PAIRED:
+                v = (frame[1], v)
+            elif tag == _SEND:
+                v = _SendPartial(v)
             else:
-                v = self._ctor_value(name)
-        elif d.params:
+                self.globals[frame[1]] = v
+        if len(k) > _MAX_FRAMES:
+            raise RuntimeAbort(f"stack overflow: more than {_MAX_FRAMES} pending frames")
+        th.expr, th.env, th.value = e, env, v
+        return False
+
+    def _constant(self, name: str, d: S.FunDef | None) -> object:
+        """The value of a top-level name that needs no evaluation: a function
+        definition, a builtin or a constructor."""
+        if d is not None:
             body: Expr = d.body
             for param in reversed(d.params[1:]):
                 body = Lam(S.UNRESTRICTED, param, body)
-            v = Closure(d.params[0], body, {})
-        else:
-            v = self.eval(d.body, {})
-        with self.glock:
-            self.globals[name] = v
-        return v
-
-    def _ctor_value(self, name: str) -> object:
+            return Closure(d.params[0], body, {})
+        if name in _BUILTIN_ARITY:
+            return Builtin(name, _BUILTIN_ARITY[name])
         for decl in self.program.datatypes.values():
             if name in decl.ctors:
-                arity = len(decl.ctors[name])
-                v = CtorVal(name, (), arity)
-                return v
+                return CtorVal(name, (), len(decl.ctors[name]))
         raise RuntimeAbort(f"unbound name {name}")
 
-    def apply(self, f: object, a: object, site: str) -> object:
-        match f:
-            case Closure(param, body, env):
-                env2 = dict(env)
-                env2[param] = a
-                return self.eval(body, env2)
-            case CtorVal(tag, args, arity):
-                args = args + (a,)
-                if len(args) > arity:
-                    raise RuntimeAbort(f"constructor {tag} applied to too many arguments")
-                return CtorVal(tag, args, arity)
-            case Builtin(name, arity, args):
-                args = args + (a,)
-                if len(args) == arity:
-                    return _builtin_apply(f, args)
-                return Builtin(name, arity, args)
-            case _SendPartial(value):
-                return channel_send(value, a, self.state, site)
-        raise RuntimeAbort(f"applying a non-function value {pretty_value(f)}")
 
-    def eval(self, e: Expr, env: dict[str, object]) -> object:
-        state = self.state
-        match e:
-            case Lit(value):
-                return value
-            case Var(name):
-                if name in env:
-                    return env[name]
-                return self.global_value(name)
-            case TypeApp(name, _):
-                if name in env:
-                    return env[name]
-                return self.global_value(name)
-            case Lam(_, param, body):
-                return Closure(param, body, env)
-            case App(fun, arg):
-                f = self.eval(fun, env)
-                a = self.eval(arg, env)
-                return self.apply(f, a, _site("send", e))
-            case PairE(fst, snd):
-                v1 = self.eval(fst, env)
-                v2 = self.eval(snd, env)
-                return (v1, v2)
-            case LetPair(x, y, bound, body):
-                v = self.eval(bound, env)
-                assert isinstance(v, tuple) and len(v) == 2
-                env2 = dict(env)
-                if x != "_":
-                    env2[x] = v[0]
-                if y != "_":
-                    env2[y] = v[1]
-                return self.eval(body, env2)
-            case Let(x, bound, body):
-                v = self.eval(bound, env)
-                env2 = dict(env)
-                if x != "_":
-                    env2[x] = v
-                return self.eval(body, env2)
-            case Case(scrutinee, branches):
-                v = self.eval(scrutinee, env)
-                assert isinstance(v, CtorVal)
-                for ctor, params, body in branches:
-                    if ctor == v.tag:
-                        env2 = dict(env)
-                        for p, a in zip(params, v.args):
-                            if p != "_":
-                                env2[p] = a
-                        return self.eval(body, env2)
-                raise RuntimeAbort(f"no case branch for {v.tag}")
-            case IfE(cond, then, els):
-                return self.eval(then if self.eval(cond, env) else els, env)
-            case Fork(inner):
-                state.thread_started()
-
-                def child() -> None:
-                    try:
-                        self.eval(inner, env)
-                    except (_Cancelled, RuntimeAbort):
-                        pass
-                    finally:
-                        state.thread_finished()
-
-                threading.Thread(target=child, daemon=True).start()
-                state.jitter()
-                return ()
-            case New(_):
-                return new_channel()
-            case Send(inner):
-                return _SendPartial(self.eval(inner, env))
-            case Receive(chan):
-                end = self.eval(chan, env)
-                assert isinstance(end, ChannelEnd)
-                return channel_receive(end, state, _site("receive", e))
-            case Select(label, chan):
-                end = self.eval(chan, env)
-                assert isinstance(end, ChannelEnd)
-                return channel_send(LabelVal(label), end, state, _site(f"select {label}", e))
-            case Match(scrutinee, branches):
-                end = self.eval(scrutinee, env)
-                assert isinstance(end, ChannelEnd)
-                v, end = channel_receive(end, state, _site("match", e))
-                assert isinstance(v, LabelVal), "protocol mismatch: expected a label"
-                for label, binder, body in branches:
-                    if label == v.name:
-                        env2 = dict(env)
-                        if binder != "_":
-                            env2[binder] = end
-                        return self.eval(body, env2)
-                raise RuntimeAbort(f"no match branch for label {v.name}")
-        raise RuntimeAbort(f"cannot evaluate {e!r}")
-
-
-def _site(op: str, e: Expr) -> str:
+def _site(e: Expr) -> str:
+    match e:
+        case Receive():
+            op = "receive"
+        case Match():
+            op = "match"
+        case Select(label, _):
+            op = f"select {label}"
+        case _:
+            op = "send"
     if e.pos:
         return f"{op} at line {e.pos[0]}"
     return op
@@ -463,23 +454,12 @@ def _site(op: str, e: Expr) -> str:
 
 def run(program: S.Program, *, seed: int | None = None, quiescence: float = 2.0) -> object:
     """Evaluate `main` under call-by-value and return its value. The program
-    must already have passed the checker. Forked threads are not awaited:
-    when main finishes they are quietly cancelled at their next channel
-    operation. Raises WatchdogAbort when all live threads stay blocked for
-    the quiescence interval."""
+    must already have passed the checker. The seed fixes the interleaving;
+    forked threads are not awaited. Raises WatchdogAbort as soon as main is
+    unfinished and no thread can move, and RuntimeAbort on a runtime error in
+    any thread. `quiescence` is accepted for compatibility and ignored: there
+    is no waiting left for it to time."""
     main = program.definitions.get("main")
     if main is None:
         raise RuntimeAbort("missing main")
-    state = _RunState(seed, quiescence)
-    interp = _Interp(program, state)
-    watchdog = threading.Thread(target=_watchdog, args=(state,), daemon=True)
-    watchdog.start()
-    state.thread_started()
-    try:
-        return interp.eval(main.body, {})
-    except _Cancelled:
-        raise WatchdogAbort(state.report)
-    finally:
-        state.thread_finished()
-        with state.lock:
-            state.finished = True
+    return _Machine(program, seed).run(_Thread(main.body, {}))

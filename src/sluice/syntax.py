@@ -220,11 +220,6 @@ def reassoc_semi(t: Type) -> Type:
             return t
 
 
-def session_form(t: Type) -> bool:
-    """Syntactic test: could this constructor head a session type?"""
-    return isinstance(t, (Skip, Semi, Message, Choice, Rec, TVar))
-
-
 # ---------------------------------------------------------------------------
 # Pretty-printing types
 

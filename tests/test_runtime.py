@@ -1,20 +1,72 @@
-"""The interpreter: channels, threads, blocking, and the watchdog."""
+"""The interpreter: channels, threads, blocking, and deadlock detection."""
 
 import random
-import threading
 import time
 
 import pytest
 
+from sluice import runtime
+from sluice.cli import main as cli_main
+from sluice.parser import parse_program
 from sluice.runtime import (
-    CtorVal, RuntimeAbort, WatchdogAbort, _RunState, channel_receive,
-    channel_send, new_channel, pretty_value, run,
+    CtorVal, RuntimeAbort, Slot, WatchdogAbort, channel_receive, channel_send,
+    new_channel, pretty_value, run,
 )
 from conftest import checked_program
 
 
 def run_source(source: str, **kw):
     return run(checked_program(source), **kw)
+
+
+def run_unchecked(source: str, **kw):
+    # the runtime never re-checks, so a program that leaves a channel
+    # unfinished still runs; it isolates one blocking behaviour
+    prog, diags = parse_program(source)
+    assert prog is not None and not diags
+    return run(prog, **kw)
+
+
+STREAM = """\
+type Stream = +{More: !Int;Stream, Done: Skip}
+type StreamS = &{More: ?Int;StreamS, Done: Skip}
+
+producer : Int -> Int -> Stream -> Skip
+producer n i c =
+  if i > n
+  then select Done c
+  else
+    let c = select More c in
+    let c = send i c in
+    producer n (i + 1) c
+
+consumer : Int -> StreamS -> Int
+consumer acc c =
+  match c with
+    More c ->
+      let x, c = receive c in
+      consumer (acc + x) c
+    Done c ->
+      acc
+
+main : Int
+main =
+  let w, r = new Stream in
+  let _ = fork (producer N 1 w) in
+  consumer 0 r
+"""
+
+# main writes three times into a one-slot buffer: lines 4, 5 and 6, or 5, 6
+# and 7 when a reader line is spliced in
+THREE_PUTS = """\
+main : Int
+main =
+  let w, r = new !Int;!Int;!Int in{reader}
+  let w = send 1 w in
+  let w = send 2 w in
+  let w = send 3 w in
+  0
+"""
 
 
 class TestEval:
@@ -51,103 +103,69 @@ class TestEval:
         assert pretty_value("c") == "'c'"
         assert pretty_value(True) == "True"
 
+    def test_deep_non_tail_recursion(self):
+        # each pending addition is a heap frame, not a Python stack frame
+        src = ("sumTo : Int -> Int\n"
+               "sumTo n = if n == 0 then 0 else n + sumTo (n - 1)\n"
+               "main : Int\nmain = sumTo 20000")
+        assert run_source(src) == 200010000
+
+    def test_runaway_recursion_is_a_runtime_error(self, monkeypatch):
+        # the frame cap, lowered so the test stays small and fast
+        monkeypatch.setattr(runtime, "_MAX_FRAMES", 5000)
+        src = "loop : Int -> Int\nloop n = 1 + loop n\nmain : Int\nmain = loop 0"
+        with pytest.raises(RuntimeAbort, match="stack overflow"):
+            run_source(src)
+
 
 class TestChannels:
-    def state(self) -> _RunState:
-        st = _RunState(seed=0, quiescence=10.0)
-        st.thread_started()
-        return st
-
     def test_round_trip_preserves_basic_values(self):
-        st = self.state()
+        # a forked thread sends each value; main receives it unchanged
         rng = random.Random(6)
-        values = [rng.randint(-999, 999), True, False, "x", (), "a"]
-        for v in values:
-            e1, e2 = new_channel()
-            out = {}
-
-            def reader():
-                st.thread_started()
-                out["v"], _ = channel_receive(e2, st)
-                st.thread_finished()
-
-            th = threading.Thread(target=reader, daemon=True)
-            th.start()
-            channel_send(v, e1, st)
-            th.join(timeout=2)
-            assert out["v"] == v
+        n = rng.randint(-999, 999)
+        cases = [(n, "Int", f"(0 - {-n})" if n < 0 else str(n)), (True, "Bool", "True"),
+                 (False, "Bool", "False"), ("x", "Char", "'x'"), ((), "()", "()"),
+                 ("a", "Char", "'a'")]
+        for value, ty, literal in cases:
+            src = (f"main : {ty}\n"
+                   f"main = let w, r = new !{ty} in let _ = fork (send {literal} w) in\n"
+                   "  let x, _ = receive r in x")
+            prog = checked_program(src)
+            assert all(run(prog, seed=seed) == value for seed in range(5))
 
     def test_send_returns_the_same_end(self):
-        st = self.state()
         e1, e2 = new_channel()
-        assert channel_send("c", e1, st) is e1
+        assert channel_send("c", e1) is e1
         assert e2.read.value == "c"
 
     def test_crossing(self):
         # what one end writes is exactly what the other end reads, both ways
-        st = self.state()
         e1, e2 = new_channel()
         assert e1.write is e2.read and e1.read is e2.write
-
-        def peer():
-            st.thread_started()
-            v, _ = channel_receive(e2, st)
-            channel_send(v + 1, e2, st)
-            st.thread_finished()
-
-        threading.Thread(target=peer, daemon=True).start()
-        channel_send(41, e1, st)
-        v, _ = channel_receive(e1, st)
+        channel_send(41, e1)
+        v, end = channel_receive(e2)
+        assert end is e2
+        channel_send(v + 1, e2)
+        v, _ = channel_receive(e1)
         assert v == 42
 
     def test_second_put_blocks_until_take(self):
-        st = self.state()
-        e1, e2 = new_channel()
-        progress = []
-
-        def writer():
-            st.thread_started()
-            channel_send(1, e1, st)
-            progress.append(1)
-            channel_send(2, e1, st)
-            progress.append(2)
-            st.thread_finished()
-
-        threading.Thread(target=writer, daemon=True).start()
-        time.sleep(0.15)
-        assert progress == [1]  # buffer of size one: the second put waits
-        v, _ = channel_receive(e2, st)
-        assert v == 1
-        time.sleep(0.15)
-        assert progress == [1, 2]
+        # buffer of size one: with one take by a forked reader, the second
+        # put completes and the third is the one left waiting
+        source = THREE_PUTS.format(reader="\n  let _ = fork (receive r) in")
+        for seed in range(20):
+            with pytest.raises(WatchdogAbort) as exc:
+                run_unchecked(source, seed=seed)
+            assert exc.value.report == ["send at line 7"]
 
     def test_put_put_put_never_completes(self):
-        # randomized repetition: a third put can never even start, and the
-        # watchdog notices the stuck writer
-        from sluice.runtime import _watchdog
-
-        for rep in range(100):
-            st = _RunState(seed=rep, quiescence=0.05)
-            e1, _ = new_channel()
-            progress = []
-
-            def writer(st=st, e1=e1, progress=progress):
-                st.thread_started()
-                try:
-                    for i in range(3):
-                        channel_send(i, e1, st)
-                        progress.append(i)
-                except Exception:
-                    pass
-                finally:
-                    st.thread_finished()
-
-            threading.Thread(target=writer, daemon=True).start()
-            wd = threading.Thread(target=_watchdog, args=(st,), daemon=True)
-            wd.start()
-            wd.join(timeout=5)
-            assert st.aborted and len(progress) <= 1
-            assert any("send" in site for site in st.report)
+        # with no reader the second put blocks, so the third never starts, on
+        # every schedule
+        source = THREE_PUTS.format(reader="")
+        for seed in range(100):
+            with pytest.raises(WatchdogAbort) as exc:
+                run_unchecked(source, seed=seed)
+            assert exc.value.report == ["send at line 5"]
 
 
 class TestConcurrency:
@@ -157,7 +175,8 @@ class TestConcurrency:
     def test_doubled_cross_deadlocks(self, cross_doubled_source):
         with pytest.raises(WatchdogAbort) as exc:
             run_source(cross_doubled_source, seed=3, quiescence=0.15)
-        assert exc.value.report  # each blocked thread reports its site
+        # each blocked thread reports its site
+        assert exc.value.report == ["receive at line 14", "send at line 8"]
 
     def test_starved_receive_hits_watchdog(self):
         src = ("main : Int\n"
@@ -193,3 +212,63 @@ class TestConcurrency:
         t0 = time.time()
         assert run_source(src, quiescence=5.0) == 7
         assert time.time() - t0 < 2.0
+
+    def test_seed_fixes_the_interleaving(self, monkeypatch):
+        # two producers race to fill their own buffers; the order of the puts
+        # is the interleaving
+        src = ("main : Int\n"
+               "main =\n"
+               "  let w1, r1 = new !Int;!Int in\n"
+               "  let w2, r2 = new !Int;!Int in\n"
+               "  let _ = fork (let w1 = send 1 w1 in send 2 w1) in\n"
+               "  let _ = fork (let w2 = send 3 w2 in send 4 w2) in\n"
+               "  let x, r1 = receive r1 in let y, r1 = receive r1 in\n"
+               "  let z, r2 = receive r2 in let u, r2 = receive r2 in\n"
+               "  x + y + z + u")
+        prog = checked_program(src)
+        puts: list[object] = []
+        put = Slot.put
+
+        def recording_put(slot, v):
+            puts.append(v)
+            put(slot, v)
+
+        monkeypatch.setattr(Slot, "put", recording_put)
+
+        def interleaving(seed):
+            puts.clear()
+            assert run(prog, seed=seed) == 10
+            return tuple(puts)
+
+        orders = {interleaving(seed) for seed in range(20)}
+        assert len(orders) > 1
+        assert all(interleaving(seed) == interleaving(seed) for seed in range(20))
+
+    def test_long_stream_returns_its_sum(self):
+        n = 2000
+        assert run_source(STREAM.replace("N", str(n)), seed=1) == n * (n + 1) // 2
+
+    def test_crash_in_forked_thread_is_a_runtime_error(self, tmp_path, capsys):
+        src = ("main : Int\n"
+               "main =\n"
+               "  let w, r = new !Int in\n"
+               "  let _ = fork (send (div 1 0) w) in\n"
+               "  let x, _ = receive r in\n"
+               "  x\n")
+        for seed in range(10):
+            with pytest.raises(RuntimeAbort, match="division by zero"):
+                run_source(src, seed=seed)
+        path = tmp_path / "crash.fst"
+        path.write_text(src)
+        assert cli_main(["run", str(path), "--seed", "0"]) == 1
+        assert "runtime error: division by zero" in capsys.readouterr().err
+
+    def test_spinning_thread_does_not_starve_main(self):
+        src = ("spin : Int -> Int\n"
+               "spin n = spin (n + 1)\n"
+               "main : Int\n"
+               "main =\n"
+               "  let _ = fork (spin 0) in\n"
+               "  7\n")
+        prog = checked_program(src)
+        assert all(run(prog, seed=seed) == 7 for seed in range(10))
