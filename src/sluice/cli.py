@@ -169,7 +169,7 @@ def main(argv: list[str] | None = None) -> int:
         t = _session_type(args.type, "dump-grammar needs a session type")
         if t is None:
             return EXIT_DIAGNOSTICS
-        g, w = G.build_one(t)
+        g, w = G.build(t)
         G.compute_norms(g)
         print(G.dump(g, [w]))
         return EXIT_OK

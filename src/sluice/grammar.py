@@ -5,7 +5,8 @@ terminated protocol. Each nonterminal owns at most one production per
 terminal, so words form a deterministic labelled transition system and type
 equivalence becomes bisimilarity of start words.
 
-The pipeline is: `build` (translate two types over one shared grammar),
+The pipeline is: `build` (translate any number of types over one shared
+grammar, reading each nonterminal's productions off `syntax.head`),
 `compute_norms` (least fixed point of the shortest-termination measure), and
 `prune` (truncate production tails that sit behind an unnormed symbol and can
 never be reached).
@@ -16,26 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import syntax as S
-from .syntax import Skip, Semi, Message, Choice, Rec, TVar, Type
-
-# Terminal tags. Messages keep their polarity; choice actions record which
-# side picked the label; 'var' is a rigid action standing for a free type
-# variable, so open types compare by name.
-MSG_OUT = "!"
-MSG_IN = "?"
-SEL = "+"
-BRA = "&"
-VAR = "$"
-
-
-@dataclass(frozen=True, order=True)
-class Terminal:
-    tag: str
-    arg: str
-
-    def __str__(self) -> str:
-        return f"{self.tag}{self.arg}"
-
+from .syntax import Skip, Semi, Message, Choice, Rec, TVar, Terminal, Type
 
 Word = tuple[int, ...]
 EPSILON: Word = ()
@@ -70,12 +52,7 @@ def normalize(t: Type) -> Type:
     the unique image of terminated behavior, and drop vacuous recursion."""
     match t:
         case Semi(lhs, rhs):
-            lhs, rhs = normalize(lhs), normalize(rhs)
-            if isinstance(lhs, Skip):
-                return rhs
-            if isinstance(rhs, Skip):
-                return lhs
-            return Semi(lhs, rhs)
+            return S.seq(normalize(lhs), normalize(rhs))
         case Choice(view, branches):
             return Choice(view, tuple((lab, normalize(ty)) for lab, ty in branches))
         case Rec(var, body):
@@ -87,31 +64,17 @@ def normalize(t: Type) -> Type:
             return t
 
 
-class NotContractive(Exception):
-    """Internal assertion: callers must reject non-contractive types upstream."""
-
-
 class _Builder:
     """Translates closed session types (free variables are rigid) into
-    productions. Recursion bodies are entered only by unfolding, i.e. by
-    substituting the recursive type for its variable, so head actions are
-    always computable even when an inner recursion starts by running an outer
-    one."""
-
-    _FUEL = 10_000
+    productions. Every type other than Skip and `;` becomes one nonterminal
+    whose productions are its head normal form, so recursion bodies are
+    entered only by unfolding and head actions are always computable even
+    when an inner recursion starts by running an outer one."""
 
     def __init__(self) -> None:
         self.productions: dict[int, dict[Terminal, Word]] = {}
         self.labels: dict[int, str] = {}
         self._memo: dict[object, int] = {}
-        self._count = 0
-
-    def _fresh(self, label: str) -> int:
-        nt = self._count
-        self._count += 1
-        self.productions[nt] = {}
-        self.labels[nt] = label
-        return nt
 
     def _canon(self, t: Type, bound: tuple[str, ...] = ()) -> object:
         """Hashable key identifying a closed subterm up to alpha-equivalence."""
@@ -140,85 +103,24 @@ class _Builder:
                 return EPSILON
             case Semi(lhs, rhs):
                 return self.word(lhs) + self.word(rhs)
-            case Message(polarity, payload):
-                def prods(_: int) -> dict[Terminal, Word]:
-                    return {Terminal(polarity, payload): EPSILON}
-                return (self._nonterminal(t, prods),)
-            case Choice(view, branches):
-                tag = SEL if view == S.INTERNAL else BRA
-                def prods(_: int) -> dict[Terminal, Word]:
-                    return {Terminal(tag, lab): self.word(ty) for lab, ty in branches}
-                return (self._nonterminal(t, prods),)
-            case TVar(name):
-                def prods(_: int) -> dict[Terminal, Word]:
-                    return {Terminal(VAR, name): EPSILON}
-                return (self._nonterminal(t, prods),)
-            case Rec(var, body):
-                unfolded = S.subst(body, {var: t})
-                def prods(_: int) -> dict[Terminal, Word]:
-                    return {a: self.word(succ)
-                            for a, succ in self.head(unfolded, self._FUEL).items()}
-                return (self._nonterminal(t, prods),)
-        raise TypeError(f"not a session type: {t!r}")
-
-    def _nonterminal(self, t: Type, make_prods) -> int:
         key = self._canon(t)
-        if key in self._memo:
-            return self._memo[key]
-        nt = self._fresh(S.pretty(t))
-        self._memo[key] = nt
-        self.productions[nt] = make_prods(nt)
-        return nt
-
-    def head(self, t: Type, fuel: int) -> dict[Terminal, Type]:
-        """Head actions of a closed session type together with their successor
-        types, unfolding through leading compositions and recursion.
-        Contractivity guarantees this bottoms out."""
-        if fuel <= 0:
-            raise NotContractive(S.pretty(t))
-        match t:
-            case Message(polarity, payload):
-                return {Terminal(polarity, payload): Skip()}
-            case Choice(view, branches):
-                tag = SEL if view == S.INTERNAL else BRA
-                return {Terminal(tag, lab): ty for lab, ty in branches}
-            case Semi(lhs, rhs):
-                heads = self.head(lhs, fuel - 1)
-                if not heads:
-                    return self.head(rhs, fuel - 1)
-                return {a: _seq(succ, rhs) for a, succ in heads.items()}
-            case Rec(var, body):
-                return self.head(S.subst(body, {var: t}), fuel - 1)
-            case TVar(name):
-                return {Terminal(VAR, name): Skip()}
-            case Skip():
-                return {}
-        raise TypeError(f"not a session type: {t!r}")
+        nt = self._memo.get(key)
+        if nt is None:
+            nt = self._memo[key] = len(self.productions)
+            self.labels[nt] = S.pretty(t)
+            prods = self.productions[nt] = {}
+            prods.update((a, self.word(k)) for a, k in S.head(t).items())
+        return (nt,)
 
 
-def _seq(a: Type, b: Type) -> Type:
-    if isinstance(a, Skip):
-        return b
-    if isinstance(b, Skip):
-        return a
-    return Semi(a, b)
-
-
-def build(t1: Type, t2: Type) -> tuple[Grammar, Word, Word]:
-    """Translate two session types into one shared grammar, returning their
-    start words. Inputs must be contractive; abbreviations must already be
-    expanded. Structurally identical subterms share nonterminals, so building
-    the same type twice yields the same start word."""
+def build(*types: Type) -> tuple:
+    """Translate session types into one shared grammar, returning
+    `(grammar, *start_words)`. Inputs must be contractive; abbreviations must
+    already be expanded. Structurally identical subterms share nonterminals,
+    so building the same type twice yields the same start word."""
     b = _Builder()
-    w1 = b.word(normalize(t1))
-    w2 = b.word(normalize(t2))
-    return Grammar(b.productions, {}, b.labels), w1, w2
-
-
-def build_one(t: Type) -> tuple[Grammar, Word]:
-    b = _Builder()
-    w = b.word(normalize(t))
-    return Grammar(b.productions, {}, b.labels), w
+    words = [b.word(normalize(t)) for t in types]
+    return (Grammar(b.productions, {}, b.labels), *words)
 
 
 # ---------------------------------------------------------------------------
@@ -257,20 +159,16 @@ def compute_norms(g: Grammar) -> Grammar:
 
 
 def prune(g: Grammar) -> Grammar:
-    """Cut every production tail just after its first unnormed symbol: the
-    symbols behind it can never be reached, so bisimilarity of all words is
-    preserved."""
+    """Truncate every production tail: the symbols behind its first unnormed
+    one can never be reached, so bisimilarity of all words is preserved."""
     for prods in g.productions.values():
         for a, delta in prods.items():
-            for i, nt in enumerate(delta):
-                if g.norms.get(nt) is None:
-                    prods[a] = delta[: i + 1]
-                    break
+            prods[a] = truncate(g, delta)
     return g
 
 
 def truncate(g: Grammar, w: Word) -> Word:
-    """Same cut applied to a standalone word."""
+    """Cut a word just after its first unnormed symbol."""
     for i, nt in enumerate(w):
         if g.norms.get(nt) is None:
             return w[: i + 1]

@@ -159,10 +159,30 @@ class _SendPartial:
 
 
 def pretty_value(v: object) -> str:
-    return _pv(v, 0)
+    """Source-like text of a value. Pairs and constructor arguments are walked
+    with an explicit stack, so a deep value costs heap, not Python stack."""
+    out: list[str] = []
+    # (value, level) to print, or (text, None) to emit as is
+    todo: list[tuple[object, int | None]] = [(v, 0)]
+    while todo:
+        v, level = todo.pop()
+        if level is None:
+            out.append(v)
+        elif isinstance(v, tuple) and v:
+            out.append("(")
+            todo += [(")", None), (v[1], 0), (", ", None), (v[0], 0)]
+        elif isinstance(v, CtorVal) and v.args:
+            parens = level > 0
+            out.append(f"({v.tag}" if parens else v.tag)
+            todo.append((")" if parens else "", None))
+            for a in reversed(v.args):
+                todo += [(a, 1), (" ", None)]
+        else:
+            out.append(_atom(v))
+    return "".join(out)
 
 
-def _pv(v: object, level: int) -> str:
+def _atom(v: object) -> str:
     if isinstance(v, bool):
         return "True" if v else "False"
     if isinstance(v, int):
@@ -170,15 +190,9 @@ def _pv(v: object, level: int) -> str:
     if isinstance(v, str):
         return f"'{v}'"
     if isinstance(v, tuple):
-        if not v:
-            return "()"
-        return f"({_pv(v[0], 0)}, {_pv(v[1], 0)})"
+        return "()"
     if isinstance(v, CtorVal):
-        if not v.args:
-            return v.tag
-        inner = " ".join(_pv(a, 1) for a in v.args)
-        s = f"{v.tag} {inner}"
-        return f"({s})" if level > 0 else s
+        return v.tag
     if isinstance(v, ChannelEnd):
         return "<channel>"
     if isinstance(v, (Closure, Builtin, _SendPartial)):

@@ -198,6 +198,82 @@ def subst(t: Type, mapping: dict[str, Type]) -> Type:
             return t
 
 
+def seq(a: Type, b: Type) -> Type:
+    """Sequential composition `a;b` with the Skip unit laws applied on top."""
+    if isinstance(a, Skip):
+        return b
+    if isinstance(b, Skip):
+        return a
+    return Semi(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Head normal form
+
+VAR = "$"
+
+
+@dataclass(frozen=True, order=True)
+class Terminal:
+    """A first action of a session type. Messages are tagged with their
+    polarity and choice labels with the choice's view; a free type variable
+    is a rigid action tagged VAR, so open types compare by name."""
+
+    tag: str
+    arg: str
+
+    def __str__(self) -> str:
+        return f"{self.tag}{self.arg}"
+
+
+class NoHead(Exception):
+    """The type is not a session type, or its recursion never reaches an
+    action (it is not contractive)."""
+
+
+# Contractive types reach an action after a few unfoldings; this only stops
+# the loop on non-contractive input.
+MAX_UNFOLDINGS = 10_000
+
+
+def head(t: Type) -> dict[Terminal, Type]:
+    """Head normal form of a session type: each first action mapped to its
+    continuation; empty for a terminated protocol. Recursion is unfolded on
+    demand and the `;` spine is walked with an explicit stack of pending right
+    operands, so a deep spine costs heap, not Python stack."""
+    pending: list[Type] = []
+    fuel = MAX_UNFOLDINGS
+    while True:
+        match t:
+            case Semi(lhs, rhs):
+                pending.append(rhs)
+                t = lhs
+                continue
+            case Skip():
+                if not pending:
+                    return {}
+                t = pending.pop()
+                continue
+            case Rec(var, body):
+                if fuel == 0:
+                    raise NoHead(f"recursion does not reach an action: {pretty(t)}")
+                fuel -= 1
+                t = subst(body, {var: t})
+                continue
+            case Message(polarity, payload):
+                actions = ((Terminal(polarity, payload), Skip()),)
+            case Choice(view, branches):
+                actions = ((Terminal(view, lab), ty) for lab, ty in branches)
+            case TVar(name):
+                actions = ((Terminal(VAR, name), Skip()),)
+            case _:
+                raise NoHead(f"not a session type: {t!r}")
+        rest: Type = Skip()
+        for r in reversed(pending):
+            rest = seq(rest, r)
+        return {a: seq(k, rest) for a, k in actions}
+
+
 def reassoc_semi(t: Type) -> Type:
     """Right-associate every sequential composition; used to compare parse trees."""
     match t:

@@ -4,9 +4,8 @@ Contexts thread left to right through subexpressions; using a linear binding
 removes it from the residual context, and every binder is checked for
 consumption when its scope ends. Type comparisons go through the equivalence
 decision procedure, so anything that differs only by the sequential-composition
-laws checks interchangeably. Session operations first expose the head of the
-channel's type by unfolding recursion and pushing continuations under
-composition.
+laws checks interchangeably. Session operations read the channel type's head
+normal form (`syntax.head`): each first action with its continuation.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from . import kinds as K
 from . import syntax as S
 from .dual import dual
 from .syntax import (
-    Kind, Type, Basic, Arrow, Pair, DataRef, Skip, Semi, Message, Choice, Rec, TVar,
+    Kind, Type, Basic, Arrow, Pair, DataRef, Semi, Choice, Rec, TVar,
     Scheme, SESSION, FUNCTIONAL, UNRESTRICTED, LINEAR,
     Expr, Lit, Var, Lam, App, PairE, LetPair, Let, Case, If as IfE, TypeApp,
     Fork, New, Send, Receive, Select, Match,
@@ -191,73 +190,6 @@ class Ctx:
 
 
 # ---------------------------------------------------------------------------
-# Head exposure for session operations
-
-
-@dataclass(frozen=True)
-class HeadSkip:
-    pass
-
-
-@dataclass(frozen=True)
-class HeadMsg:
-    polarity: str
-    payload: str
-    cont: Type
-
-
-@dataclass(frozen=True)
-class HeadChoice:
-    view: str
-    branches: tuple[tuple[str, Type], ...]
-    cont: Type
-
-
-@dataclass(frozen=True)
-class HeadVar:
-    name: str
-    cont: Type
-
-
-def _seq(a: Type, b: Type) -> Type:
-    if isinstance(a, Skip):
-        return b
-    if isinstance(b, Skip):
-        return a
-    return Semi(a, b)
-
-
-def expose(t: Type, fuel: int = 1000):
-    """Expose the first communication action of a session type by unfolding
-    recursion and pushing continuations under sequential composition."""
-    if fuel <= 0:
-        raise _fail("recursion does not reach an action (non-contractive type)")
-    match t:
-        case Skip():
-            return HeadSkip()
-        case Message(polarity, payload):
-            return HeadMsg(polarity, payload, Skip())
-        case Choice(view, branches):
-            return HeadChoice(view, branches, Skip())
-        case TVar(name):
-            return HeadVar(name, Skip())
-        case Rec(var, body):
-            return expose(S.subst(body, {var: t}), fuel - 1)
-        case Semi(lhs, rhs):
-            head = expose(lhs, fuel - 1)
-            match head:
-                case HeadSkip():
-                    return expose(rhs, fuel - 1)
-                case HeadMsg(p, b, cont):
-                    return HeadMsg(p, b, _seq(cont, rhs))
-                case HeadChoice(v, bs, cont):
-                    return HeadChoice(v, bs, _seq(cont, rhs))
-                case HeadVar(n, cont):
-                    return HeadVar(n, _seq(cont, rhs))
-    raise _fail(f"not a session type: {S.pretty(t)}")
-
-
-# ---------------------------------------------------------------------------
 # Expression synthesis
 
 
@@ -316,12 +248,13 @@ def synth(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr) -> tuple[Type, Ctx
                 if not isinstance(tv, Basic):
                     raise _fail(f"send carries basic values only, got {S.pretty(tv)}", e.pos)
                 tc, ctx2 = synth(ctx1, env, kenv, arg)
-                head = _expose_channel(env, tc, e.pos)
-                if not isinstance(head, HeadMsg) or head.polarity != S.OUT:
+                msg = _actions(tc, S.OUT, e.pos)
+                if not msg:
                     raise _fail(f"channel of type {S.pretty(tc)} has no output action", e.pos)
-                if head.payload != tv.name:
-                    raise _fail(f"channel expects !{head.payload}, got {tv.name}", e.pos)
-                return head.cont, ctx2
+                (payload, cont), = msg.items()
+                if payload != tv.name:
+                    raise _fail(f"channel expects !{payload}, got {tv.name}", e.pos)
+                return cont, ctx2
             tf, ctx1 = synth(ctx, env, kenv, fun)
             if not isinstance(tf, Arrow):
                 raise _fail(f"applying a non-function of type {S.pretty(tf)}", e.pos)
@@ -337,10 +270,11 @@ def synth(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr) -> tuple[Type, Ctx
 
         case Receive(chan):
             tc, ctx1 = synth(ctx, env, kenv, chan)
-            head = _expose_channel(env, tc, e.pos)
-            if not isinstance(head, HeadMsg) or head.polarity != S.IN:
+            msg = _actions(tc, S.IN, e.pos)
+            if not msg:
                 raise _fail(f"channel of type {S.pretty(tc)} has no input action", e.pos)
-            return Pair(Basic(head.payload), head.cont), ctx1
+            (payload, cont), = msg.items()
+            return Pair(Basic(payload), cont), ctx1
 
         case New(session):
             ty = resolve_type(env, session)
@@ -356,20 +290,18 @@ def synth(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr) -> tuple[Type, Ctx
 
         case Select(label, chan):
             tc, ctx1 = synth(ctx, env, kenv, chan)
-            head = _expose_channel(env, tc, e.pos)
-            if not isinstance(head, HeadChoice) or head.view != S.INTERNAL:
+            offered = _actions(tc, S.INTERNAL, e.pos)
+            if not offered:
                 raise _fail(f"channel of type {S.pretty(tc)} offers no internal choice", e.pos)
-            picked = dict(head.branches).get(label)
-            if picked is None:
+            if label not in offered:
                 raise _fail(f"label {label} is not offered by {S.pretty(tc)}", e.pos)
-            return _seq(picked, head.cont), ctx1
+            return offered[label], ctx1
 
         case Match(scrutinee, branches):
             tc, ctx1 = synth(ctx, env, kenv, scrutinee)
-            head = _expose_channel(env, tc, e.pos)
-            if not isinstance(head, HeadChoice) or head.view != S.EXTERNAL:
+            offered = _actions(tc, S.EXTERNAL, e.pos)
+            if not offered:
                 raise _fail(f"channel of type {S.pretty(tc)} offers no external choice", e.pos)
-            offered = dict(head.branches)
             covered = {lab for lab, _, _ in branches}
             if covered != set(offered):
                 missing = sorted(set(offered) - covered)
@@ -379,8 +311,7 @@ def synth(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr) -> tuple[Type, Ctx
                 raise _fail(f"match branches do not cover the choice: {what}", e.pos)
             outs = []
             for lab, binder, body in branches:
-                chan_ty = _seq(offered[lab], head.cont)
-                outs.append(_branch(ctx1, env, kenv, [(binder, chan_ty)], body, e.pos))
+                outs.append(_branch(ctx1, env, kenv, [(binder, offered[lab])], body, e.pos))
             return _join_branches(ctx1, env, kenv, outs, e.pos)
 
         case Fork(inner):
@@ -448,11 +379,15 @@ def synth(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr) -> tuple[Type, Ctx
     raise _fail(f"cannot type expression {e!r}", getattr(e, "pos", None))
 
 
-def _expose_channel(env: GlobalEnv, t: Type, pos: S.Pos | None):
+def _actions(t: Type, tag: str, pos: S.Pos | None) -> dict[str, Type]:
+    """The first actions of a channel type that carry `tag` (a polarity or a
+    choice view), each argument mapped to its continuation; empty when the
+    type starts with anything else."""
     try:
-        return expose(t)
-    except CheckError:
+        head = S.head(t)
+    except S.NoHead:
         raise _fail(f"expected a channel, got {S.pretty(t)}", pos)
+    return {a.arg: cont for a, cont in head.items() if a.tag == tag}
 
 
 def _bind_all(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv,

@@ -1,9 +1,12 @@
 """The command-line front end and its exit-code contract."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
+import sluice
 from sluice.cli import main
 
 from conftest import PROGRAMS
@@ -40,6 +43,21 @@ class TestRun:
         assert main(["run", TREE, "--seed", "1"]) == 0
         out = capsys.readouterr().out.strip()
         assert out.startswith("Node 36 ")
+
+    def test_deep_value_prints_without_traceback(self, tmp_path):
+        deep = tmp_path / "deep.fst"
+        deep.write_text("data Tree = Leaf | Node Int Tree Tree\n"
+                        "build : Int -> Tree\n"
+                        "build n = if n == 0 then Leaf else Node n (build (n - 1)) Leaf\n"
+                        "main : Tree\nmain = build 10000\n")
+        src = os.path.dirname(os.path.dirname(sluice.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-m", "sluice", "run", str(deep)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0 and "Traceback" not in done.stderr
+        out = done.stdout.strip()
+        assert out.startswith("Node 10000 (Node 9999 (Node 9998 ")
+        assert out.endswith("(Node 1 Leaf Leaf)" + " Leaf)" * 9998 + " Leaf")
 
     def test_deadlock_exit_3(self, capsys):
         assert main(["run", DOUBLED, "--seed", "1", "--quiescence", "0.15"]) == 3

@@ -9,7 +9,7 @@ from sluice.equiv import (
     Frontier, Inconclusive, SearchConfig, _Entry, congruent, equivalent,
     expand, prioritize, search, simplify,
 )
-from sluice.grammar import Terminal, build, build_one, compute_norms, prune, word_norm
+from sluice.grammar import Terminal, build, compute_norms, prune, word_norm
 from sluice.parser import parse_type
 from sluice.syntax import Basic, Pair, Semi, TVar, SL, TU
 
@@ -21,7 +21,7 @@ TREE_CHANNEL = parse_type("rec x. +{Leaf: Skip, Node: !Int;x;x}")
 
 
 def tree_grammar():
-    g, w = build_one(TREE_C)
+    g, w = build(TREE_C)
     compute_norms(g)
     prune(g)
     return g, w
@@ -118,7 +118,7 @@ class TestSimplify:
         assert any(((t,), (r,)) in node for node in out)
 
     def test_unnormed_head_not_cancelled(self):
-        g, w = build_one(parse_type("rec x. !Int;x"))
+        g, w = build(parse_type("rec x. !Int;x"))
         compute_norms(g)
         prune(g)
         (x,) = w

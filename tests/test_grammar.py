@@ -4,7 +4,7 @@ import random
 from collections import deque
 
 from sluice.grammar import (
-    Grammar, Terminal, build, build_one, compute_norms, prune, step, truncate,
+    Grammar, Terminal, build, compute_norms, prune, step, truncate,
     word_norm, EPSILON,
 )
 from sluice.parser import parse_type
@@ -40,7 +40,7 @@ def canonical_shape(g: Grammar, start):
 
 class TestBuild:
     def test_tree_channel_shape(self):
-        g, w = build_one(TREE_C)
+        g, w = build(TREE_C)
         # T -> +Leaf eps | +Node M T T R;  M -> !Int eps;  R -> ?Int eps
         start, shape = canonical_shape(g, w)
         assert start == (0,)
@@ -51,11 +51,11 @@ class TestBuild:
         )
 
     def test_tree_channel_behaves_like_its_type(self):
-        g, w = build_one(TREE_C)
+        g, w = build(TREE_C)
         assert k_bisimilar_type_word(TREE_C, g, w, 12)
 
     def test_skip_is_the_empty_word(self):
-        g, w = build_one(parse_type("Skip"))
+        g, w = build(parse_type("Skip"))
         assert w == EPSILON
         assert g.productions == {}
 
@@ -64,7 +64,7 @@ class TestBuild:
         assert w1 == w2 and len(w1) == 1
 
     def test_loop_shape(self):
-        g, w = build_one(LOOP)
+        g, w = build(LOOP)
         start, shape = canonical_shape(g, w)
         assert start == (0,)
         assert shape == (((("!", "Int"), (0,)),),)
@@ -74,7 +74,7 @@ class TestBuild:
         rng = random.Random(11)
         for _ in range(200):
             t = rand_session(rng, rng.randint(0, 5))
-            g, w = build_one(t)
+            g, w = build(t)
             assert k_bisimilar_type_word(t, g, w, 10), t
 
     def test_memoized_rebuild_gives_identical_start(self):
@@ -88,7 +88,7 @@ class TestBuild:
         rng = random.Random(13)
         for _ in range(100):
             t = rand_session(rng, rng.randint(0, 5))
-            g, _ = build_one(t)
+            g, _ = build(t)
             for nt, prods in g.productions.items():
                 assert isinstance(nt, int)
                 for a, delta in prods.items():
@@ -98,13 +98,13 @@ class TestBuild:
 
 class TestNorms:
     def test_tree_channel_norms(self):
-        g, w = build_one(TREE_C)
+        g, w = build(TREE_C)
         compute_norms(g)
         for nt in g.productions:
             assert g.norms[nt] == 1 == bfs_norm(g, (nt,))
 
     def test_loop_unnormed(self):
-        g, w = build_one(LOOP)
+        g, w = build(LOOP)
         compute_norms(g)
         assert g.norms[w[0]] is None
         assert bfs_norm(g, w) is None
@@ -118,7 +118,7 @@ class TestNorms:
         rng = random.Random(21)
         for _ in range(150):
             t = rand_session(rng, rng.randint(0, 5))
-            g, w = build_one(t)
+            g, w = build(t)
             compute_norms(g)
             for nt in g.productions:
                 oracle = bfs_norm(g, (nt,), cap=24)
@@ -134,7 +134,7 @@ class TestNorms:
         rng = random.Random(22)
         for _ in range(100):
             t = rand_session(rng, rng.randint(1, 5))
-            g, w = build_one(t)
+            g, w = build(t)
             compute_norms(g)
             nts = list(g.productions)
             if not nts:
@@ -174,7 +174,7 @@ class TestPrune:
         assert k_bisimilar(g0, w_before, g, truncate(g, w_before), 20)
 
     def test_all_normed_unchanged(self):
-        g, _ = build_one(TREE_C)
+        g, _ = build(TREE_C)
         compute_norms(g)
         snapshot = {nt: dict(p) for nt, p in g.productions.items()}
         prune(g)
@@ -196,7 +196,7 @@ class TestPrune:
         checked = 0
         for _ in range(600):
             t = rand_session(rng, rng.randint(1, 5))
-            g, w = build_one(t)
+            g, w = build(t)
             compute_norms(g)
             if all(n is not None for n in g.norms.values()):
                 continue
@@ -216,7 +216,7 @@ def k_bisimilar(g1, w1, g2, w2, depth):
 
 class TestStep:
     def test_tree_channel_step(self):
-        g, w = build_one(TREE_C)
+        g, w = build(TREE_C)
         succ = step(g, w)
         start, shape = canonical_shape(g, w)
         leaf = succ[Terminal("+", "Leaf")]
@@ -225,9 +225,9 @@ class TestStep:
         assert len(node) == 4 and node[1] == w[0] and node[2] == w[0]
 
     def test_terminated_word(self):
-        g, _ = build_one(TREE_C)
+        g, _ = build(TREE_C)
         assert step(g, EPSILON) == {}
 
     def test_unfolding_through_tail(self):
-        g, w = build_one(LOOP)
+        g, w = build(LOOP)
         assert step(g, w + w) == {Terminal("!", "Int"): w + w}

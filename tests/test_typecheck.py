@@ -11,7 +11,7 @@ from sluice.parser import parse_expr, parse_program, parse_type
 from sluice.syntax import SL, Scheme, TVar, Basic, Pair
 from sluice.typecheck import (
     BUILTINS, CheckError, Ctx, GlobalEnv, build_global_env, check_against,
-    check_program, dump_types, expose, resolve_type, synth, HeadMsg,
+    check_program, dump_types, resolve_type, synth,
 )
 
 from gen import rand_session
@@ -370,6 +370,7 @@ def test_dump_types_reparses(tree_source):
 
 
 def test_expose_exposes_message():
-    head = expose(parse_type("(!Int;Skip);?Bool"))
-    assert isinstance(head, HeadMsg) and head.polarity == S.OUT
-    assert equivalent(head.cont, parse_type("?Bool"))
+    head = S.head(parse_type("(!Int;Skip);?Bool"))
+    (action, cont), = head.items()
+    assert action == S.Terminal(S.OUT, "Int")
+    assert equivalent(cont, parse_type("?Bool"))
