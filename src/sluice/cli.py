@@ -115,7 +115,16 @@ def main(argv: list[str] | None = None) -> int:
     p_types.add_argument("file")
 
     args = ap.parse_args(argv)
+    try:
+        return _command(args)
+    except RecursionError:
+        # Input nested deeper than a recursive walk (parser, kinding,
+        # typechecker, grammar translation) can follow on the Python stack.
+        print(f"{getattr(args, 'file', '<type>')}: error: nesting too deep", file=sys.stderr)
+        return EXIT_DIAGNOSTICS
 
+
+def _command(args: argparse.Namespace) -> int:
     if args.command == "check":
         return EXIT_OK if _checked(args.file) else EXIT_DIAGNOSTICS
 

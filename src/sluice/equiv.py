@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Container, Iterable, Optional
 
 from . import kinds as K
 from . import syntax as S
@@ -75,16 +75,41 @@ def expand(g: Grammar, pairs: Iterable[WordPair]) -> Optional[Node]:
 # ---------------------------------------------------------------------------
 # Congruence test
 
-def congruent(pair: WordPair, rel: Iterable[WordPair]) -> bool:
-    """Bounded membership test for the congruence (over concatenation)
-    generated by `rel`: peel equal head symbols or matching relation-member
-    prefixes from both sides. Only ever answers True when a derivation
-    exists, so deleting a pair it approves is always sound."""
-    rules: list[WordPair] = []
-    for p, q in rel:
+# Directed rules (lhs, rhs, source pair) keyed by the head symbols of their
+# two sides, `(lhs[:1], rhs[:1])`; an empty side has the empty key.
+RuleIndex = dict[tuple[Word, Word], list[tuple[Word, Word, WordPair]]]
+
+
+def index_rules(rel: Iterable[WordPair]) -> RuleIndex:
+    """Both directions of every pair of `rel` other than ((), ())."""
+    index: RuleIndex = {}
+    for pair in rel:
+        p, q = pair
         if p or q:
-            rules.append((p, q))
-            rules.append((q, p))
+            index.setdefault((p[:1], q[:1]), []).append((p, q, pair))
+            index.setdefault((q[:1], p[:1]), []).append((q, p, pair))
+    return index
+
+
+def congruent(pair: WordPair, rel: Iterable[WordPair] | RuleIndex,
+              history: RuleIndex | None = None,
+              live: Container[WordPair] | None = None) -> bool:
+    """Membership test for the congruence (over concatenation) generated by
+    a relation: peel equal head symbols or matching rule prefixes from both
+    sides until the pair is reflexive. Only ever answers True when a
+    derivation exists, so deleting a pair it approves is always sound.
+
+    The relation is `rel` (plain pairs, or their `index_rules`) plus the
+    rules of the `history` index. When `live` is given, a rule from `rel`
+    counts only while its source pair is in `live`, so `simplify` indexes a
+    node's pairs once per round and deletes pairs without reindexing, and
+    indexes its history once per call. A word pair (u, v) can only use rules
+    keyed (u[:1], v[:1]), ((), v[:1]) or (u[:1], ()), so each step looks up
+    those keys instead of scanning every rule. The depth-first search with
+    its visited set answers whether a reflexive pair is reachable, which
+    does not depend on the order it tries the rules in."""
+    own = rel if isinstance(rel, dict) else index_rules(rel)
+    sources = ((own, live), (history or {}, None))
     seen: set[WordPair] = set()
 
     def go(u: Word, v: Word) -> bool:
@@ -93,11 +118,22 @@ def congruent(pair: WordPair, rel: Iterable[WordPair]) -> bool:
         if (u, v) in seen:
             return False
         seen.add((u, v))
-        if u and v and u[0] == v[0] and go(u[1:], v[1:]):
-            return True
-        for p, q in rules:
-            if u[: len(p)] == p and v[: len(q)] == q and go(u[len(p):], v[len(q):]):
+        hu, hv = u[:1], v[:1]
+        if not hu:
+            keys = (((), hv),)
+        elif not hv:
+            keys = ((hu, ()),)
+        else:
+            if hu == hv and go(u[1:], v[1:]):
                 return True
+            keys = ((hu, hv), ((), hv), (hu, ()))
+        for index, alive in sources:
+            for key in keys:
+                for p, q, source in index.get(key, ()):
+                    if ((alive is None or source in alive)
+                            and u[: len(p)] == p and v[: len(q)] == q
+                            and go(u[len(p):], v[len(q):])):
+                        return True
         return False
 
     return go(*pair)
@@ -135,6 +171,7 @@ def simplify(g: Grammar, pairs: Iterable[WordPair], history: Iterable[WordPair],
     B2 branches: one sibling per candidate witness plus one keeping the pair
     untouched, so the result is a set of alternative nodes."""
     hist = frozenset(history)
+    hist_rules = index_rules(hist)
     results: set[Node] = set()
     work: list[tuple[Node, frozenset[WordPair], bool]] = [(_canon_pairs(g, pairs), frozenset(), True)]
     seen: set[tuple[Node, frozenset[WordPair]]] = set()
@@ -153,11 +190,15 @@ def simplify(g: Grammar, pairs: Iterable[WordPair], history: Iterable[WordPair],
         P1 = frozenset(p for p in P if p[0] != p[1])
 
         # (C) drop pairs derivable from the surviving pairs plus the history;
-        # one at a time, so every deletion is justified by what remains
+        # one at a time, so every deletion is justified by what remains.
+        # A pair leaves `kept` while it is tested and for good once deleted,
+        # which takes its rules out of `own`.
         kept = set(P1)
+        own = index_rules(P1 - hist)
         for p in sorted(P1):
-            if p in kept and congruent(p, (kept - {p}) | hist):
-                kept.discard(p)
+            kept.discard(p)
+            if not congruent(p, own, hist_rules, kept):
+                kept.add(p)
 
         # (B1) cancel equal normed head symbols
         P2: set[WordPair] = set()

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 # ---------------------------------------------------------------------------
 # Kinds
@@ -213,11 +213,12 @@ def seq(a: Type, b: Type) -> Type:
 VAR = "$"
 
 
-@dataclass(frozen=True, order=True)
-class Terminal:
+class Terminal(NamedTuple):
     """A first action of a session type. Messages are tagged with their
     polarity and choice labels with the choice's view; a free type variable
-    is a rigid action tagged VAR, so open types compare by name."""
+    is a rigid action tagged VAR, so open types compare by name. It is a
+    NamedTuple, so hashing and comparing it (every grammar dict and every
+    `step`) run in C."""
 
     tag: str
     arg: str

@@ -3,8 +3,9 @@
 Everything here works from first principles on its own data structures:
 a transition semantics read directly off the type syntax, a depth-bounded
 product-graph bisimilarity check, a fixed-point equivalence decision for the
-tail-recursive fragment, a shortest-path norm, and a brute-force congruence
-closure on bounded words. None of it calls into the pipeline it is used to
+tail-recursive fragment, a shortest-path norm, a brute-force congruence
+closure on bounded words, and a congruence test that scans every rule at
+every step. None of it calls into the pipeline it is used to
 judge (the grammar translation, the expansion-tree search, or the norm fixed
 point).
 """
@@ -194,3 +195,33 @@ def congruence_closure(rel, alphabet, max_len: int = 4):
             closure |= {(v, u) for u, v in add}
             changed = True
     return closure
+
+
+# ---------------------------------------------------------------------------
+# Congruence test by scanning every rule
+
+def scanning_congruent(pair, rel) -> bool:
+    """The decider's congruence test without its head-symbol index: peel
+    equal head symbols or the sides of any matching rule (both directions of
+    every pair of rel) from both words, until the pair is reflexive."""
+    rules = []
+    for p, q in rel:
+        if p or q:
+            rules.append((p, q))
+            rules.append((q, p))
+    seen = set()
+
+    def go(u, v):
+        if u == v:
+            return True
+        if (u, v) in seen:
+            return False
+        seen.add((u, v))
+        if u and v and u[0] == v[0] and go(u[1:], v[1:]):
+            return True
+        for p, q in rules:
+            if u[: len(p)] == p and v[: len(q)] == q and go(u[len(p):], v[len(q):]):
+                return True
+        return False
+
+    return go(*pair)

@@ -16,6 +16,14 @@ CROSS = os.path.join(PROGRAMS, "cross.fst")
 DOUBLED = os.path.join(PROGRAMS, "cross_doubled.fst")
 
 
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """`python -m sluice` in a fresh interpreter, with its own Python stack."""
+    src = os.path.dirname(os.path.dirname(sluice.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-m", "sluice", *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 class TestCheck:
     def test_well_typed_is_silent_success(self, capsys):
         assert main(["check", TREE]) == 0
@@ -32,6 +40,17 @@ class TestCheck:
     def test_unreadable_file(self, capsys):
         assert main(["check", "/no/such/file.fst"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_deep_nesting_is_a_diagnostic(self, tmp_path):
+        # 1000 nested lets overflow the recursive parser on the default stack
+        deep = tmp_path / "deep.fst"
+        deep.write_text("main : Int\nmain =\n  let x0 = 0 in\n"
+                        + "".join(f"  let x{i} = x{i - 1} + 1 in\n" for i in range(1, 1000))
+                        + "  x999\n")
+        for command in ("check", "run"):
+            done = run_cli(command, str(deep))
+            assert done.returncode == 1, command
+            assert done.stderr == f"{deep}: error: nesting too deep\n", command
 
 
 class TestRun:
@@ -50,10 +69,7 @@ class TestRun:
                         "build : Int -> Tree\n"
                         "build n = if n == 0 then Leaf else Node n (build (n - 1)) Leaf\n"
                         "main : Tree\nmain = build 10000\n")
-        src = os.path.dirname(os.path.dirname(sluice.__file__))
-        env = {**os.environ, "PYTHONPATH": src}
-        done = subprocess.run([sys.executable, "-m", "sluice", "run", str(deep)],
-                              capture_output=True, text=True, env=env, timeout=60)
+        done = run_cli("run", str(deep))
         assert done.returncode == 0 and "Traceback" not in done.stderr
         out = done.stdout.strip()
         assert out.startswith("Node 10000 (Node 9999 (Node 9998 ")

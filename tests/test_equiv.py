@@ -7,14 +7,16 @@ import pytest
 from sluice import syntax as S
 from sluice.equiv import (
     Frontier, Inconclusive, SearchConfig, _Entry, congruent, equivalent,
-    expand, prioritize, search, simplify,
+    expand, index_rules, prioritize, search, simplify,
 )
 from sluice.grammar import Terminal, build, compute_norms, prune, word_norm
 from sluice.parser import parse_type
 from sluice.syntax import Basic, Pair, Semi, TVar, SL, TU
 
 from gen import lawify, perturb, rand_regular, rand_session
-from oracles import congruence_closure, k_bisimilar_types, regular_equivalent
+from oracles import (
+    congruence_closure, k_bisimilar_types, regular_equivalent, scanning_congruent,
+)
 
 TREE_C = parse_type("rec x. +{Leaf: Skip, Node: !Int;x;x;?Int}")
 TREE_CHANNEL = parse_type("rec x. +{Leaf: Skip, Node: !Int;x;x}")
@@ -84,6 +86,44 @@ class TestCongruent:
                 v = tuple(rng.choices(alphabet, k=rng.randint(0, 3)))
                 if congruent((u, v), rel):
                     assert (u, v) in closure, (u, v, rel)
+
+    def test_index_agrees_with_rule_scanning(self):
+        # The index may leave out only rules that cannot match, so every
+        # answer equals the reference's, called as simplify calls it: the
+        # node's own rules indexed once, the pair under test and the pairs
+        # already deleted dropped through `live`, the history always counted.
+        rng = random.Random(29)
+        alphabet = (0, 1, 2)
+
+        def word(longest):
+            return tuple(rng.choices(alphabet, k=rng.randint(0, longest)))
+
+        def nonempty(longest):
+            return tuple(rng.choices(alphabet, k=rng.randint(1, longest)))
+
+        answers = {True: 0, False: 0}
+        for _ in range(300):
+            node = {(word(2), word(2)) for _ in range(rng.randint(1, 4))}
+            node.add(((), nonempty(2)))  # one empty side
+            hist = {(word(2), word(2)) for _ in range(rng.randint(0, 2))}
+            hist.add((nonempty(2), ()))
+            if rng.random() < 0.3:
+                hist.add(rng.choice(sorted(node)))  # a candidate also in the history
+            own, hist_rules = index_rules(node - hist), index_rules(hist)
+            kept = set(node)
+            for p in sorted(node):
+                kept.discard(p)
+                expected = scanning_congruent(p, kept | hist)
+                assert congruent(p, own, hist_rules, kept) == expected, (p, node, hist)
+                answers[expected] += 1
+                if not expected:
+                    kept.add(p)
+            for _ in range(4):
+                pair = (word(4), word(4))
+                expected = scanning_congruent(pair, node | hist)
+                assert congruent(pair, node | hist) == expected, (pair, node, hist)
+                answers[expected] += 1
+        assert min(answers.values()) > 300, answers
 
 
 class TestSimplify:
@@ -233,6 +273,31 @@ class TestEquivalentLaws:
         env = {"f": TU}
         assert equivalent(TVar("f"), TVar("f"), env)
         assert not equivalent(TVar("f"), Basic("Int"), env)
+
+
+def _receive_bool(t):
+    """The type with every ?Int replaced by ?Bool."""
+    match t:
+        case S.Message(S.IN, "Int"):
+            return S.Message(S.IN, "Bool")
+        case S.Semi(lhs, rhs):
+            return S.Semi(_receive_bool(lhs), _receive_bool(rhs))
+        case S.Choice(view, branches):
+            return S.Choice(view, tuple((lab, _receive_bool(ty)) for lab, ty in branches))
+        case S.Rec(var, body):
+            return S.Rec(var, _receive_bool(body))
+    return t
+
+
+class TestLadder:
+    def test_tree_c_against_its_unfoldings(self):
+        # An unfolding is equivalent by the fixed-point law; its ?Bool variant
+        # receives a Bool where TreeC receives an Int, so it is not.
+        unfolded = TREE_C
+        for k in range(1, 7):
+            unfolded = S.subst(TREE_C.body, {TREE_C.var: unfolded})
+            assert equivalent(TREE_C, unfolded), k
+            assert not equivalent(TREE_C, _receive_bool(unfolded)), k
 
 
 class TestEquivalenceRelation:
