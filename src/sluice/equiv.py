@@ -49,6 +49,11 @@ class SearchConfig:
     prioritize: bool = True
     simplify: str = "full"  # 'full' | 'single' | 'off'
 
+    def __post_init__(self) -> None:
+        if self.simplify not in ("full", "single", "off"):
+            raise ValueError(f"unknown simplify mode {self.simplify!r}: "
+                             "expected 'full', 'single' or 'off'")
+
 
 TraceFn = Callable[[int, int, str], None]  # depth, pair count, action
 
@@ -149,9 +154,10 @@ def _canon_pairs(g: Grammar, pairs: Iterable[WordPair]) -> Node:
     return frozenset((truncate(g, a), truncate(g, b)) for a, b in pairs)
 
 
-def _b2_candidates(g: Grammar, y: int, steps: int) -> set[Word]:
+def _b2_candidates(g: Grammar, y: int, steps: int) -> list[Word]:
     """Words reachable from Y by norm-reducing transition sequences of the
-    given length; every witness of a decomposition must be among them."""
+    given length, sorted; every witness of a decomposition must be among
+    them."""
     frontier: set[Word] = {(y,)}
     for _ in range(steps):
         nxt: set[Word] = set()
@@ -161,17 +167,28 @@ def _b2_candidates(g: Grammar, y: int, steps: int) -> set[Word]:
                 if word_norm(g, w2) == (n or 0) - 1:
                     nxt.add(w2)
         frontier = nxt
-    return frontier
+    return sorted(frontier)
 
 
 def simplify(g: Grammar, pairs: Iterable[WordPair], history: Iterable[WordPair],
-             fixed_point: bool = True) -> set[Node]:
+             fixed_point: bool = True,
+             witnesses: dict[tuple[int, int], list[Word]] | None = None) -> set[Node]:
     """Shrink a node with the reflexivity (R), congruence (C), and
     decomposition (B1/B2) rules, iterating to a fixed point when asked.
     B2 branches: one sibling per candidate witness plus one keeping the pair
-    untouched, so the result is a set of alternative nodes."""
+    untouched, so the result is a set of alternative nodes.
+
+    R, C and B1 read only the node and the history, which is fixed for the
+    call, so each distinct node is reduced once and the result reused when
+    the node comes back (as the untouched B2 sibling, or as a witness child
+    that coincides with a node already seen). B2's witness lists depend only
+    on the grammar, so `search` passes one `witnesses` dict for the whole
+    query; without one, the call keeps its own."""
     hist = frozenset(history)
     hist_rules = index_rules(hist)
+    if witnesses is None:
+        witnesses = {}
+    reduced: dict[Node, Node] = {}
     results: set[Node] = set()
     work: list[tuple[Node, frozenset[WordPair], bool]] = [(_canon_pairs(g, pairs), frozenset(), True)]
     seen: set[tuple[Node, frozenset[WordPair]]] = set()
@@ -185,30 +202,9 @@ def simplify(g: Grammar, pairs: Iterable[WordPair], history: Iterable[WordPair],
         if (P, b2done) in seen:
             continue
         seen.add((P, b2done))
-
-        # (R) drop reflexive pairs
-        P1 = frozenset(p for p in P if p[0] != p[1])
-
-        # (C) drop pairs derivable from the surviving pairs plus the history;
-        # one at a time, so every deletion is justified by what remains.
-        # A pair leaves `kept` while it is tested and for good once deleted,
-        # which takes its rules out of `own`.
-        kept = set(P1)
-        own = index_rules(P1 - hist)
-        for p in sorted(P1):
-            kept.discard(p)
-            if not congruent(p, own, hist_rules, kept):
-                kept.add(p)
-
-        # (B1) cancel equal normed head symbols
-        P2: set[WordPair] = set()
-        for u, v in kept:
-            while u and v and u[0] == v[0] and g.norms.get(u[0]) is not None:
-                u, v = u[1:], v[1:]
-            if u != v:
-                P2.add((u, v))
-        node = frozenset(P2)
-
+        node = reduced.get(P)
+        if node is None:
+            node = reduced[P] = _reduce(g, P, hist, hist_rules)
         changed = node != P
 
         # (B2) decompose one pair with distinct normed heads, guessing the
@@ -230,7 +226,10 @@ def simplify(g: Grammar, pairs: Iterable[WordPair], history: Iterable[WordPair],
             y, delta = v[0], v[1:]
             base = node - {target}
             done = b2done | {target}
-            for beta in sorted(_b2_candidates(g, y, g.norms[x])):  # type: ignore[arg-type]
+            key = (y, g.norms[x])
+            if key not in witnesses:
+                witnesses[key] = _b2_candidates(g, *key)  # type: ignore[arg-type]
+            for beta in witnesses[key]:
                 child = base | {((y,), (x,) + beta), (gamma, beta + delta)}
                 work.append((_canon_pairs(g, child), done, fixed_point))
             work.append((node, done, fixed_point))
@@ -241,6 +240,32 @@ def simplify(g: Grammar, pairs: Iterable[WordPair], history: Iterable[WordPair],
         else:
             results.add(node)
     return results
+
+
+def _reduce(g: Grammar, P: Node, hist: frozenset[WordPair], hist_rules: RuleIndex) -> Node:
+    """The R, C and B1 rules, applied once to a node."""
+    # (R) drop reflexive pairs
+    P1 = frozenset(p for p in P if p[0] != p[1])
+
+    # (C) drop pairs derivable from the surviving pairs plus the history;
+    # one at a time, so every deletion is justified by what remains.
+    # A pair leaves `kept` while it is tested and for good once deleted,
+    # which takes its rules out of `own`.
+    kept = set(P1)
+    own = index_rules(P1 - hist)
+    for p in sorted(P1):
+        kept.discard(p)
+        if not congruent(p, own, hist_rules, kept):
+            kept.add(p)
+
+    # (B1) cancel equal normed head symbols
+    P2: set[WordPair] = set()
+    for u, v in kept:
+        while u and v and u[0] == v[0] and g.norms.get(u[0]) is not None:
+            u, v = u[1:], v[1:]
+        if u != v:
+            P2.add((u, v))
+    return frozenset(P2)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +344,7 @@ def search(g: Grammar, w1: Word, w2: Word, config: SearchConfig | None = None,
     frontier.queue.append(_Entry(root, frozenset(), 0, 1 + len(root), 1 + _node_size(root)))
     frontier.visited.add(_node_key(root))
     probe_cache: dict[WordPair, bool] = {}
+    witnesses: dict[tuple[int, int], list[Word]] = {}
     probing = config.simplify != "off"
     processed = 0
     fail_seen = False
@@ -350,7 +376,7 @@ def search(g: Grammar, w1: Word, w2: Word, config: SearchConfig | None = None,
             siblings: Iterable[Node] = (expanded,)
             child_history = assumed
         else:
-            siblings = simplify(g, expanded, assumed, fixed_point=config.simplify == "full")
+            siblings = simplify(g, expanded, assumed, config.simplify == "full", witnesses)
             child_history = assumed | expanded
 
         pushed = 0
@@ -396,6 +422,7 @@ def equivalent(t1: Type, t2: Type, env: K.KindEnv | None = None, *,
     against a functional one is False, not an error."""
     env = dict(env or {})
     dk = datakinds or {}
+    cfg = SearchConfig(budget, prioritize_nodes, simplify_mode)
 
     def go(a: Type, b: Type) -> bool:
         ka = K.synth_kind(env, a, dk)
@@ -406,7 +433,6 @@ def equivalent(t1: Type, t2: Type, env: K.KindEnv | None = None, *,
             g, wa, wb = build(a, b)
             compute_norms(g)
             prune(g)
-            cfg = SearchConfig(budget, prioritize_nodes, simplify_mode)
             return search(g, wa, wb, cfg, trace)
         match (a, b):
             case (Basic(x), Basic(y)):

@@ -29,7 +29,6 @@ Norm = int | None  # None means unnormed (no path to the empty word)
 class Grammar:
     productions: dict[int, dict[Terminal, Word]]
     norms: dict[int, Norm] = field(default_factory=dict)
-    labels: dict[int, str] = field(default_factory=dict)
 
     def nonterminals(self) -> list[int]:
         return sorted(self.productions)
@@ -73,7 +72,6 @@ class _Builder:
 
     def __init__(self) -> None:
         self.productions: dict[int, dict[Terminal, Word]] = {}
-        self.labels: dict[int, str] = {}
         self._memo: dict[object, int] = {}
 
     def _canon(self, t: Type, bound: tuple[str, ...] = ()) -> object:
@@ -107,7 +105,6 @@ class _Builder:
         nt = self._memo.get(key)
         if nt is None:
             nt = self._memo[key] = len(self.productions)
-            self.labels[nt] = S.pretty(t)
             prods = self.productions[nt] = {}
             prods.update((a, self.word(k)) for a, k in S.head(t).items())
         return (nt,)
@@ -120,7 +117,7 @@ def build(*types: Type) -> tuple:
     so building the same type twice yields the same start word."""
     b = _Builder()
     words = [b.word(normalize(t)) for t in types]
-    return (Grammar(b.productions, {}, b.labels), *words)
+    return (Grammar(b.productions), *words)
 
 
 # ---------------------------------------------------------------------------

@@ -256,3 +256,17 @@ def _mutate_at(rng: random.Random, t: Type, path: tuple) -> Type | None:
             return _replace_at(t, path, new)
         case _:
             return None
+
+
+def receive_bool(t: Type) -> Type:
+    """The type with every ?Int replaced by ?Bool."""
+    match t:
+        case S.Message(S.IN, "Int"):
+            return S.Message(S.IN, "Bool")
+        case S.Semi(lhs, rhs):
+            return S.Semi(receive_bool(lhs), receive_bool(rhs))
+        case S.Choice(view, branches):
+            return S.Choice(view, tuple((lab, receive_bool(ty)) for lab, ty in branches))
+        case S.Rec(var, body):
+            return S.Rec(var, receive_bool(body))
+    return t

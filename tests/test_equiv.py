@@ -13,7 +13,7 @@ from sluice.grammar import Terminal, build, compute_norms, prune, word_norm
 from sluice.parser import parse_type
 from sluice.syntax import Basic, Pair, Semi, TVar, SL, TU
 
-from gen import lawify, perturb, rand_regular, rand_session
+from gen import lawify, perturb, rand_regular, rand_session, receive_bool
 from oracles import (
     congruence_closure, k_bisimilar_types, regular_equivalent, scanning_congruent,
 )
@@ -179,6 +179,21 @@ class TestSimplify:
         assert frozenset({reduced}) in out
         assert all(isinstance(node, frozenset) for node in out)
 
+    def test_shared_witnesses_change_nothing(self):
+        # search hands one witness dict to every simplify call of a query, so
+        # a list stored for one decomposition must be right for all later ones
+        rng = random.Random(61)
+        keys = 0
+        for _, _, g, _, _ in small_instances(rng, 30):
+            shared: dict = {}
+            normed = sorted(nt for nt, n in g.norms.items() if n)
+            for x in normed:
+                for y in normed:
+                    pairs = {((x,), (y,)), ((y, x), (x, y))}
+                    assert simplify(g, pairs, [], witnesses=shared) == simplify(g, pairs, [])
+            keys += len(shared)
+        assert keys >= 40
+
 
 class TestSearchBasics:
     def test_empty_root(self):
@@ -198,6 +213,17 @@ class TestSearchBasics:
         prune(g)
         with pytest.raises(Inconclusive):
             search(g, w1, w2, SearchConfig(budget=0))
+
+    def test_unknown_simplify_mode_is_rejected(self):
+        for mode in ("Full", "none", "", "fixed"):
+            with pytest.raises(ValueError, match="simplify"):
+                SearchConfig(simplify=mode)
+            with pytest.raises(ValueError, match="simplify"):
+                equivalent(TREE_C, TREE_C, simplify_mode=mode)
+            with pytest.raises(ValueError, match="simplify"):
+                equivalent(Basic("Int"), Basic("Int"), simplify_mode=mode)
+        for mode in ("full", "single", "off"):
+            assert SearchConfig(simplify=mode).simplify == mode
 
 
 class TestPrioritize:
@@ -275,20 +301,6 @@ class TestEquivalentLaws:
         assert not equivalent(TVar("f"), Basic("Int"), env)
 
 
-def _receive_bool(t):
-    """The type with every ?Int replaced by ?Bool."""
-    match t:
-        case S.Message(S.IN, "Int"):
-            return S.Message(S.IN, "Bool")
-        case S.Semi(lhs, rhs):
-            return S.Semi(_receive_bool(lhs), _receive_bool(rhs))
-        case S.Choice(view, branches):
-            return S.Choice(view, tuple((lab, _receive_bool(ty)) for lab, ty in branches))
-        case S.Rec(var, body):
-            return S.Rec(var, _receive_bool(body))
-    return t
-
-
 class TestLadder:
     def test_tree_c_against_its_unfoldings(self):
         # An unfolding is equivalent by the fixed-point law; its ?Bool variant
@@ -297,7 +309,7 @@ class TestLadder:
         for k in range(1, 7):
             unfolded = S.subst(TREE_C.body, {TREE_C.var: unfolded})
             assert equivalent(TREE_C, unfolded), k
-            assert not equivalent(TREE_C, _receive_bool(unfolded)), k
+            assert not equivalent(TREE_C, receive_bool(unfolded)), k
 
 
 class TestEquivalenceRelation:

@@ -1,10 +1,13 @@
-"""The decider reproduces every recorded verdict (see verdict_corpus.py)."""
+"""The decider reproduces every recorded verdict and search shape (see
+verdict_corpus.py)."""
 
 import random
 
 from sluice import syntax as S
 
-from verdict_corpus import SEED, SUITES, compute, read_golden
+from verdict_corpus import (
+    SEED, SUITES, compute, compute_traces, read_golden, read_traces,
+)
 
 
 def test_every_recorded_verdict_is_reproduced():
@@ -20,3 +23,13 @@ def test_every_recorded_verdict_is_reproduced():
                  f"{golden[name][i]} -> {now}"
                  for i, now in enumerate(current[name]) if now != golden[name][i]]
         raise AssertionError(f"{len(flips)} {name} verdicts changed:\n" + "\n".join(flips[:10]))
+
+
+def test_every_recorded_search_is_reproduced():
+    golden = read_traces()
+    assert len(golden) >= 500
+    current = compute_traces()
+    assert [line.split()[:2] for line in current] == [line.split()[:2] for line in golden]
+    changed = [f"{now.rsplit(' ', 1)[0]} (recorded {old.rsplit(' ', 1)[0]})"
+               for old, now in zip(golden, current) if now != old]
+    assert not changed, f"{len(changed)} searches changed:\n" + "\n".join(changed[:10])

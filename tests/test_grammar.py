@@ -201,7 +201,7 @@ class TestPrune:
             if all(n is not None for n in g.norms.values()):
                 continue
             g0 = Grammar({nt: dict(p) for nt, p in g.productions.items()},
-                         dict(g.norms), dict(g.labels))
+                         dict(g.norms))
             prune(g)
             # same word stepping through the pruned vs the original grammar
             assert k_bisimilar(g0, w, g, truncate(g, w), 12)

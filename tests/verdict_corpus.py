@@ -7,30 +7,43 @@ perturbed or fresh partner. `golden/verdicts.txt` holds one letter per pair
 (E equivalent, N not equivalent, I inconclusive), so a change to the decider
 that flips any verdict shows up as a diff.
 
-Rewrite the golden file (only when a verdict change is intended):
+`golden/search_traces.txt` records the shape of the search on fewer
+queries: the TreeC ladder (TreeC against its k-fold unfoldings, k = 1..6,
+and against their ?Bool variants) and every `TRACE_STRIDE`-th corpus pair.
+Each line holds a query's verdict, the number of nodes the search processed
+and a SHA-256 of its `trace` stream, so a change that keeps every verdict
+but searches a different tree shows up as a diff too.
+
+Rewrite both golden files (only when a verdict or search change is intended):
 
     PYTHONPATH=src python tests/verdict_corpus.py --write
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 import sys
 from typing import Iterator
 
 from sluice import syntax as S
-from sluice.equiv import Inconclusive, equivalent
+from sluice.equiv import Inconclusive, TraceFn, equivalent
+from sluice.parser import parse_type
 from sluice.syntax import Choice, Semi, Skip, Type
 
-from gen import lawify, perturb, rand_regular, rand_session
+from gen import lawify, perturb, rand_regular, rand_session, receive_bool
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "verdicts.txt")
+TRACES = os.path.join(os.path.dirname(__file__), "golden", "search_traces.txt")
 SEED = 3001
 LAW_ROUNDS = 1000  # four pairs each
 PERTURBED = 4000
 REGULAR = 2500
 WIDTH = 100
+TREE_C = "rec x. +{Leaf: Skip, Node: !Int;x;x;?Int}"
+LADDER = 6
+TRACE_STRIDE = 20
 
 Pair = tuple[Type, Type]
 
@@ -71,9 +84,9 @@ def _regular(rng: random.Random) -> Iterator[Pair]:
 SUITES = (("laws", _laws), ("perturbed", _perturbed), ("regular", _regular))
 
 
-def verdict(t1: Type, t2: Type) -> str:
+def verdict(t1: Type, t2: Type, trace: TraceFn | None = None) -> str:
     try:
-        return "E" if equivalent(t1, t2) else "N"
+        return "E" if equivalent(t1, t2, trace=trace) else "N"
     except Inconclusive:
         return "I"
 
@@ -117,9 +130,57 @@ def write_golden(verdicts: dict[str, str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def traced_queries() -> Iterator[tuple[str, Pair]]:
+    """The ladder rungs, then every `TRACE_STRIDE`-th pair of each suite,
+    each named `<suite> <index>`."""
+    tree_c = parse_type(TREE_C)
+    unfolded = tree_c
+    for k in range(1, LADDER + 1):
+        unfolded = S.subst(tree_c.body, {tree_c.var: unfolded})
+        yield f"ladder {k}", (tree_c, unfolded)
+        yield f"ladder-bool {k}", (tree_c, receive_bool(unfolded))
+    for name, draw in SUITES:
+        for i, pair in enumerate(draw(random.Random(f"{SEED}:{name}"))):
+            if i % TRACE_STRIDE == 0:
+                yield f"{name} {i}", pair
+
+
+def search_line(name: str, t1: Type, t2: Type) -> str:
+    """`<name> <verdict> <nodes> <sha256 of the trace stream>`. Every node
+    the search processes emits one trace line, except the node whose
+    simplification yields the empty node, which ends an equivalent search
+    with an `empty` line instead."""
+    events: list[str] = []
+    letter = verdict(t1, t2, lambda depth, count, action:
+                     events.append(f"{depth} {count} {action}\n"))
+    nodes = sum(not e.endswith(" empty: equivalent\n") for e in events) + (letter == "E")
+    digest = hashlib.sha256("".join(events).encode()).hexdigest()
+    return f"{name} {letter} {nodes} {digest}"
+
+
+def compute_traces() -> list[str]:
+    return [search_line(name, t1, t2) for name, (t1, t2) in traced_queries()]
+
+
+def read_traces() -> list[str]:
+    with open(TRACES, encoding="utf-8") as fh:
+        return [line.rstrip("\n") for line in fh if line.strip() and not line.startswith("#")]
+
+
+def write_traces(lines: list[str]) -> None:
+    header = [
+        "# Search shape of sluice.equiv.equivalent on the queries of tests/verdict_corpus.py.",
+        "# <suite> <index> <verdict> <nodes processed> <sha256 of the trace stream>",
+        "# Regenerate: PYTHONPATH=src python tests/verdict_corpus.py --write",
+    ]
+    with open(TRACES, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(header + lines) + "\n")
+
+
 if __name__ == "__main__":
     result = compute()
     if "--write" in sys.argv[1:]:
         write_golden(result)
+        write_traces(compute_traces())
     for name, letters in result.items():
         print(name, len(letters), {c: letters.count(c) for c in "ENI"})
