@@ -10,6 +10,9 @@ the front; reaching an empty node decides positively, exhausting the frontier
 decides negatively, and blowing the node budget is reported as inconclusive
 rather than silently as a verdict.
 
+Reflexivity applies to the root first: equal start words answer a query
+before norms, pruning and search. The refutation probe skips reflexive pairs.
+
 Functional types compare structurally, descending into session components
 with the same machinery.
 """
@@ -365,7 +368,8 @@ def search(g: Grammar, w1: Word, w2: Word, config: SearchConfig | None = None,
             if trace:
                 trace(entry.depth, len(entry.pairs), "expansion failed")
             continue
-        if probing and any(_pair_refuted(g, p, probe_cache) for p in expanded):
+        if probing and any(p[0] != p[1] and _pair_refuted(g, p, probe_cache)
+                           for p in expanded):
             fail_seen = True
             if trace:
                 trace(entry.depth, len(entry.pairs), "refuted by expansion probe")
@@ -431,6 +435,11 @@ def equivalent(t1: Type, t2: Type, env: K.KindEnv | None = None, *,
             return False
         if ka.prekind == SESSION:
             g, wa, wb = build(a, b)
+            if wa == wb and cfg.simplify != "off":
+                # (R) at the root: equal words of one grammar are bisimilar
+                if trace:
+                    trace(0, 0, "empty: equivalent")
+                return True
             compute_norms(g)
             prune(g)
             return search(g, wa, wb, cfg, trace)

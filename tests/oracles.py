@@ -3,11 +3,11 @@
 Everything here works from first principles on its own data structures:
 a transition semantics read directly off the type syntax, a depth-bounded
 product-graph bisimilarity check, a fixed-point equivalence decision for the
-tail-recursive fragment, a shortest-path norm, a brute-force congruence
-closure on bounded words, and a congruence test that scans every rule at
-every step. None of it calls into the pipeline it is used to
-judge (the grammar translation, the expansion-tree search, or the norm fixed
-point).
+tail-recursive fragment, a shortest-path norm, a congruence closure on
+bounded words (by union-find, and by brute force as its reference), and a
+congruence test that scans every rule at every step. None of it calls into
+the pipeline it is used to judge (the grammar translation, the
+expansion-tree search, or the norm fixed point).
 """
 
 from __future__ import annotations
@@ -161,21 +161,74 @@ def bfs_norm(g, start, cap: int = 24):
 
 
 # ---------------------------------------------------------------------------
-# Brute-force congruence closure over bounded words
+# Congruence closure over bounded words
+
+def _bounded_words(alphabet, max_len):
+    res = {()}
+    frontier = {()}
+    for _ in range(max_len):
+        frontier = {w + (a,) for w in frontier for a in alphabet}
+        res |= frontier
+    return res
+
 
 def congruence_closure(rel, alphabet, max_len: int = 4):
     """All pairs of words up to max_len in the congruence (over concatenation)
-    generated by rel: close under reflexivity, symmetry, transitivity, and
-    pairwise concatenation."""
-    def words(n):
-        res = {()}
-        frontier = {()}
-        for _ in range(n):
-            frontier = {w + (a,) for w in frontier for a in alphabet}
-            res |= frontier
-        return res
+    generated by rel, as classes of a union-find over those words: merge the
+    two sides of each pair of rel, then merge uc with vc and cu with cv for
+    every u, v of one class and every word c, while both stay within max_len,
+    until nothing merges.
 
-    universe = words(max_len)
+    This is the set `pairwise_congruence_closure` computes. One-sided
+    concatenation gives the pairwise kind within the bound: for a ~ b and
+    c ~ d with |ac|, |bd| <= max_len, |bc| + |ad| = |ac| + |bd|, so |bc| or
+    |ad| is within max_len, and ac ~ bc ~ bd or ac ~ ad ~ bd."""
+    universe = sorted(_bounded_words(alphabet, max_len))
+    parent = {w: w for w in universe}
+
+    def find(w):
+        while parent[w] != w:
+            parent[w] = parent[parent[w]]
+            w = parent[w]
+        return w
+
+    def union(u, v):
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+        return True
+
+    def classes():
+        out = {}
+        for w in universe:
+            out.setdefault(find(w), []).append(w)
+        return out.values()
+
+    for u, v in rel:
+        if u in parent and v in parent:
+            union(u, v)
+    changed = True
+    while changed:
+        changed = False
+        for members in classes():
+            if len(members) < 2:
+                continue
+            for c in universe:
+                right = [w + c for w in members if len(w) + len(c) <= max_len]
+                left = [c + w for w in members if len(w) + len(c) <= max_len]
+                for side in (right, left):
+                    for w in side[1:]:
+                        changed |= union(side[0], w)
+    return {(u, v) for members in classes() for u in members for v in members}
+
+
+def pairwise_congruence_closure(rel, alphabet, max_len: int = 4):
+    """The same set by brute force, the reference for `congruence_closure`:
+    close the pairs under reflexivity, symmetry, transitivity and pairwise
+    concatenation, comparing every pair with every other until nothing
+    changes."""
+    universe = _bounded_words(alphabet, max_len)
     closure = {(w, w) for w in universe}
     closure |= {(u, v) for u, v in rel if u in universe and v in universe}
     closure |= {(v, u) for u, v in closure}

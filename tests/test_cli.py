@@ -90,8 +90,10 @@ class TestEquiv:
         assert capsys.readouterr().out.strip() == "not equivalent"
 
     def test_inconclusive_exit_2(self, capsys):
-        t1 = "rec x. +{A: !Int;x;x, B: Skip}"
-        t2 = "rec y. +{A: !Int;y;y;Skip, B: Skip}"
+        # TreeC against its one-fold unfolding: their start words differ,
+        # so the answer needs the search, which a zero budget cuts off
+        t1 = "rec x. +{Leaf: Skip, Node: !Int;x;x;?Int}"
+        t2 = f"+{{Leaf: Skip, Node: !Int;({t1});({t1});?Int}}"
         assert main(["equiv", t1, t2, "--budget", "0"]) == 2
         assert capsys.readouterr().out.strip() == "inconclusive"
 

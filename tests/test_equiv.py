@@ -5,18 +5,21 @@ import random
 import pytest
 
 from sluice import syntax as S
+from sluice.kinds import KindError
 from sluice.equiv import (
     Frontier, Inconclusive, SearchConfig, _Entry, congruent, equivalent,
     expand, index_rules, prioritize, search, simplify,
 )
 from sluice.grammar import Terminal, build, compute_norms, prune, word_norm
 from sluice.parser import parse_type
-from sluice.syntax import Basic, Pair, Semi, TVar, SL, TU
+from sluice.syntax import Basic, Pair, Rec, Semi, TVar, SL, TU
 
 from gen import lawify, perturb, rand_regular, rand_session, receive_bool
 from oracles import (
-    congruence_closure, k_bisimilar_types, regular_equivalent, scanning_congruent,
+    congruence_closure, k_bisimilar_types, pairwise_congruence_closure,
+    regular_equivalent, scanning_congruent,
 )
+from verdict_corpus import SEED, SUITES
 
 TREE_C = parse_type("rec x. +{Leaf: Skip, Node: !Int;x;x;?Int}")
 TREE_CHANNEL = parse_type("rec x. +{Leaf: Skip, Node: !Int;x;x}")
@@ -86,6 +89,18 @@ class TestCongruent:
                 v = tuple(rng.choices(alphabet, k=rng.randint(0, 3)))
                 if congruent((u, v), rel):
                     assert (u, v) in closure, (u, v, rel)
+
+    def test_union_find_closure_equals_pairwise_closure(self):
+        rng = random.Random(23)
+        for alphabet, max_len in (((0, 1), 3), ((0, 1, 2), 2)):
+            for _ in range(40):
+                rel = set()
+                for _ in range(rng.randint(0, 3)):
+                    u = tuple(rng.choices(alphabet, k=rng.randint(0, 2)))
+                    v = tuple(rng.choices(alphabet, k=rng.randint(0, 2)))
+                    rel.add((u, v))
+                assert (congruence_closure(rel, alphabet, max_len)
+                        == pairwise_congruence_closure(rel, alphabet, max_len)), rel
 
     def test_index_agrees_with_rule_scanning(self):
         # The index may leave out only rules that cannot match, so every
@@ -224,6 +239,48 @@ class TestSearchBasics:
                 equivalent(Basic("Int"), Basic("Int"), simplify_mode=mode)
         for mode in ("full", "single", "off"):
             assert SearchConfig(simplify=mode).simplify == mode
+
+
+class TestRootReflexivity:
+    """`equivalent` answers a session query whose two start words coincide
+    before computing norms, pruning or searching."""
+
+    def test_identical_ill_kinded_types_still_raise(self):
+        for t in (TVar("x"), Rec("x", TVar("x"))):
+            with pytest.raises(KindError):
+                equivalent(t, t)
+
+    def test_bare_expansion_still_searches_a_reflexive_pair(self):
+        t = parse_type("!Int;?Bool")
+        events = []
+        assert equivalent(t, t, simplify_mode="off",
+                          trace=lambda *e: events.append(e))
+        assert events[0] == (0, 1, "expanded, 1 new siblings")
+
+    def test_short_cut_traces_one_line(self):
+        for t1, t2 in (("!Int;?Bool", "!Int;?Bool"),
+                       ("(!Int;Skip);?Bool", "!Int;(?Bool;Skip)"),
+                       ("rec x. &{A: ?Int;x, B: Skip}", "rec y. &{A: ?Int;y, B: Skip}")):
+            events = []
+            assert equivalent(parse_type(t1), parse_type(t2),
+                              trace=lambda *e: events.append(e))
+            assert events == [(0, 0, "empty: equivalent")], (t1, t2)
+
+    def test_search_agrees_on_corpus_pairs_with_equal_start_words(self):
+        rng = random.Random(61)
+        coinciding = 0
+        for name, draw in SUITES:
+            for t1, t2 in draw(random.Random(f"{SEED}:{name}")):
+                if rng.random() >= 0.1:
+                    continue
+                g, w1, w2 = build(t1, t2)
+                if w1 != w2:
+                    continue
+                compute_norms(g)
+                prune(g)
+                assert search(g, w1, w2), (name, S.pretty(t1), S.pretty(t2))
+                coinciding += 1
+        assert coinciding >= 300
 
 
 class TestPrioritize:
