@@ -13,7 +13,10 @@ class Diagnostic:
     severity: str = "error"
 
     def render(self, filename: str = "<input>") -> str:
-        return f"{filename}:{self.line}:{self.col}: {self.severity}: {self.message}"
+        """`file:line:col: severity: message`; line 0 means no position, and
+        the position is left out."""
+        where = f"{filename}:{self.line}:{self.col}" if self.line else filename
+        return f"{where}: {self.severity}: {self.message}"
 
 
 class DiagnosticError(Exception):

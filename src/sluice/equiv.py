@@ -289,7 +289,19 @@ class _Entry:
 # bisimilar, and a node containing such a pair can never reach the empty node,
 # so the whole subtree (including every decomposition sibling sharing the
 # pair) dies at once. Inconclusive probes change nothing.
-_PROBE_DEPTH = 14
+#
+# Depth: a probe that does not refute walks every level, so the depth is
+# most of its cost. The deepest refutation seen is at level 6 (the seventh
+# expansion): two pairs of the 10,500-pair verdict corpus and one of the
+# benchmark corpus (seed 901) refute there, and every ladder refutation is
+# at level 3. Depths 14, 10, 8 and 6 leave every recorded verdict and search
+# unchanged, while depth 4 adds nodes to a perturbed-pair search. Depth 8
+# keeps one level of margin over the deepest refutation and cuts a ladder
+# pass's `step` calls from about 111,000 to 17,500.
+#
+# Width guards against a blow-up only: no recorded probe comes near it (the
+# widest level is 140 pairs on the ladder and at most 16 on either corpus).
+_PROBE_DEPTH = 8
 _PROBE_WIDTH = 192
 
 

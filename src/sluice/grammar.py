@@ -48,17 +48,27 @@ def step(g: Grammar, w: Word) -> dict[Terminal, Word]:
 
 def normalize(t: Type) -> Type:
     """Skip-normalization: quotient by the monoid laws so the empty word is
-    the unique image of terminated behavior, and drop vacuous recursion."""
+    the unique image of terminated behavior, and drop vacuous recursion.
+    A subterm that is already normal comes back as the same object, so a
+    subterm shared along several paths stays shared for `_Builder`."""
     match t:
         case Semi(lhs, rhs):
-            return S.seq(normalize(lhs), normalize(rhs))
+            lhs2, rhs2 = normalize(lhs), normalize(rhs)
+            if (lhs2 is lhs and rhs2 is rhs
+                    and not isinstance(lhs, Skip) and not isinstance(rhs, Skip)):
+                return t
+            return S.seq(lhs2, rhs2)
         case Choice(view, branches):
-            return Choice(view, tuple((lab, normalize(ty)) for lab, ty in branches))
+            branches2 = tuple((lab, normalize(ty)) for lab, ty in branches)
+            for (_, ty2), (_, ty) in zip(branches2, branches):
+                if ty2 is not ty:
+                    return Choice(view, branches2)
+            return t
         case Rec(var, body):
-            body = normalize(body)
-            if var not in S.free_tvars(body):
-                return body
-            return Rec(var, body)
+            body2 = normalize(body)
+            if var not in S.free_tvars(body2):
+                return body2
+            return t if body2 is body else Rec(var, body2)
         case _:
             return t
 
@@ -73,14 +83,35 @@ class _Builder:
     def __init__(self) -> None:
         self.productions: dict[int, dict[Terminal, Word]] = {}
         self._memo: dict[object, int] = {}
+        # id of a composite subterm outside every binder -> (the subterm, its
+        # key). The subterm is held so its id is not reused during the build.
+        self._keys: dict[int, tuple[Type, object]] = {}
 
     def _canon(self, t: Type, bound: tuple[str, ...] = ()) -> object:
-        """Hashable key identifying a closed subterm up to alpha-equivalence."""
+        """Hashable key identifying a subterm up to alpha-equivalence. Outside
+        every binder a composite subterm's key depends on the subterm alone,
+        so it is computed once per object: a subterm shared along several
+        paths (as `subst` leaves an unfolding) is walked once, not once per
+        path. Leaves are keyed directly, which is cheaper than a lookup."""
         match t:
             case Skip():
                 return ("skip",)
             case Message(polarity, payload):
                 return ("msg", polarity, payload)
+            case TVar(name):
+                for depth, b in enumerate(reversed(bound)):
+                    if b == name:
+                        return ("bvar", depth)
+                return ("rigid", name)
+        if bound:
+            return self._composite_key(t, bound)
+        hit = self._keys.get(id(t))
+        if hit is None:
+            hit = self._keys[id(t)] = (t, self._composite_key(t, bound))
+        return hit[1]
+
+    def _composite_key(self, t: Type, bound: tuple[str, ...]) -> object:
+        match t:
             case Semi(lhs, rhs):
                 return ("semi", self._canon(lhs, bound), self._canon(rhs, bound))
             case Choice(view, branches):
@@ -88,11 +119,6 @@ class _Builder:
                         tuple((lab, self._canon(ty, bound)) for lab, ty in branches))
             case Rec(var, body):
                 return ("rec", self._canon(body, bound + (var,)))
-            case TVar(name):
-                for depth, b in enumerate(reversed(bound)):
-                    if b == name:
-                        return ("bvar", depth)
-                return ("rigid", name)
         raise TypeError(f"not a session type: {t!r}")
 
     def word(self, t: Type) -> Word:

@@ -106,6 +106,11 @@ class TestEquiv:
         assert main(["equiv", "+{}", "!Int"]) == 1
         assert "empty choice" in capsys.readouterr().err
 
+    def test_unpositioned_kind_error_has_no_position(self, capsys):
+        assert main(["equiv", "rec x. x", "Skip"]) == 1
+        assert capsys.readouterr().err == (
+            "<type>: error: non-contractive recursive type rec x. x\n")
+
 
 class TestDumps:
     def test_dual(self, capsys):

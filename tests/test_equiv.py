@@ -4,13 +4,14 @@ import random
 
 import pytest
 
+from sluice import equiv as E
 from sluice import syntax as S
 from sluice.kinds import KindError
 from sluice.equiv import (
     Frontier, Inconclusive, SearchConfig, _Entry, congruent, equivalent,
     expand, index_rules, prioritize, search, simplify,
 )
-from sluice.grammar import Terminal, build, compute_norms, prune, word_norm
+from sluice.grammar import Terminal, build, compute_norms, prune, step, word_norm
 from sluice.parser import parse_type
 from sluice.syntax import Basic, Pair, Rec, Semi, TVar, SL, TU
 
@@ -19,7 +20,7 @@ from oracles import (
     congruence_closure, k_bisimilar_types, pairwise_congruence_closure,
     regular_equivalent, scanning_congruent,
 )
-from verdict_corpus import SEED, SUITES
+from verdict_corpus import SEED, SUITES, ladder_queries
 
 TREE_C = parse_type("rec x. +{Leaf: Skip, Node: !Int;x;x;?Int}")
 TREE_CHANNEL = parse_type("rec x. +{Leaf: Skip, Node: !Int;x;x}")
@@ -281,6 +282,63 @@ class TestRootReflexivity:
                 assert search(g, w1, w2), (name, S.pretty(t1), S.pretty(t2))
                 coinciding += 1
         assert coinciding >= 300
+
+
+def walk_to_mismatch(g, pair, levels):
+    """Walk the pairs reachable from `pair` level by level, as the probe
+    does, for up to `levels` levels. Returns `("refuted", i)` when the pairs
+    reachable in exactly i steps offer mismatched actions, `("wide", i)` when
+    level i would hold more than `_PROBE_WIDTH` pairs (where a probe of any
+    depth gives up), and `("safe", i)` when the walk ends at level i without
+    either."""
+    level = {pair}
+    for i in range(levels):
+        nxt = set()
+        for w1, w2 in level:
+            s1, s2 = step(g, w1), step(g, w2)
+            if s1.keys() != s2.keys():
+                return "refuted", i
+            nxt.update((s1[a], s2[a]) for a in s1)
+        if not nxt or nxt == level:
+            return "safe", i
+        if len(nxt) > E._PROBE_WIDTH:
+            return "wide", i
+        level = nxt
+    return "safe", levels
+
+
+class TestProbeDepth:
+    """The probe's depth loses no refutation that a 32-level walk finds, on
+    every pair the search probes for the TreeC ladder (k = 1..8) and the
+    verdict corpus's perturbed suite, which holds the deepest refutations on
+    record (level 6)."""
+
+    def test_probe_refutes_whatever_a_long_walk_refutes(self, monkeypatch):
+        probed = {}
+        probe = E._pair_refuted
+
+        def record(g, pair, cache):
+            probed[id(g), pair] = g, pair
+            return probe(g, pair, cache)
+
+        monkeypatch.setattr(E, "_pair_refuted", record)
+        queries = [pair for _, pair in ladder_queries()]
+        queries += dict(SUITES)["perturbed"](random.Random(f"{SEED}:perturbed"))
+        for t1, t2 in queries:
+            equivalent(t1, t2)
+        monkeypatch.undo()
+
+        deepest = 0
+        for g, pair in probed.values():
+            outcome, level = walk_to_mismatch(g, pair, 32)
+            if outcome == "refuted":
+                deepest = max(deepest, level)
+                assert E._pair_refuted(g, pair, {}), (pair, level)
+            elif outcome == "wide":
+                # the probe itself never reaches its width guard
+                assert level >= E._PROBE_DEPTH, (pair, level)
+        assert len(probed) > 1000
+        assert deepest == 6
 
 
 class TestPrioritize:

@@ -1,12 +1,13 @@
-"""The decider reproduces every recorded verdict and search shape (see
-verdict_corpus.py)."""
+"""The decider reproduces every recorded verdict, search shape and grammar
+(see verdict_corpus.py)."""
 
 import random
 
 from sluice import syntax as S
 
 from verdict_corpus import (
-    SEED, SUITES, compute, compute_traces, read_golden, read_traces,
+    LADDER, SEED, SUITES, compute, compute_grammars, compute_traces,
+    read_golden, read_grammars, read_traces,
 )
 
 
@@ -33,3 +34,12 @@ def test_every_recorded_search_is_reproduced():
     changed = [f"{now.rsplit(' ', 1)[0]} (recorded {old.rsplit(' ', 1)[0]})"
                for old, now in zip(golden, current) if now != old]
     assert not changed, f"{len(changed)} searches changed:\n" + "\n".join(changed[:10])
+
+
+def test_every_recorded_grammar_is_reproduced():
+    golden = read_grammars()
+    assert len(golden) == 2 * LADDER + len(SUITES)
+    current = compute_grammars()
+    changed = [now.rsplit(" ", 1)[0] for old, now in zip(golden, current) if now != old]
+    assert len(current) == len(golden) and not changed, \
+        f"{len(changed)} grammars changed: " + ", ".join(changed)

@@ -3,11 +3,13 @@
 import random
 from collections import deque
 
+from sluice import syntax as S
 from sluice.grammar import (
-    Grammar, Terminal, build, compute_norms, prune, step, truncate,
-    word_norm, EPSILON,
+    Grammar, Terminal, build, compute_norms, dump, normalize, prune, step,
+    truncate, word_norm, EPSILON,
 )
 from sluice.parser import parse_type
+from sluice.syntax import Choice, Message, Rec, Semi, Skip, TVar
 
 from gen import rand_session
 from oracles import bfs_norm, k_bisimilar_type_word
@@ -36,6 +38,49 @@ def canonical_shape(g: Grammar, start):
             for a in sorted(g.productions[nt]))
         shape.append(prods)
     return tuple(order[x] for x in start), tuple(shape)
+
+
+def unshare(t):
+    """A copy of a session type in which every path reaches its own object."""
+    match t:
+        case Semi(lhs, rhs):
+            return Semi(unshare(lhs), unshare(rhs))
+        case Choice(view, branches):
+            return Choice(view, tuple((lab, unshare(ty)) for lab, ty in branches))
+        case Rec(var, body):
+            return Rec(var, unshare(body))
+        case Message(polarity, payload):
+            return Message(polarity, payload)
+        case TVar(name):
+            return TVar(name)
+        case Skip():
+            return Skip()
+    raise TypeError(t)
+
+
+def objects(t, seen=None):
+    """The distinct objects of a type, by identity."""
+    seen = {} if seen is None else seen
+    if id(t) not in seen:
+        seen[id(t)] = t
+        match t:
+            case Semi(lhs, rhs):
+                objects(lhs, seen)
+                objects(rhs, seen)
+            case Choice(_, branches):
+                for _, ty in branches:
+                    objects(ty, seen)
+            case Rec(_, body):
+                objects(body, seen)
+    return seen
+
+
+def built(*types):
+    """`grammar.dump` of the types' shared grammar, normed and pruned."""
+    g, *starts = build(*types)
+    compute_norms(g)
+    prune(g)
+    return dump(g, starts)
 
 
 class TestBuild:
@@ -83,6 +128,38 @@ class TestBuild:
             t = rand_session(rng, rng.randint(0, 4))
             g, w1, w2 = build(t, t)
             assert w1 == w2
+
+    def test_shared_subterms_build_as_unshared_copies(self):
+        # An unfolding holds the previous one at both `x` sites as one
+        # object. `rigid` reaches the choices `on_y` and `on_z` inside the
+        # binders of their variables and again outside them, where `y` and
+        # `z` are two different rigid actions.
+        unfolded = TREE_C
+        for _ in range(5):
+            unfolded = S.subst(TREE_C.body, {TREE_C.var: unfolded})
+        on_y, on_z = (Choice(S.INTERNAL, (("A", TVar(v)),)) for v in "yz")
+
+        def loop(var, choice):
+            body = Choice(S.INTERNAL, (("A", Semi(Message(S.OUT, "Int"), choice)),
+                                       ("B", Skip())))
+            return Rec(var, body)
+
+        rigid = Semi(loop("y", on_y), Semi(loop("z", on_z), Semi(on_y, on_z)))
+        rng = random.Random(14)
+        cases = [(TREE_C, unfolded), (rigid, on_y), (on_z, rigid)]
+        cases += [(t, Semi(t, t)) for t in (rand_session(rng, 4) for _ in range(30))]
+        for t1, t2 in cases:
+            c1, c2 = unshare(t1), unshare(t2)
+            assert len(objects(Semi(c1, c2))) > len(objects(Semi(t1, t2)))
+            assert built(t1, t2) == built(c1, c2), (S.pretty(t1), S.pretty(t2))
+
+    def test_normal_types_come_back_as_themselves(self):
+        unfolded = TREE_C
+        for _ in range(4):
+            unfolded = S.subst(TREE_C.body, {TREE_C.var: unfolded})
+        for t in (TREE_C, unfolded, parse_type("!Int;x")):
+            assert normalize(t) is t
+        assert normalize(parse_type("!Int;Skip")) == parse_type("!Int")
 
     def test_gnf_and_determinism_by_construction(self):
         rng = random.Random(13)

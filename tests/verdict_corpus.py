@@ -8,13 +8,19 @@ perturbed or fresh partner. `golden/verdicts.txt` holds one letter per pair
 that flips any verdict shows up as a diff.
 
 `golden/search_traces.txt` records the shape of the search on fewer
-queries: the TreeC ladder (TreeC against its k-fold unfoldings, k = 1..6,
+queries: the TreeC ladder (TreeC against its k-fold unfoldings, k = 1..8,
 and against their ?Bool variants) and every `TRACE_STRIDE`-th corpus pair.
 Each line holds a query's verdict, the number of nodes the search processed
 and a SHA-256 of its `trace` stream, so a change that keeps every verdict
 but searches a different tree shows up as a diff too.
 
-Rewrite both golden files (only when a verdict or search change is intended):
+`golden/grammars.txt` records what the search runs on: a SHA-256 of
+`grammar.dump` of each query's grammar, after norms and pruning, one line
+per ladder query and one per suite, so a change to translation that keeps
+every verdict but builds a different grammar shows up as a diff as well.
+
+Rewrite the golden files (only when a verdict, search or grammar change is
+intended):
 
     PYTHONPATH=src python tests/verdict_corpus.py --write
 """
@@ -29,6 +35,7 @@ from typing import Iterator
 
 from sluice import syntax as S
 from sluice.equiv import Inconclusive, TraceFn, equivalent
+from sluice.grammar import build, compute_norms, dump, prune
 from sluice.parser import parse_type
 from sluice.syntax import Choice, Semi, Skip, Type
 
@@ -36,13 +43,14 @@ from gen import lawify, perturb, rand_regular, rand_session, receive_bool
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "verdicts.txt")
 TRACES = os.path.join(os.path.dirname(__file__), "golden", "search_traces.txt")
+GRAMMARS = os.path.join(os.path.dirname(__file__), "golden", "grammars.txt")
 SEED = 3001
 LAW_ROUNDS = 1000  # four pairs each
 PERTURBED = 4000
 REGULAR = 2500
 WIDTH = 100
 TREE_C = "rec x. +{Leaf: Skip, Node: !Int;x;x;?Int}"
-LADDER = 6
+LADDER = 8
 TRACE_STRIDE = 20
 
 Pair = tuple[Type, Type]
@@ -130,15 +138,23 @@ def write_golden(verdicts: dict[str, str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def traced_queries() -> Iterator[tuple[str, Pair]]:
-    """The ladder rungs, then every `TRACE_STRIDE`-th pair of each suite,
-    each named `<suite> <index>`."""
+def ladder_queries() -> Iterator[tuple[str, Pair]]:
+    """TreeC against its k-fold unfolding and against that unfolding's ?Bool
+    variant, k = 1..LADDER, named `ladder <k>` and `ladder-bool <k>`. Each
+    unfolding holds the previous one at both `x` sites, as one shared
+    object."""
     tree_c = parse_type(TREE_C)
     unfolded = tree_c
     for k in range(1, LADDER + 1):
         unfolded = S.subst(tree_c.body, {tree_c.var: unfolded})
         yield f"ladder {k}", (tree_c, unfolded)
         yield f"ladder-bool {k}", (tree_c, receive_bool(unfolded))
+
+
+def traced_queries() -> Iterator[tuple[str, Pair]]:
+    """The ladder rungs, then every `TRACE_STRIDE`-th pair of each suite,
+    each named `<suite> <index>`."""
+    yield from ladder_queries()
     for name, draw in SUITES:
         for i, pair in enumerate(draw(random.Random(f"{SEED}:{name}"))):
             if i % TRACE_STRIDE == 0:
@@ -162,19 +178,63 @@ def compute_traces() -> list[str]:
     return [search_line(name, t1, t2) for name, (t1, t2) in traced_queries()]
 
 
-def read_traces() -> list[str]:
-    with open(TRACES, encoding="utf-8") as fh:
+def _read_lines(path: str) -> list[str]:
+    with open(path, encoding="utf-8") as fh:
         return [line.rstrip("\n") for line in fh if line.strip() and not line.startswith("#")]
 
 
+def _write_lines(path: str, header: list[str], lines: list[str]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(header + lines) + "\n")
+
+
+def read_traces() -> list[str]:
+    return _read_lines(TRACES)
+
+
 def write_traces(lines: list[str]) -> None:
-    header = [
+    _write_lines(TRACES, [
         "# Search shape of sluice.equiv.equivalent on the queries of tests/verdict_corpus.py.",
         "# <suite> <index> <verdict> <nodes processed> <sha256 of the trace stream>",
         "# Regenerate: PYTHONPATH=src python tests/verdict_corpus.py --write",
-    ]
-    with open(TRACES, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(header + lines) + "\n")
+    ], lines)
+
+
+def grammar_dump(t1: Type, t2: Type) -> str:
+    """The grammar of a query as the search sees it: both types built over
+    one grammar, then normed and pruned."""
+    g, w1, w2 = build(t1, t2)
+    compute_norms(g)
+    prune(g)
+    return dump(g, [w1, w2])
+
+
+def compute_grammars() -> list[str]:
+    """`<ladder query> <sha256>` per ladder query, then
+    `<suite> <pairs> <sha256>` per suite over its pairs' dumps in order."""
+    lines = [f"{name} {hashlib.sha256(grammar_dump(t1, t2).encode()).hexdigest()}"
+             for name, (t1, t2) in ladder_queries()]
+    for name, draw in SUITES:
+        digest = hashlib.sha256()
+        pairs = 0
+        for t1, t2 in draw(random.Random(f"{SEED}:{name}")):
+            digest.update(grammar_dump(t1, t2).encode() + b"\n\n")
+            pairs += 1
+        lines.append(f"{name} {pairs} {digest.hexdigest()}")
+    return lines
+
+
+def read_grammars() -> list[str]:
+    return _read_lines(GRAMMARS)
+
+
+def write_grammars(lines: list[str]) -> None:
+    _write_lines(GRAMMARS, [
+        "# Grammars sluice.grammar.build makes for the queries of tests/verdict_corpus.py,",
+        "# after compute_norms and prune: a SHA-256 of grammar.dump(g, [w1, w2]).",
+        "# <ladder query> <sha256> | <suite> <pairs> <sha256 over the suite's dumps>",
+        "# Regenerate: PYTHONPATH=src python tests/verdict_corpus.py --write",
+    ], lines)
 
 
 if __name__ == "__main__":
@@ -182,5 +242,6 @@ if __name__ == "__main__":
     if "--write" in sys.argv[1:]:
         write_golden(result)
         write_traces(compute_traces())
+        write_grammars(compute_grammars())
     for name, letters in result.items():
         print(name, len(letters), {c: letters.count(c) for c in "ENI"})
