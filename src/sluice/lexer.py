@@ -7,7 +7,9 @@ needs it (declaration starts, branch boundaries).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from functools import partial
+from typing import NamedTuple
 
 from .diagnostics import Diagnostic, DiagnosticError
 
@@ -16,16 +18,32 @@ KEYWORDS = {
     "with", "if", "then", "else", "fork", "new", "send", "receive", "select",
 }
 
-# Longest symbols first so maximal munch is a simple prefix scan.
-SYMBOLS = [
-    "==", "<=", ">=", "&&", "||", "->", "=>",
-    "(", ")", "[", "]", "{", "}", ";", ",", ":", "=", "+", "-", "*",
-    "!", "?", "&", "|", "<", ">", "\\", ".", "_",
-]
+# One match per token, with the spaces before it. The alternatives are tried
+# in order: a comment comes before the `-` symbol, and two-character symbols
+# before their first character, so maximal munch falls out of the order.
+# `-o` is the linear arrow unless it runs into a longer identifier. Integer
+# literals are ASCII digits only. A word starts with a character of
+# `[^\W\d_]`, which is every letter (`str.isalpha`) and a few numeric
+# characters such as `²` that `lex` rejects, and goes on with letters, digits,
+# `_` and `'`. `other` takes one character that starts no token: a malformed
+# character literal, or an unexpected character. It excludes the spaces, so
+# that spaces at the end of the input match nothing instead of an error.
+_SCAN = re.compile(r"""
+    [ \t\r]*
+    (?:
+        (?P<newline>\n)
+      | (?P<comment>--[^\n]*)
+      | (?P<int>[0-9]+)
+      | (?P<word>[^\W\d_][\w']*)
+      | (?P<sym>-o(?![\w'])|==|<=|>=|&&|\|\||->|=>|[()\[\]{};,:=+\-*!?&|<>\\._])
+      | (?P<char>'(?:\\[nt\\'0]|[^\\])')
+      | (?P<other>[^ \t\r])
+    )""", re.VERBOSE)
+
+_ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", "'": "'", "0": "\0"}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'lident' | 'uident' | 'int' | 'char' | 'kw' | 'sym' | 'eof'
     text: str
     line: int
@@ -35,87 +53,58 @@ class Token:
         return f"{self.kind}({self.text!r})@{self.line}:{self.col}"
 
 
+# `Token(...)` runs a Python-level `__new__`; building the tuple directly
+# halves the cost of each token.
+_token = partial(tuple.__new__, Token)
+
+
 def lex(source: str) -> list[Token]:
+    """The tokens of `source`, ending with an `eof` token. A column counts
+    the characters since the last newline, except that a comment leaves the
+    column where it began."""
     tokens: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(source)
-
-    def err(msg: str) -> DiagnosticError:
-        return DiagnosticError(Diagnostic(line, col, msg))
-
-    while i < n:
-        c = source[i]
-        if c == "\n":
+    append = tokens.append
+    line, line_start, comment_at = 1, 0, None
+    for m in _SCAN.finditer(source):
+        group = m.lastgroup
+        if group == "newline":
             line += 1
-            col = 1
-            i += 1
+            line_start = m.end()
+            comment_at = None
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("--", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if c.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            tokens.append(Token("int", source[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and (source[j].isalnum() or source[j] in "_'"):
-                j += 1
-            text = source[i:j]
+        at = m.start(group)
+        col = at - line_start + 1
+        if group == "word":
+            text = m.group(group)
             if text in KEYWORDS:
-                kind = "kw"
+                append(_token(("kw", text, line, col)))
+            elif not text[0].isalpha():
+                raise DiagnosticError(Diagnostic(line, col, f"unexpected character {text[0]!r}"))
             elif text[0].isupper():
-                kind = "uident"
+                append(_token(("uident", text, line, col)))
             else:
-                kind = "lident"
-            tokens.append(Token(kind, text, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c == "'":
-            # character literal with the usual escapes
-            if i + 1 >= n:
-                raise err("unterminated character literal")
-            if source[i + 1] == "\\":
-                if i + 3 >= n or source[i + 3] != "'":
-                    raise err("bad character escape")
-                esc = source[i + 2]
-                table = {"n": "\n", "t": "\t", "\\": "\\", "'": "'", "0": "\0"}
-                if esc not in table:
-                    raise err(f"unknown escape \\{esc}")
-                tokens.append(Token("char", table[esc], start_line, start_col))
-                i += 4
-                col += 4
-                continue
-            if i + 2 >= n or source[i + 2] != "'":
-                raise err("unterminated character literal")
-            tokens.append(Token("char", source[i + 1], start_line, start_col))
-            i += 3
-            col += 3
-            continue
-        # '-o' is the linear arrow unless it runs into a longer identifier
-        if source.startswith("-o", i) and (i + 2 >= n or not (source[i + 2].isalnum() or source[i + 2] in "_'")):
-            tokens.append(Token("sym", "-o", start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        for sym in SYMBOLS:
-            if source.startswith(sym, i):
-                tokens.append(Token("sym", sym, start_line, start_col))
-                i += len(sym)
-                col += len(sym)
-                break
+                append(_token(("lident", text, line, col)))
+        elif group == "sym" or group == "int":
+            append(_token((group, m.group(group), line, col)))
+        elif group == "comment":
+            comment_at = at
+        elif group == "char":
+            text = m.group(group)
+            append(_token(("char", _ESCAPES[text[2]] if len(text) == 4 else text[1], line, col)))
         else:
-            raise err(f"unexpected character {c!r}")
-    tokens.append(Token("eof", "", line, col))
+            raise DiagnosticError(Diagnostic(line, col, _malformed(source, at)))
+    end = len(source) if comment_at is None else comment_at
+    append(Token("eof", "", line, end - line_start + 1))
     return tokens
+
+
+def _malformed(source: str, i: int) -> str:
+    """Why no token starts at `source[i]`."""
+    c = source[i]
+    if c != "'":
+        return f"unexpected character {c!r}"
+    if i + 1 >= len(source) or source[i + 1] != "\\":
+        return "unterminated character literal"
+    if i + 3 >= len(source) or source[i + 3] != "'":
+        return "bad character escape"
+    return f"unknown escape \\{source[i + 2]}"

@@ -11,6 +11,8 @@ construct to force the other reading).
 
 from __future__ import annotations
 
+from typing import Callable, TypeVar
+
 from .diagnostics import Diagnostic, DiagnosticError
 from .lexer import Token, lex
 from . import syntax as S
@@ -21,6 +23,8 @@ _CMP_OPS = {"==", "<", "<=", ">", ">="}
 _ADD_OPS = {"+", "-"}
 _MUL_OPS = {"*"}
 
+_T = TypeVar("_T")
+
 
 class _P:
     def __init__(self, tokens: list[Token]):
@@ -30,17 +34,19 @@ class _P:
     # -- token plumbing -----------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        j = min(self.i + ahead, len(self.toks) - 1)
-        return self.toks[j]
+        # the token list ends with `eof` and `next` never moves past it
+        if ahead:
+            return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+        return self.toks[self.i]
 
     def next(self) -> Token:
-        t = self.peek()
+        t = self.toks[self.i]
         if t.kind != "eof":
             self.i += 1
         return t
 
     def at(self, kind: str, text: str | None = None) -> bool:
-        t = self.peek()
+        t = self.toks[self.i]
         return t.kind == kind and (text is None or t.text == text)
 
     def eat(self, kind: str, text: str | None = None) -> Token | None:
@@ -168,6 +174,28 @@ class _P:
     # -- expressions ----------------------------------------------------------
 
     def expr(self) -> S.Expr:
+        # A `let` spine is read in a loop and folded right-nested afterwards,
+        # so a long chain of bindings does not nest on the Python stack.
+        spine: list[tuple[S.Pos, str, str | None, S.Expr]] = []
+        while True:
+            t = self.peek()
+            if not (t.kind == "kw" and t.text == "let"):
+                break
+            self.next()
+            x = self._binder()
+            y = self._binder() if self.eat("sym", ",") else None
+            self.expect("sym", "=")
+            bound = self.expr()
+            self.expect("kw", "in")
+            spine.append(((t.line, t.col), x, y, bound))
+        body = self._expr_head()
+        for pos, x, y, bound in reversed(spine):
+            body = (S.Let(x, bound, body, pos=pos) if y is None
+                    else S.LetPair(x, y, bound, body, pos=pos))
+        return body
+
+    def _expr_head(self) -> S.Expr:
+        """An expression that does not start with `let`."""
         t = self.peek()
         pos = (t.line, t.col)
         if self.eat("sym", "\\"):
@@ -178,18 +206,6 @@ class _P:
                 self.expect("sym", "-o", what="-> or -o")
                 mult = S.LINEAR
             return S.Lam(mult, param, self.expr(), pos=pos)
-        if self.eat("kw", "let"):
-            x = self._binder()
-            if self.eat("sym", ","):
-                y = self._binder()
-                self.expect("sym", "=")
-                bound = self.expr()
-                self.expect("kw", "in")
-                return S.LetPair(x, y, bound, self.expr(), pos=pos)
-            self.expect("sym", "=")
-            bound = self.expr()
-            self.expect("kw", "in")
-            return S.Let(x, bound, self.expr(), pos=pos)
         if self.eat("kw", "if"):
             cond = self.expr()
             self.expect("kw", "then")
@@ -403,7 +419,10 @@ def _split_declarations(tokens: list[Token]) -> list[list[Token]]:
 
 def _parse_decl(chunk: list[Token], prog: S.Program, diags: list[Diagnostic]) -> None:
     eof = Token("eof", "", chunk[-1].line, chunk[-1].col)
-    p = _P(chunk + [eof])
+    _within_stack(_P(chunk + [eof]), lambda p: _declaration(p, prog, diags))
+
+
+def _declaration(p: _P, prog: S.Program, diags: list[Diagnostic]) -> None:
     head = p.peek()
     pos = (head.line, head.col)
 
@@ -493,23 +512,32 @@ def parse_program(source: str) -> tuple[S.Program | None, list[Diagnostic]]:
     return prog, []
 
 
+def _within_stack(p: _P, rule: Callable[[_P], _T]) -> _T:
+    """`rule(p)`, where input nested deeper than the Python stack can follow
+    becomes the diagnostic `nesting too deep` at the token the parser had
+    reached."""
+    try:
+        return rule(p)
+    except RecursionError:
+        raise p.err("nesting too deep") from None
+
+
+def _parse_all(source: str, rule: Callable[[_P], _T]) -> _T:
+    def whole(p: _P) -> _T:
+        out = rule(p)
+        p.expect("eof")
+        return out
+    return _within_stack(_P(lex(source)), whole)
+
+
 def parse_type(source: str) -> S.Type:
     """Parse a standalone type. Raises DiagnosticError on bad input."""
-    p = _P(lex(source))
-    t = p.type_()
-    p.expect("eof")
-    return t
+    return _parse_all(source, _P.type_)
 
 
 def parse_scheme(source: str) -> S.Scheme:
-    p = _P(lex(source))
-    s = p.scheme()
-    p.expect("eof")
-    return s
+    return _parse_all(source, _P.scheme)
 
 
 def parse_expr(source: str) -> S.Expr:
-    p = _P(lex(source))
-    e = p.expr()
-    p.expect("eof")
-    return e
+    return _parse_all(source, _P.expr)

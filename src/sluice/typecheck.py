@@ -143,47 +143,64 @@ def _expand_abbrev(env: GlobalEnv, decls: dict[str, S.TypeAbbrev], name: str,
 # Typing contexts
 
 
-@dataclass(frozen=True)
+# What binding a name hid, for `Ctx.drop` to put back: the name, its outer
+# binding if it had one, and whether it was a consumed linear name.
+Shadowed = tuple[str, tuple[Type, Kind] | None, bool]
+
+
 class Ctx:
-    bindings: dict[str, tuple[Type, Kind]] = field(default_factory=dict)
-    consumed: frozenset[str] = field(default_factory=frozenset)
+    """The typing context of one definition, changed in place as checking
+    runs left to right. `bindings` maps each name in scope to its type and
+    kind; `consumed` holds the linear names used up so far. Binding a name
+    returns what it hid and dropping the scope puts that back, so entering
+    and leaving a scope costs O(1) whatever the context holds. A construct
+    with branches checks each branch on its own `copy`."""
 
-    def bind(self, name: str, ty: Type, kind: Kind, pos: S.Pos | None) -> "Ctx":
-        if name in self.bindings and self.bindings[name][1].mult == LINEAR:
+    __slots__ = ("bindings", "consumed")
+
+    def __init__(self) -> None:
+        self.bindings: dict[str, tuple[Type, Kind]] = {}
+        self.consumed: set[str] = set()
+
+    def copy(self) -> "Ctx":
+        out = Ctx()
+        out.bindings = dict(self.bindings)
+        out.consumed = set(self.consumed)
+        return out
+
+    def bind(self, name: str, ty: Type, kind: Kind, pos: S.Pos | None) -> Shadowed:
+        outer = self.bindings.get(name)
+        if outer is not None and outer[1].mult == LINEAR:
             raise _fail(f"linear variable {name} would be shadowed before it is used", pos)
-        b = dict(self.bindings)
-        b[name] = (ty, kind)
-        return Ctx(b, self.consumed - {name})
+        hidden = (name, outer, name in self.consumed)
+        self.bindings[name] = (ty, kind)
+        self.consumed.discard(name)
+        return hidden
 
-    def use(self, name: str, pos: S.Pos | None) -> tuple[Type, "Ctx"]:
-        if name not in self.bindings:
+    def use(self, name: str, pos: S.Pos | None) -> Type:
+        entry = self.bindings.get(name)
+        if entry is None:
             if name in self.consumed:
                 raise _fail(f"linear variable {name} is used more than once", pos)
             raise KeyError(name)
-        ty, kind = self.bindings[name]
+        ty, kind = entry
         if kind.mult == LINEAR:
-            b = dict(self.bindings)
-            del b[name]
-            return ty, Ctx(b, self.consumed | {name})
-        return ty, self
+            del self.bindings[name]
+            self.consumed.add(name)
+        return ty
 
-    def drop_scope(self, names: list[str], outer: "Ctx", pos: S.Pos | None) -> "Ctx":
-        """Leave the scope of `names`: linear leftovers are errors, and any
-        shadowed outer bindings come back."""
-        b = dict(self.bindings)
-        consumed = set(self.consumed)
-        for name in names:
-            if name in b:
-                _, kind = b[name]
-                if kind.mult == LINEAR:
-                    raise _fail(f"linear variable {name} is not used", pos)
-                del b[name]
-            consumed.discard(name)
-            if name in outer.bindings:
-                b[name] = outer.bindings[name]
-            elif name in outer.consumed:
-                consumed.add(name)
-        return Ctx(b, frozenset(consumed))
+    def drop(self, scope: list[Shadowed], pos: S.Pos | None) -> None:
+        """Leave the scope that bound `scope`, in binding order: linear
+        leftovers are errors, and whatever the names hid comes back."""
+        for name, outer, was_consumed in scope:
+            entry = self.bindings.pop(name, None)
+            if entry is not None and entry[1].mult == LINEAR:
+                raise _fail(f"linear variable {name} is not used", pos)
+            self.consumed.discard(name)
+            if outer is not None:
+                self.bindings[name] = outer
+            elif was_consumed:
+                self.consumed.add(name)
 
     def linear_names(self) -> frozenset[str]:
         return frozenset(n for n, (_, k) in self.bindings.items() if k.mult == LINEAR)
@@ -206,7 +223,7 @@ def synth(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr) -> tuple[Type, Ctx
 
         case Var(name):
             try:
-                return ctx.use(name, e.pos)
+                return ctx.use(name, e.pos), ctx
             except KeyError:
                 pass
             if name in env.schemes:
@@ -328,21 +345,8 @@ def synth(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr) -> tuple[Type, Ctx
             t2, ctx2 = synth(ctx1, env, kenv, snd)
             return Pair(t1, t2), ctx2
 
-        case LetPair(x, y, bound, body):
-            tb, ctx1 = synth(ctx, env, kenv, bound)
-            if not isinstance(tb, Pair):
-                raise _fail(f"let x, y = ... needs a pair, got {S.pretty(tb)}", e.pos)
-            if x == y and x != "_":
-                raise _fail(f"duplicate binder {x}", e.pos)
-            inner, names = _bind_all(ctx1, env, kenv, [(x, tb.fst), (y, tb.snd)], e.pos)
-            tr, ctx2 = synth(inner, env, kenv, body)
-            return tr, ctx2.drop_scope(names, ctx1, e.pos)
-
-        case Let(x, bound, body):
-            tb, ctx1 = synth(ctx, env, kenv, bound)
-            inner, names = _bind_all(ctx1, env, kenv, [(x, tb)], e.pos)
-            tr, ctx2 = synth(inner, env, kenv, body)
-            return tr, ctx2.drop_scope(names, ctx1, e.pos)
+        case Let() | LetPair():
+            return _let_spine(ctx, env, kenv, e)
 
         case Case(scrutinee, branches):
             ts, ctx1 = synth(ctx, env, kenv, scrutinee)
@@ -379,6 +383,32 @@ def synth(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr) -> tuple[Type, Ctx
     raise _fail(f"cannot type expression {e!r}", getattr(e, "pos", None))
 
 
+def _let_spine(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr) -> tuple[Type, Ctx]:
+    """A chain of `let`s, walked in a loop: each bound expression in the
+    context its predecessors built, then the final body, then the scopes
+    dropped innermost first."""
+    scopes: list[tuple[list[Shadowed], S.Pos | None]] = []
+    while True:
+        if isinstance(e, Let):
+            tb, ctx = synth(ctx, env, kenv, e.bound)
+            binders = [(e.x, tb)]
+        elif isinstance(e, LetPair):
+            tb, ctx = synth(ctx, env, kenv, e.bound)
+            if not isinstance(tb, Pair):
+                raise _fail(f"let x, y = ... needs a pair, got {S.pretty(tb)}", e.pos)
+            if e.x == e.y and e.x != "_":
+                raise _fail(f"duplicate binder {e.x}", e.pos)
+            binders = [(e.x, tb.fst), (e.y, tb.snd)]
+        else:
+            break
+        scopes.append((_bind_all(ctx, env, kenv, binders, e.pos), e.pos))
+        e = e.body
+    ty, ctx = synth(ctx, env, kenv, e)
+    for scope, pos in reversed(scopes):
+        ctx.drop(scope, pos)
+    return ty, ctx
+
+
 def _actions(t: Type, tag: str, pos: S.Pos | None) -> dict[str, Type]:
     """The first actions of a channel type that carry `tag` (a polarity or a
     choice view), each argument mapped to its continuation; empty when the
@@ -391,9 +421,10 @@ def _actions(t: Type, tag: str, pos: S.Pos | None) -> dict[str, Type]:
 
 
 def _bind_all(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv,
-              pairs: list[tuple[str, Type]], pos: S.Pos | None) -> tuple[Ctx, list[str]]:
-    """Bind pattern names; a wildcard must be droppable on the spot."""
-    names: list[str] = []
+              pairs: list[tuple[str, Type]], pos: S.Pos | None) -> list[Shadowed]:
+    """Bind pattern names in `ctx`, returning the scope for `Ctx.drop`; a
+    wildcard must be droppable on the spot."""
+    scope: list[Shadowed] = []
     for name, ty in pairs:
         try:
             kind = env.kind_of(kenv, ty)
@@ -403,19 +434,20 @@ def _bind_all(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv,
             if kind.mult != UNRESTRICTED:
                 raise _fail(f"cannot discard a value of linear type {S.pretty(ty)} : {kind}", pos)
             continue
-        ctx = ctx.bind(name, ty, kind, pos)
-        names.append(name)
-    return ctx, names
+        scope.append(ctx.bind(name, ty, kind, pos))
+    return scope
 
 
 def _branch(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv,
             binders: list[tuple[str, Type]], body: Expr,
             pos: S.Pos | None) -> tuple[Type, Ctx, frozenset[str]]:
-    inner, names = _bind_all(ctx, env, kenv, binders, pos)
+    """Check one branch on a copy of `ctx`, which stays as it was."""
+    inner = ctx.copy()
+    scope = _bind_all(inner, env, kenv, binders, pos)
     ty, after = synth(inner, env, kenv, body)
-    residual = after.drop_scope(names, ctx, pos)
-    consumed = ctx.linear_names() - residual.linear_names()
-    return ty, residual, consumed
+    after.drop(scope, pos)
+    consumed = ctx.linear_names() - after.linear_names()
+    return ty, after, consumed
 
 
 def _join_branches(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv,
@@ -442,11 +474,12 @@ def check_against(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr, t: Type) -
         if e.mult == LINEAR and t.mult == UNRESTRICTED:
             raise _fail("a one-shot function cannot be used where an unrestricted one is expected",
                         e.pos)
-        inner, names = _bind_all(ctx, env, kenv, [(e.param, t.dom)], e.pos)
-        residual = check_against(inner, env, kenv, e.body, t.cod)
-        residual = residual.drop_scope(names, ctx, e.pos)
+        linear_before = ctx.linear_names()
+        scope = _bind_all(ctx, env, kenv, [(e.param, t.dom)], e.pos)
+        residual = check_against(ctx, env, kenv, e.body, t.cod)
+        residual.drop(scope, e.pos)
         if e.mult == UNRESTRICTED:
-            captured = sorted(ctx.linear_names() - residual.linear_names())
+            captured = sorted(linear_before - residual.linear_names())
             if captured:
                 raise _fail(
                     f"unrestricted function consumes linear variables: {', '.join(captured)}",
@@ -564,15 +597,13 @@ def check_program(p: S.Program) -> list[Diagnostic]:
         try:
             ty = scheme.body
             ctx = Ctx()
-            names: list[str] = []
+            scope: list[Shadowed] = []
             for param in d.params:
                 if not isinstance(ty, Arrow):
                     raise _fail(f"{name} has more parameters than its signature has arrows", d.pos)
-                ctx, bound = _bind_all(ctx, env, kenv, [(param, ty.dom)], d.pos)
-                names.extend(bound)
+                scope += _bind_all(ctx, env, kenv, [(param, ty.dom)], d.pos)
                 ty = ty.cod
-            residual = check_against(ctx, env, kenv, d.body, ty)
-            residual.drop_scope(names, Ctx(), d.pos)
+            check_against(ctx, env, kenv, d.body, ty).drop(scope, d.pos)
         except CheckError as err:
             line, col = (err.diag.line, err.diag.col) if err.diag.line else d.pos
             diags.append(Diagnostic(line, col, f"in {name}: {err.diag.message}"))

@@ -1,6 +1,7 @@
 """The command-line front end and its exit-code contract."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -42,15 +43,45 @@ class TestCheck:
         assert "error" in capsys.readouterr().err
 
     def test_deep_nesting_is_a_diagnostic(self, tmp_path):
-        # 1000 nested lets overflow the recursive parser on the default stack
+        # 1000 nested parentheses overflow the recursive parser on the
+        # default stack; the diagnostic points into the parentheses
         deep = tmp_path / "deep.fst"
-        deep.write_text("main : Int\nmain =\n  let x0 = 0 in\n"
-                        + "".join(f"  let x{i} = x{i - 1} + 1 in\n" for i in range(1, 1000))
-                        + "  x999\n")
+        deep.write_text("main : Int\nmain = " + "(" * 1000 + "1" + ")" * 1000 + "\n")
         for command in ("check", "run"):
             done = run_cli(command, str(deep))
             assert done.returncode == 1, command
-            assert done.stderr == f"{deep}: error: nesting too deep\n", command
+            first, second = done.stderr.splitlines()
+            where = re.fullmatch(rf"{re.escape(str(deep))}:2:(\d+): error: nesting too deep", first)
+            assert where and 8 <= int(where.group(1)) <= 1007, (command, first)
+            assert second == f"{deep}:1:1: error: signature for main has no definition"
+
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0663", "1\u00b2"])
+    def test_non_ascii_digit_is_a_diagnostic(self, tmp_path, digit):
+        # integer literals are ASCII digits; `str.isdigit` also accepts
+        # superscripts (which `int` rejects) and other scripts' digits
+        src = tmp_path / "digit.fst"
+        src.write_text(f"main : Int\nmain = {digit}\n")
+        for command in ("check", "run"):
+            done = run_cli(command, str(src))
+            assert done.returncode == 1 and "Traceback" not in done.stderr, command
+            col = 8 + len(digit) - 1
+            assert done.stderr == (
+                f"{src}:2:{col}: error: unexpected character {digit[-1]!r}\n"), command
+
+    @pytest.mark.parametrize("pairs", [False, True])
+    def test_thousand_let_chain_checks_and_runs(self, tmp_path, pairs):
+        deep = tmp_path / "chain.fst"
+        if pairs:
+            body = ["  let a0, x0 = (0, 0) in"]
+            body += [f"  let a{i}, x{i} = (x{i - 1}, x{i - 1} + 1) in" for i in range(1, 1000)]
+        else:
+            body = ["  let x0 = 0 in"]
+            body += [f"  let x{i} = x{i - 1} + 1 in" for i in range(1, 1000)]
+        deep.write_text("\n".join(["main : Int", "main ="] + body + ["  x999"]) + "\n")
+        done = run_cli("check", str(deep))
+        assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+        done = run_cli("run", str(deep))
+        assert (done.returncode, done.stdout, done.stderr) == (0, "999\n", "")
 
 
 class TestRun:

@@ -1,13 +1,14 @@
-"""The decider reproduces every recorded verdict, search shape and grammar
-(see verdict_corpus.py)."""
+"""The decider reproduces every recorded verdict, search shape and grammar,
+and the front end every recorded token stream, program and diagnostic (see
+verdict_corpus.py)."""
 
 import random
 
 from sluice import syntax as S
 
 from verdict_corpus import (
-    LADDER, SEED, SUITES, compute, compute_grammars, compute_traces,
-    read_golden, read_grammars, read_traces,
+    LADDER, SEED, SUITES, compute, compute_frontend, compute_grammars,
+    compute_traces, read_frontend, read_golden, read_grammars, read_traces,
 )
 
 
@@ -43,3 +44,18 @@ def test_every_recorded_grammar_is_reproduced():
     changed = [now.rsplit(" ", 1)[0] for old, now in zip(golden, current) if now != old]
     assert len(current) == len(golden) and not changed, \
         f"{len(changed)} grammars changed: " + ", ".join(changed)
+
+
+def test_every_recorded_front_end_result_is_reproduced():
+    golden = read_frontend()
+    current = compute_frontend()
+    assert [line.rsplit(" ", 3)[0] for line in current] == \
+        [line.rsplit(" ", 3)[0] for line in golden]
+    stages = ("tokens", "program", "diagnostics")
+    changed = []
+    for old, now in zip(golden, current):
+        name, *was = old.rsplit(" ", 3)
+        differ = [stage for stage, a, b in zip(stages, was, now.rsplit(" ", 3)[1:]) if a != b]
+        if differ:
+            changed.append(f"{name}: {', '.join(differ)}")
+    assert not changed, f"{len(changed)} front-end lines changed:\n" + "\n".join(changed)

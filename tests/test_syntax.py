@@ -6,7 +6,7 @@ import pytest
 
 from sluice import syntax as S
 from sluice.diagnostics import DiagnosticError
-from sluice.parser import parse_program, parse_scheme, parse_type
+from sluice.parser import parse_expr, parse_program, parse_scheme, parse_type
 from sluice.syntax import (
     Skip, Semi, Message, Choice, Rec, TVar, Basic, Arrow, Pair, DataRef,
     pretty, reassoc_semi,
@@ -282,3 +282,25 @@ class TestRobustness:
             prog, diags = parse_program(mutated)
             if prog is not None and not diags:
                 check_program(prog)
+
+    def test_nesting_too_deep_is_a_positioned_diagnostic(self):
+        # each parenthesis costs the parser several Python frames
+        for parse, text in ((parse_type, "(" * 2000 + "Skip" + ")" * 2000),
+                            (parse_expr, "(" * 1000 + "1" + ")" * 1000)):
+            with pytest.raises(DiagnosticError, match="nesting too deep") as exc:
+                parse(text)
+            assert exc.value.diag.line == 1 and 1 < exc.value.diag.col <= text.index(")")
+
+    def test_let_chain_parses_right_nested_in_a_loop(self):
+        n = 5000
+        source = ("main : Int\nmain =\n"
+                  + "".join(f"  let x{i}, y{i} = (0, 0) in\n" if i % 2 else f"  let x{i} = 0 in\n"
+                            for i in range(n))
+                  + "  1\n")
+        prog, diags = parse_program(source)
+        assert not diags
+        e = prog.definitions["main"].body
+        for i in range(n):
+            assert type(e) is (S.LetPair if i % 2 else S.Let) and e.pos == (3 + i, 3) and e.x == f"x{i}"
+            e = e.body
+        assert e == S.Lit(1)

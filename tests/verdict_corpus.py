@@ -19,8 +19,16 @@ but searches a different tree shows up as a diff too.
 per ladder query and one per suite, so a change to translation that keeps
 every verdict but builds a different grammar shows up as a diff as well.
 
-Rewrite the golden files (only when a verdict, search or grammar change is
-intended):
+`golden/frontend.txt` records the front end: for each input, a SHA-256 of
+`lex`'s token tuples, of `repr` of the parsed program (positions included)
+and of the rendered parse and check diagnostics. The inputs are the example
+programs, seeded single-character mutants of each, two seeded soups (one with
+non-ASCII letters and digits) and `let` chains of depth 1..LET_DEPTH, so a
+front-end change that moves a token, a node, a position or a diagnostic
+shows up as a diff.
+
+Rewrite the golden files (only when a verdict, search, grammar or front-end
+change is intended):
 
     PYTHONPATH=src python tests/verdict_corpus.py --write
 """
@@ -31,12 +39,16 @@ import hashlib
 import os
 import random
 import sys
+from itertools import count
 from typing import Iterator
 
 from sluice import syntax as S
+from sluice.diagnostics import DiagnosticError
 from sluice.equiv import Inconclusive, TraceFn, equivalent
 from sluice.grammar import build, compute_norms, dump, prune
-from sluice.parser import parse_type
+from sluice.lexer import lex
+from sluice.parser import parse_program, parse_type
+from sluice.typecheck import check_program
 from sluice.syntax import Choice, Semi, Skip, Type
 
 from gen import lawify, perturb, rand_regular, rand_session, receive_bool
@@ -44,6 +56,8 @@ from gen import lawify, perturb, rand_regular, rand_session, receive_bool
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "verdicts.txt")
 TRACES = os.path.join(os.path.dirname(__file__), "golden", "search_traces.txt")
 GRAMMARS = os.path.join(os.path.dirname(__file__), "golden", "grammars.txt")
+FRONTEND = os.path.join(os.path.dirname(__file__), "golden", "frontend.txt")
+PROGRAMS = os.path.join(os.path.dirname(__file__), "programs")
 SEED = 3001
 LAW_ROUNDS = 1000  # four pairs each
 PERTURBED = 4000
@@ -52,6 +66,9 @@ WIDTH = 100
 TREE_C = "rec x. +{Leaf: Skip, Node: !Int;x;x;?Int}"
 LADDER = 8
 TRACE_STRIDE = 20
+MUTANTS = 150
+SOUP = 400
+LET_DEPTH = 50
 
 Pair = tuple[Type, Type]
 
@@ -237,11 +254,133 @@ def write_grammars(lines: list[str]) -> None:
     ], lines)
 
 
+def frontend_parts(source: str) -> tuple[str, str, str]:
+    """What the front end makes of `source`: its tokens as tuples, `repr` of
+    the parsed program and the rendered parse and check diagnostics. A lexer
+    error stands in for the tokens, and an exception other than a diagnostic
+    is recorded by its type, since the record must hold whatever the front
+    end does, crashes included.
+
+    Abbreviations expand under fresh names from a process-wide counter, and
+    diagnostics can quote them, so the counter starts afresh for each source,
+    as in a `sluice check` process, and goes on where it was afterwards."""
+    saved, S._fresh_counter = S._fresh_counter, count(1)
+    try:
+        return _frontend_parts(source)
+    finally:
+        S._fresh_counter = saved
+
+
+def _frontend_parts(source: str) -> tuple[str, str, str]:
+    try:
+        tokens = repr([(t.kind, t.text, t.line, t.col) for t in lex(source)])
+    except DiagnosticError as exc:
+        tokens = exc.diag.render()
+    try:
+        prog, diags = parse_program(source)
+    except Exception as exc:
+        return tokens, f"raised {type(exc).__name__}", ""
+    try:
+        if prog is not None and not diags:
+            diags = check_program(prog)
+        rendered = "\n".join(d.render() for d in diags)
+    except Exception as exc:
+        rendered = f"raised {type(exc).__name__}"
+    return tokens, repr(prog), rendered
+
+
+def let_chains(depth: int) -> list[str]:
+    """Five programs around a `let` spine of `depth` bindings: a counting
+    chain, a chain of pairs, a chain that shadows one name between the two
+    ends of a channel, a chain that leaves two channels unused (the inner
+    one is reported), and the counting chain cut before its last `in`."""
+    plain = ["main : Int", "main =", "  let x0 = 0 in"]
+    plain += [f"  let x{i} = x{i - 1} + 1 in" for i in range(1, depth)]
+    plain.append(f"  x{depth - 1}")
+    pairs = ["main : Int", "main =", "  let a0, x0 = (0, 0) in"]
+    pairs += [f"  let a{i}, x{i} = (x{i - 1}, x{i - 1} + 1) in" for i in range(1, depth)]
+    pairs.append(f"  x{depth - 1} + a{depth - 1}")
+    shadow = ["main : Int", "main =", "  let c, e = new !Int;Skip in",
+              "  let _ = fork (send 7 c) in", "  let x = 0 in"]
+    shadow += ["  let x = x + 1 in"] * depth
+    shadow += ["  let v, s = receive e in", "  x + v"]
+    leak = ["main : Int", "main =", "  let c, e = new !Int in", "  let x = 0 in"]
+    leak += ["  let k, m = new ?Bool in" if i == depth // 2 else "  let x = x + 1 in"
+             for i in range(depth)]
+    leak.append("  x")
+    cut = plain[:-1]
+    cut[-1] = cut[-1].removesuffix(" in")
+    return ["\n".join(lines) + "\n" for lines in (plain, pairs, shadow, leak, cut)]
+
+
+def frontend_inputs() -> Iterator[tuple[str, list[str]]]:
+    """Each golden line's name and the sources it covers."""
+    names = sorted(os.listdir(PROGRAMS))
+    sources = {}
+    for name in names:
+        with open(os.path.join(PROGRAMS, name), encoding="utf-8") as fh:
+            sources[name] = fh.read()
+        yield f"program {name}", [sources[name]]
+    for name in names:
+        source, rng = sources[name], random.Random(f"{SEED}:mutants:{name}")
+        mutants = []
+        for _ in range(MUTANTS):
+            i = rng.randrange(len(source))
+            mutants.append(source[:i] + rng.choice("qZ;:()!?&{}[]|,=.") + source[i + 1:])
+        yield f"mutants {name} {MUTANTS}", mutants
+    rng = random.Random(f"{SEED}:soup")
+    alphabet = "abzXY(){}[];:=->!?&+,. \n1'\\_|"
+    yield f"soup {SOUP}", ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 60)))
+                           for _ in range(SOUP)]
+    # half raw characters, half a `main` whose body is a run of words
+    rng = random.Random(f"{SEED}:soup-unicode")
+    alphabet = "aZ\u00e9\u03bb\u0416\u01c5\u00b2\u0663\u00bd01 =:()\n+-'"
+    words = ["x", "1", "42", "\u0663", "\u00b2", "1\u00b2", "x\u00b2", "\u00e9", "\u03bbx",
+             "\u0416", "+", "(", ")", "let", "in", "=", "main"]
+    soup = []
+    for i in range(SOUP):
+        if i % 2:
+            soup.append("main : Int\nmain = "
+                        + " ".join(rng.choice(words) for _ in range(rng.randint(1, 8))) + "\n")
+        else:
+            soup.append("".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40))))
+    yield f"soup-unicode {SOUP}", soup
+    for depth in range(1, LET_DEPTH + 1):
+        yield f"let {depth}", let_chains(depth)
+
+
+def frontend_line(name: str, sources: list[str]) -> str:
+    """`<name> <sha256 of the tokens> <of the programs> <of the diagnostics>`,
+    each over every source of the line in order."""
+    digests = [hashlib.sha256() for _ in range(3)]
+    for source in sources:
+        for digest, part in zip(digests, frontend_parts(source)):
+            digest.update(part.encode() + b"\n\n")
+    return " ".join([name] + [d.hexdigest() for d in digests])
+
+
+def compute_frontend() -> list[str]:
+    return [frontend_line(name, sources) for name, sources in frontend_inputs()]
+
+
+def read_frontend() -> list[str]:
+    return _read_lines(FRONTEND)
+
+
+def write_frontend(lines: list[str]) -> None:
+    _write_lines(FRONTEND, [
+        "# What sluice's lexer, parser and typechecker make of the inputs of tests/verdict_corpus.py:",
+        "# <input> <sha256 of lex's token tuples> <of repr(program)> <of the parse+check diagnostics>",
+        "# Regenerate: PYTHONPATH=src python tests/verdict_corpus.py --write",
+    ], lines)
+
+
 if __name__ == "__main__":
     result = compute()
     if "--write" in sys.argv[1:]:
         write_golden(result)
         write_traces(compute_traces())
         write_grammars(compute_grammars())
+        write_frontend(compute_frontend())
     for name, letters in result.items():
         print(name, len(letters), {c: letters.count(c) for c in "ENI"})
