@@ -7,7 +7,8 @@ node with the reflexivity, congruence, and word-decomposition rules, branching
 into sibling nodes where a decomposition must guess a witness. The tree is
 walked breadth-first over a double-ended queue that bumps shrinking nodes to
 the front; reaching an empty node decides positively, exhausting the frontier
-decides negatively, and blowing the node budget is reported as inconclusive
+decides negatively, and blowing the node budget, which the nodes processed
+and the simplification work items draw on alike, is reported as inconclusive
 rather than silently as a verdict.
 
 Reflexivity applies to the root first: equal start words answer a query
@@ -37,13 +38,23 @@ Node = frozenset[WordPair]
 
 DEFAULT_BUDGET = 100_000
 
-# Keeps one pathological simplification from exploding before the search's own
-# budget can see it.
-_SIMPLIFY_CAP = 4000
-
 
 class Inconclusive(Exception):
     """The node budget ran out before either verdict was reached."""
+
+
+@dataclass
+class Budget:
+    """One query's work: each search node processed and each simplification
+    work item draws one unit, and running out raises `Inconclusive`."""
+
+    limit: int = DEFAULT_BUDGET
+    spent: int = 0
+
+    def draw(self, where: str) -> None:
+        self.spent += 1
+        if self.spent > self.limit:
+            raise Inconclusive(f"node budget of {self.limit} exhausted in {where}")
 
 
 @dataclass
@@ -175,7 +186,8 @@ def _b2_candidates(g: Grammar, y: int, steps: int) -> list[Word]:
 
 def simplify(g: Grammar, pairs: Iterable[WordPair], history: Iterable[WordPair],
              fixed_point: bool = True,
-             witnesses: dict[tuple[int, int], list[Word]] | None = None) -> set[Node]:
+             witnesses: dict[tuple[int, int], list[Word]] | None = None,
+             budget: Budget | None = None) -> set[Node]:
     """Shrink a node with the reflexivity (R), congruence (C), and
     decomposition (B1/B2) rules, iterating to a fixed point when asked.
     B2 branches: one sibling per candidate witness plus one keeping the pair
@@ -186,7 +198,9 @@ def simplify(g: Grammar, pairs: Iterable[WordPair], history: Iterable[WordPair],
     the node comes back (as the untouched B2 sibling, or as a witness child
     that coincides with a node already seen). B2's witness lists depend only
     on the grammar, so `search` passes one `witnesses` dict for the whole
-    query; without one, the call keeps its own."""
+    query; without one, the call keeps its own. Each work item popped draws
+    on `budget`, the query's when `search` calls, else a default one."""
+    budget = budget or Budget()
     hist = frozenset(history)
     hist_rules = index_rules(hist)
     if witnesses is None:
@@ -195,11 +209,10 @@ def simplify(g: Grammar, pairs: Iterable[WordPair], history: Iterable[WordPair],
     results: set[Node] = set()
     work: list[tuple[Node, frozenset[WordPair], bool]] = [(_canon_pairs(g, pairs), frozenset(), True)]
     seen: set[tuple[Node, frozenset[WordPair]]] = set()
-    spent = 0
     while work:
         P, b2done, live = work.pop()
-        spent += 1
-        if not live or spent > _SIMPLIFY_CAP:
+        budget.draw("simplification")
+        if not live:
             results.add(P)
             continue
         if (P, b2done) in seen:
@@ -325,11 +338,7 @@ def _pair_refuted(g: Grammar, pair: WordPair, cache: dict[WordPair, bool]) -> bo
 @dataclass
 class Frontier:
     queue: deque[_Entry] = field(default_factory=deque)
-    visited: set[tuple[WordPair, ...]] = field(default_factory=set)
-
-
-def _node_key(pairs: Node) -> tuple[WordPair, ...]:
-    return tuple(sorted(pairs))
+    visited: set[Node] = field(default_factory=set)
 
 
 def _node_size(pairs: Node) -> int:
@@ -357,11 +366,11 @@ def search(g: Grammar, w1: Word, w2: Word, config: SearchConfig | None = None,
     root = frozenset({(w1, w2)})
     frontier = Frontier()
     frontier.queue.append(_Entry(root, frozenset(), 0, 1 + len(root), 1 + _node_size(root)))
-    frontier.visited.add(_node_key(root))
+    frontier.visited.add(root)
     probe_cache: dict[WordPair, bool] = {}
     witnesses: dict[tuple[int, int], list[Word]] = {}
     probing = config.simplify != "off"
-    processed = 0
+    budget = Budget(config.budget)
     fail_seen = False
 
     while frontier.queue:
@@ -370,9 +379,7 @@ def search(g: Grammar, w1: Word, w2: Word, config: SearchConfig | None = None,
             if trace:
                 trace(entry.depth, 0, "empty: equivalent")
             return True
-        processed += 1
-        if processed > config.budget:
-            raise Inconclusive(f"node budget of {config.budget} exhausted")
+        budget.draw("search")
 
         expanded = expand(g, entry.pairs)
         if expanded is None:
@@ -392,7 +399,7 @@ def search(g: Grammar, w1: Word, w2: Word, config: SearchConfig | None = None,
             siblings: Iterable[Node] = (expanded,)
             child_history = assumed
         else:
-            siblings = simplify(g, expanded, assumed, config.simplify == "full", witnesses)
+            siblings = simplify(g, expanded, assumed, config.simplify == "full", witnesses, budget)
             child_history = assumed | expanded
 
         pushed = 0
@@ -401,10 +408,9 @@ def search(g: Grammar, w1: Word, w2: Word, config: SearchConfig | None = None,
                 if trace:
                     trace(entry.depth + 1, 0, "empty: equivalent")
                 return True
-            key = _node_key(sib)
-            if key in frontier.visited:
+            if sib in frontier.visited:
                 continue
-            frontier.visited.add(key)
+            frontier.visited.add(sib)
             child = _Entry(sib, child_history, entry.depth + 1,
                            len(entry.pairs), _node_size(entry.pairs))
             if config.prioritize:

@@ -19,9 +19,9 @@ from . import syntax as S
 
 _BASIC = {"Int": "Int", "Bool": "Bool", "Char": "Char"}
 
-_CMP_OPS = {"==", "<", "<=", ">", ">="}
-_ADD_OPS = {"+", "-"}
-_MUL_OPS = {"*"}
+# Binary operators by precedence, loosest first; all group to the left.
+_PRECEDENCE = {"||": 1, "&&": 2, "==": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
+               "+": 4, "-": 4, "*": 5}
 
 _T = TypeVar("_T")
 
@@ -220,21 +220,21 @@ class _P:
             scrut = self.expr()
             self.expect("kw", "with")
             return S.Match(scrut, tuple(self._match_branches()), pos=pos)
-        return self._binop(0)
+        return self._binop(1)
 
-    _OP_TIERS = ({"||"}, {"&&"}, _CMP_OPS, _ADD_OPS, _MUL_OPS)
-
-    def _binop(self, tier: int) -> S.Expr:
-        if tier >= len(self._OP_TIERS):
-            return self._app()
-        left = self._binop(tier + 1)
-        ops = self._OP_TIERS[tier]
-        while self.peek().kind == "sym" and self.peek().text in ops:
-            op = self.next()
-            right = self._binop(tier + 1)
+    def _binop(self, min_prec: int) -> S.Expr:
+        """An operator chain by precedence climbing: the loop takes each
+        operator of at least `min_prec`, its right operand only tighter ones."""
+        left = self._app()
+        while True:
+            op = self.peek()
+            prec = _PRECEDENCE.get(op.text, 0) if op.kind == "sym" else 0
+            if prec < min_prec:
+                return left
+            self.next()
+            right = self._binop(prec + 1)
             fn = S.Var(op.text, pos=(op.line, op.col))
             left = S.App(S.App(fn, left, pos=(op.line, op.col)), right, pos=(op.line, op.col))
-        return left
 
     def _binder(self) -> str:
         if self.eat("sym", "_"):

@@ -11,6 +11,8 @@ normal form (`syntax.head`): each first action with its continuation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
+from typing import Callable, Iterator
 
 from .diagnostics import Diagnostic, DiagnosticError
 from . import equiv
@@ -69,6 +71,9 @@ class GlobalEnv:
     ctors: dict[str, tuple[str, tuple[Type, ...]]] = field(default_factory=dict)
     datakinds: dict[str, Kind] = field(default_factory=dict)
     abbrevs: dict[str, Type] = field(default_factory=dict)
+    # numbers the recursion variables of expanded abbreviations, afresh for
+    # each program, so a diagnostic that quotes one reads the same every time
+    abbrev_vars: Iterator[int] = field(default_factory=lambda: count(1))
 
     def kind_of(self, kenv: K.KindEnv, t: Type) -> Kind:
         return K.synth_kind(kenv, t, self.datakinds)
@@ -77,65 +82,64 @@ class GlobalEnv:
         return equiv.equivalent(t1, t2, kenv, datakinds=self.datakinds)
 
 
-def resolve_type(env: GlobalEnv, t: Type) -> Type:
-    """Replace abbreviation references by their recursive expansions; leave
-    datatype references nominal."""
+def _map_names(t: Type, lookup: Callable[[DataRef], Type]) -> Type:
+    """`t` with every type-name reference replaced by its `lookup`."""
     match t:
-        case DataRef(name):
-            if name in env.abbrevs:
-                return env.abbrevs[name]
-            if name in env.datakinds:
-                return t
-            raise _fail(f"unknown type name {name}")
+        case DataRef():
+            return lookup(t)
         case Semi(lhs, rhs):
-            return Semi(resolve_type(env, lhs), resolve_type(env, rhs))
+            return Semi(_map_names(lhs, lookup), _map_names(rhs, lookup))
         case Arrow(mult, dom, cod):
-            return Arrow(mult, resolve_type(env, dom), resolve_type(env, cod))
+            return Arrow(mult, _map_names(dom, lookup), _map_names(cod, lookup))
         case Pair(fst, snd):
-            return Pair(resolve_type(env, fst), resolve_type(env, snd))
+            return Pair(_map_names(fst, lookup), _map_names(snd, lookup))
         case Choice(view, branches):
-            return Choice(view, tuple((lab, resolve_type(env, ty)) for lab, ty in branches))
+            return Choice(view, tuple((lab, _map_names(ty, lookup)) for lab, ty in branches))
         case Rec(var, body):
-            return Rec(var, resolve_type(env, body))
+            return Rec(var, _map_names(body, lookup))
         case _:
             return t
 
 
+def _lookup(env: GlobalEnv, ref: DataRef) -> Type:
+    if ref.name in env.abbrevs:
+        return env.abbrevs[ref.name]
+    if ref.name in env.datakinds:
+        return ref
+    raise _fail(f"unknown type name {ref.name}")
+
+
+def resolve_type(env: GlobalEnv, t: Type) -> Type:
+    """Replace abbreviation references by their recursive expansions; leave
+    datatype references nominal."""
+    return _map_names(t, lambda ref: _lookup(env, ref))
+
+
 def _expand_abbrev(env: GlobalEnv, decls: dict[str, S.TypeAbbrev], name: str,
                    active: dict[str, str]) -> Type:
+    """The closed expansion of abbreviation `name`. `active` maps each
+    abbreviation being expanded further out to its recursion variable, so a
+    reference back to one becomes that variable and the outer expansion binds
+    it. An expansion that still holds such a variable is open, and is not
+    memoised: the abbreviation expands afresh when reached another way."""
     if name in env.abbrevs:
         return env.abbrevs[name]
-    var = S.fresh_name(name.lower())
-    body_src = decls[name].body
+    var = f"{name.lower()}_{next(env.abbrev_vars)}"
 
-    def walk(t: Type) -> Type:
-        match t:
-            case DataRef(n):
-                if n in active:
-                    return TVar(active[n])
-                if n in decls:
-                    return _expand_abbrev(env, decls, n, active)
-                if n in env.datakinds:
-                    return t
-                raise _fail(f"unknown type name {n}", decls[name].pos)
-            case Semi(lhs, rhs):
-                return Semi(walk(lhs), walk(rhs))
-            case Choice(view, branches):
-                return Choice(view, tuple((lab, walk(ty)) for lab, ty in branches))
-            case Rec(v, b):
-                return Rec(v, walk(b))
-            case Arrow(mult, dom, cod):
-                return Arrow(mult, walk(dom), walk(cod))
-            case Pair(fst, snd):
-                return Pair(walk(fst), walk(snd))
-            case _:
-                return t
+    def lookup(ref: DataRef) -> Type:
+        if ref.name in active:
+            return TVar(active[ref.name])
+        if ref.name in decls:
+            return _expand_abbrev(env, decls, ref.name, active)
+        return _lookup(env, ref)
 
     active[name] = var
-    body = walk(body_src)
+    body = _map_names(decls[name].body, lookup)
     del active[name]
-    expanded = Rec(var, body) if var in S.free_tvars(body) else body
-    env.abbrevs[name] = expanded
+    free = S.free_tvars(body)
+    expanded = Rec(var, body) if var in free else body
+    if free.isdisjoint(active.values()):
+        env.abbrevs[name] = expanded
     return expanded
 
 
@@ -301,8 +305,6 @@ def synth(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr) -> tuple[Type, Ctx
                 raise _fail(err.diag.message, e.pos)
             if kind.prekind != SESSION:
                 raise _fail(f"new requires a session type, got {S.pretty(session)} : {kind}", e.pos)
-            if not K.contractive(kenv, ty):
-                raise _fail(f"new requires a contractive session type", e.pos)
             return Pair(ty, dual(ty)), ctx
 
         case Select(label, chan):
@@ -498,10 +500,18 @@ def check_against(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr, t: Type) -
 def build_global_env(p: S.Program, diags: list[Diagnostic]) -> GlobalEnv:
     env = GlobalEnv(schemes=dict(BUILTINS))
 
-    # datatype kinds: functional prekind, multiplicity the join over the fields,
-    # computed as a fixed point so recursive datatypes work
+    # abbreviations expand to closed recursive forms; that needs only the
+    # datatype names, so it comes before the datatype kinds
     for name in p.datatypes:
         env.datakinds[name] = S.TU
+    for name in p.abbrevs:
+        try:
+            _expand_abbrev(env, p.abbrevs, name, {})
+        except CheckError:
+            pass  # reported with the abbreviation kinds below
+
+    # datatype kinds: functional prekind, multiplicity the join over the fields,
+    # computed as a fixed point so recursive datatypes work
     changed = True
     while changed:
         changed = False
@@ -510,9 +520,9 @@ def build_global_env(p: S.Program, diags: list[Diagnostic]) -> GlobalEnv:
             for fields in decl.ctors.values():
                 for fty in fields:
                     try:
-                        k = K.synth_kind({}, _resolve_quiet(env, p, fty), env.datakinds)
+                        k = env.kind_of({}, resolve_type(env, fty))
                     except (K.KindError, CheckError):
-                        continue  # reported below, once abbreviations exist
+                        continue  # reported with the constructors below
                     if k.mult == LINEAR:
                         mult = LINEAR
             new = Kind(FUNCTIONAL, mult)
@@ -520,11 +530,10 @@ def build_global_env(p: S.Program, diags: list[Diagnostic]) -> GlobalEnv:
                 env.datakinds[name] = new
                 changed = True
 
-    # abbreviations expand to closed recursive forms and must be session-kinded
+    # abbreviations must be session-kinded
     for name, decl in p.abbrevs.items():
         try:
-            expanded = _expand_abbrev(env, p.abbrevs, name, {})
-            kind = env.kind_of({}, expanded)
+            kind = env.kind_of({}, _expand_abbrev(env, p.abbrevs, name, {}))
             if kind.prekind != SESSION:
                 diags.append(Diagnostic(decl.pos[0], decl.pos[1],
                                         f"type abbreviation {name} must be a session type"))
@@ -560,22 +569,6 @@ def build_global_env(p: S.Program, diags: list[Diagnostic]) -> GlobalEnv:
             continue
         env.schemes[name] = Scheme(binders, body)
     return env
-
-
-def _resolve_quiet(env: GlobalEnv, p: S.Program, t: Type) -> Type:
-    try:
-        return resolve_type(env, t)
-    except CheckError:
-        # during the datakind fixed point, abbreviations may not be expanded yet
-        return _expand_and_resolve(env, p, t)
-
-
-def _expand_and_resolve(env: GlobalEnv, p: S.Program, t: Type) -> Type:
-    match t:
-        case DataRef(name) if name in p.abbrevs:
-            return _expand_abbrev(env, p.abbrevs, name, {})
-        case _:
-            return resolve_type(env, t)
 
 
 def check_program(p: S.Program) -> list[Diagnostic]:

@@ -230,6 +230,21 @@ class TestSearchBasics:
         with pytest.raises(Inconclusive):
             search(g, w1, w2, SearchConfig(budget=0))
 
+    def test_simplification_draws_on_the_node_budget(self):
+        # One processed node decides this query, so a budget of one node
+        # would do for the search alone; the node's simplification needs two
+        # more work items from the same budget.
+        t2 = parse_type("rec y. +{Leaf: Skip, Node: !Int;y;y;?Int}")
+        g, w1, w2 = build(TREE_C, S.subst(t2.body, {"y": t2}))
+        compute_norms(g)
+        prune(g)
+        events: list[str] = []
+        assert search(g, w1, w2, trace=lambda depth, count, action: events.append(action))
+        assert events == ["empty: equivalent"]
+        with pytest.raises(Inconclusive, match="exhausted in simplification"):
+            search(g, w1, w2, SearchConfig(budget=1))
+        assert search(g, w1, w2, SearchConfig(budget=3)) is True
+
     def test_unknown_simplify_mode_is_rejected(self):
         for mode in ("Full", "none", "", "fixed"):
             with pytest.raises(ValueError, match="simplify"):

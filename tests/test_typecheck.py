@@ -371,6 +371,84 @@ class TestErrorPaths:
         assert any("declared twice" in d.message for d in diags)
 
 
+class TestTypeNames:
+    # A linear field inside a pair, reached through an abbreviation, makes
+    # the datatype linear, so a function that drops its argument leaks the
+    # channel end inside it.
+    LEAK = """
+type S = !Int;Skip
+
+data D = C (S, Int)
+
+drop : D -> Int
+drop d = 1
+
+main : Int
+main =
+  let w, r = new S in
+  let n = drop (C (w, 1)) in
+  let x, r2 = receive r in
+  x + n
+"""
+
+    # Abbreviations that refer to each other: a client asks for doubled
+    # numbers until it says Done, and the server's side is spelt out too.
+    MUTUAL = """
+type Ask = +{More: !Int;Reply, Done: Skip}
+type Reply = ?Int;Ask
+type Serve = &{More: ?Int;Answer, Done: Skip}
+type Answer = !Int;Serve
+
+client : Int -> Ask -> Int
+client n c =
+  if n == 0 then let _ = select Done c in 0
+  else
+    let c = select More c in
+    let c = send n c in
+    let x, c = receive c in
+    x + client (n - 1) c
+
+server : Serve -> Int
+server c =
+  match c with
+    Done c -> 0
+    More c ->
+      let x, c = receive c in
+      server (send (x * 2) c)
+
+main : Int
+main =
+  let w, r = new Ask in
+  let _ = fork (server r) in
+  client 3 w
+"""
+
+    def test_linear_field_behind_an_abbreviation_makes_the_datatype_linear(self):
+        prog, _ = parse_program(self.LEAK)
+        assert build_global_env(prog, []).datakinds["D"] == S.TL
+        assert [d.message for d in check_program(prog)] == ["in drop: linear variable d is not used"]
+
+    def test_mutually_recursive_abbreviations_check_and_run(self):
+        from sluice.runtime import run
+
+        prog, _ = parse_program(self.MUTUAL)
+        assert check_program(prog) == []
+        assert run(prog, seed=1) == 2 * (3 + 2 + 1)
+
+    def test_mutual_abbreviations_expand_closed(self):
+        prog, _ = parse_program("type A = !Int;B\ntype B = ?Int;A\nmain : Int\nmain = 1")
+        env = build_global_env(prog, [])
+        assert S.pretty(env.abbrevs["A"]) == "rec a_1. !Int;?Int;a_1"
+        assert S.pretty(env.abbrevs["B"]) == "?Int;(rec a_1. !Int;?Int;a_1)"
+        assert check_program(prog) == []
+
+    def test_diagnostics_name_abbreviations_alike_every_check(self):
+        src = "type C = !Int;C\nmain : Int\nmain = let a, b = new C in 1 + a"
+        first, second = ([d.render() for d in check_source(src)] for _ in range(2))
+        assert first == second
+        assert "rec c_1. !Int;c_1" in first[0]
+
+
 class TestCheckAgainst:
     def test_accepts_up_to_the_laws(self):
         ctx = linear_ctx(c="Skip;!Int")

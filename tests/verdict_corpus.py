@@ -39,7 +39,6 @@ import hashlib
 import os
 import random
 import sys
-from itertools import count
 from typing import Iterator
 
 from sluice import syntax as S
@@ -259,19 +258,7 @@ def frontend_parts(source: str) -> tuple[str, str, str]:
     the parsed program and the rendered parse and check diagnostics. A lexer
     error stands in for the tokens, and an exception other than a diagnostic
     is recorded by its type, since the record must hold whatever the front
-    end does, crashes included.
-
-    Abbreviations expand under fresh names from a process-wide counter, and
-    diagnostics can quote them, so the counter starts afresh for each source,
-    as in a `sluice check` process, and goes on where it was afterwards."""
-    saved, S._fresh_counter = S._fresh_counter, count(1)
-    try:
-        return _frontend_parts(source)
-    finally:
-        S._fresh_counter = saved
-
-
-def _frontend_parts(source: str) -> tuple[str, str, str]:
+    end does, crashes included."""
     try:
         tokens = repr([(t.kind, t.text, t.line, t.col) for t in lex(source)])
     except DiagnosticError as exc:
