@@ -5,11 +5,15 @@ node through the grammar; a node whose pairs disagree on available actions
 fails to expand, killing that branch. Simplification shrinks the expanded
 node with the reflexivity, congruence, and word-decomposition rules, branching
 into sibling nodes where a decomposition must guess a witness. The tree is
-walked breadth-first over a double-ended queue that bumps shrinking nodes to
-the front; reaching an empty node decides positively, exhausting the frontier
-decides negatively, and blowing the node budget, which the nodes processed
-and the simplification work items draw on alike, is reported as inconclusive
-rather than silently as a verdict.
+walked best-first over one heap: the node with the fewest pairs, then the
+shortest words, is processed next, and nodes with equal keys in the order
+they were pushed. The search stays complete, because a visited set keeps every
+node from being pushed twice and a grammar has only finitely many nodes at or
+below any key, so every pushed node is eventually popped. Reaching an empty
+node decides positively, exhausting the frontier decides negatively, and
+blowing the node budget, which the nodes processed and the simplification
+work items draw on alike, is reported as inconclusive rather than silently as
+a verdict.
 
 Reflexivity applies to the root first: equal start words answer a query
 before norms, pruning and search. The refutation probe skips reflexive pairs.
@@ -20,8 +24,9 @@ with the same machinery.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+import heapq
+import itertools
+from dataclasses import dataclass
 from typing import Callable, Container, Iterable, Optional
 
 from . import kinds as K
@@ -60,6 +65,10 @@ class Budget:
 @dataclass
 class SearchConfig:
     budget: int = DEFAULT_BUDGET
+    # Pop the node with the fewest pairs, then the shortest words, first, and
+    # equal keys in push order; off, every node has the same key and the walk
+    # is breadth-first. Either way the search is complete: each node is pushed
+    # once, and only finitely many nodes have a key at or below any bound.
     prioritize: bool = True
     simplify: str = "full"  # 'full' | 'single' | 'off'
 
@@ -293,8 +302,6 @@ class _Entry:
     pairs: Node
     history: frozenset[WordPair]
     depth: int
-    parent_count: int
-    parent_size: int
 
 
 # Refutation probe: a bounded chain of pure expansions from a single pair. An
@@ -335,26 +342,19 @@ def _pair_refuted(g: Grammar, pair: WordPair, cache: dict[WordPair, bool]) -> bo
     return refuted
 
 
-@dataclass
-class Frontier:
-    queue: deque[_Entry] = field(default_factory=deque)
-    visited: set[Node] = field(default_factory=set)
-
-
 def _node_size(pairs: Node) -> int:
     return sum(len(a) + len(b) for a, b in pairs)
 
 
-def prioritize(frontier: Frontier, entry: _Entry) -> Frontier:
-    """Shrinking nodes (no more pairs, no longer words, smaller in at least
-    one) jump the queue; everything else waits at the back."""
-    count, size = len(entry.pairs), _node_size(entry.pairs)
-    if (count <= entry.parent_count and size <= entry.parent_size
-            and (count < entry.parent_count or size < entry.parent_size)):
-        frontier.queue.appendleft(entry)
-    else:
-        frontier.queue.append(entry)
-    return frontier
+_Queued = tuple[int, int, int, _Entry]
+
+
+def _push(frontier: list[_Queued], entry: _Entry, order: int, prioritize: bool) -> None:
+    """Queue `entry` keyed (pair count, node size, `order`) when `prioritize`,
+    else (0, 0, `order`), which is breadth-first. Orders are distinct, so
+    equal sizes come out first in, first out and entries are never compared."""
+    count, size = (len(entry.pairs), _node_size(entry.pairs)) if prioritize else (0, 0)
+    heapq.heappush(frontier, (count, size, order, entry))
 
 
 def search(g: Grammar, w1: Word, w2: Word, config: SearchConfig | None = None,
@@ -364,21 +364,18 @@ def search(g: Grammar, w1: Word, w2: Word, config: SearchConfig | None = None,
     if config.simplify != "off":
         w1, w2 = truncate(g, w1), truncate(g, w2)
     root = frozenset({(w1, w2)})
-    frontier = Frontier()
-    frontier.queue.append(_Entry(root, frozenset(), 0, 1 + len(root), 1 + _node_size(root)))
-    frontier.visited.add(root)
+    frontier: list[_Queued] = []
+    pushes = itertools.count()
+    _push(frontier, _Entry(root, frozenset(), 0), next(pushes), config.prioritize)
+    visited = {root}
     probe_cache: dict[WordPair, bool] = {}
     witnesses: dict[tuple[int, int], list[Word]] = {}
     probing = config.simplify != "off"
     budget = Budget(config.budget)
     fail_seen = False
 
-    while frontier.queue:
-        entry = frontier.queue.popleft()
-        if not entry.pairs:
-            if trace:
-                trace(entry.depth, 0, "empty: equivalent")
-            return True
+    while frontier:
+        entry = heapq.heappop(frontier)[-1]
         budget.draw("search")
 
         expanded = expand(g, entry.pairs)
@@ -408,15 +405,11 @@ def search(g: Grammar, w1: Word, w2: Word, config: SearchConfig | None = None,
                 if trace:
                     trace(entry.depth + 1, 0, "empty: equivalent")
                 return True
-            if sib in frontier.visited:
+            if sib in visited:
                 continue
-            frontier.visited.add(sib)
-            child = _Entry(sib, child_history, entry.depth + 1,
-                           len(entry.pairs), _node_size(entry.pairs))
-            if config.prioritize:
-                prioritize(frontier, child)
-            else:
-                frontier.queue.append(child)
+            visited.add(sib)
+            _push(frontier, _Entry(sib, child_history, entry.depth + 1),
+                  next(pushes), config.prioritize)
             pushed += 1
         if trace:
             trace(entry.depth, len(entry.pairs), f"expanded, {pushed} new siblings")

@@ -603,6 +603,9 @@ def check_program(p: S.Program) -> list[Diagnostic]:
         except equiv.Inconclusive:
             diags.append(Diagnostic(d.pos[0], d.pos[1],
                                     f"in {name}: type equivalence check was inconclusive"))
+        except RecursionError:
+            # `synth` recurses once per application, as in a long operator chain
+            diags.append(Diagnostic(d.pos[0], d.pos[1], f"in {name}: nesting too deep"))
 
     main = p.definitions.get("main")
     if main is None:

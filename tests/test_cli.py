@@ -55,6 +55,15 @@ class TestCheck:
             assert where and 8 <= int(where.group(1)) <= 1007, (command, first)
             assert second == f"{deep}:1:1: error: signature for main has no definition"
 
+    def test_deep_operator_chain_is_a_positioned_diagnostic(self, tmp_path):
+        # 1500 terms parse, but checking them overflows in the typechecker
+        deep = tmp_path / "chain.fst"
+        deep.write_text("main : Int\nmain = " + " + ".join(["1"] * 1500) + "\n")
+        for command in ("check", "run"):
+            done = run_cli(command, str(deep))
+            assert done.returncode == 1 and "Traceback" not in done.stderr, command
+            assert done.stderr == f"{deep}:2:1: error: in main: nesting too deep\n", command
+
     @pytest.mark.parametrize("digit", ["\u00b2", "\u0663", "1\u00b2"])
     def test_non_ascii_digit_is_a_diagnostic(self, tmp_path, digit):
         # integer literals are ASCII digits; `str.isdigit` also accepts

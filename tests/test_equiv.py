@@ -1,5 +1,6 @@
 """The expansion-tree equivalence decision procedure."""
 
+import heapq
 import random
 
 import pytest
@@ -8,8 +9,8 @@ from sluice import equiv as E
 from sluice import syntax as S
 from sluice.kinds import KindError
 from sluice.equiv import (
-    Frontier, Inconclusive, SearchConfig, _Entry, congruent, equivalent,
-    expand, index_rules, prioritize, search, simplify,
+    Inconclusive, SearchConfig, _Entry, _push, congruent, equivalent,
+    expand, index_rules, search, simplify,
 )
 from sluice.grammar import Terminal, build, compute_norms, prune, step, word_norm
 from sluice.parser import parse_type
@@ -20,7 +21,7 @@ from oracles import (
     congruence_closure, k_bisimilar_types, pairwise_congruence_closure,
     regular_equivalent, scanning_congruent,
 )
-from verdict_corpus import SEED, SUITES, ladder_queries
+from verdict_corpus import SEED, SUITES, ladder_queries, search_line
 
 TREE_C = parse_type("rec x. +{Leaf: Skip, Node: !Int;x;x;?Int}")
 TREE_CHANNEL = parse_type("rec x. +{Leaf: Skip, Node: !Int;x;x}")
@@ -356,31 +357,27 @@ class TestProbeDepth:
         assert deepest == 6
 
 
-class TestPrioritize:
-    def entry(self, pairs, parent_count, parent_size):
-        return _Entry(frozenset(pairs), frozenset(), 1, parent_count, parent_size)
+class TestFrontierOrder:
+    def drain(self, nodes, prioritize=True):
+        frontier = []
+        for order, pairs in enumerate(nodes):
+            _push(frontier, _Entry(frozenset(pairs), frozenset(), 1), order, prioritize)
+        return [heapq.heappop(frontier)[-1].pairs for _ in nodes]
 
-    def test_fewer_pairs_goes_front(self):
-        f = Frontier()
-        f.queue.append(self.entry({((1,), (2,))}, 1, 99))
-        shrunk = self.entry({((1,), (2,))}, 2, 99)
-        prioritize(f, shrunk)
-        assert f.queue[0] is shrunk
+    def test_fewer_pairs_then_shorter_words_first(self):
+        long_pair = {((1, 2, 3), (4, 5, 6))}
+        two_pairs = {((1,), (2,)), ((3,), (4,))}
+        short_pair = {((1,), (2, 3))}
+        assert self.drain([two_pairs, long_pair, short_pair]) == [
+            short_pair, long_pair, two_pairs]
 
-    def test_more_pairs_goes_back(self):
-        f = Frontier()
-        first = self.entry({((1,), (2,))}, 9, 99)
-        f.queue.append(first)
-        grown = self.entry({((1,), (2,)), ((3,), (4,))}, 1, 2)
-        prioritize(f, grown)
-        assert f.queue[-1] is grown and f.queue[0] is first
+    def test_equal_keys_come_out_in_push_order(self):
+        nodes = [{((1,), (2,))}, {((3,), (4,))}, {((2,), (1,))}, {((5,), (6,))}]
+        assert self.drain(nodes) == nodes
 
-    def test_empty_node_goes_front(self):
-        f = Frontier()
-        f.queue.append(self.entry({((1,), (2,))}, 9, 99))
-        empty = self.entry(set(), 1, 2)
-        prioritize(f, empty)
-        assert f.queue[0] is empty
+    def test_unprioritized_is_push_order(self):
+        nodes = [{((1, 2, 3), (4, 5, 6))}, {((1,), (2,)), ((3,), (4,))}, {((1,), (2,))}]
+        assert self.drain(nodes, prioritize=False) == nodes
 
 
 class TestEquivalentLaws:
@@ -440,6 +437,16 @@ class TestLadder:
             unfolded = S.subst(TREE_C.body, {TREE_C.var: unfolded})
             assert equivalent(TREE_C, unfolded), k
             assert not equivalent(TREE_C, receive_bool(unfolded)), k
+
+    def test_each_rung_processes_two_nodes_per_unfolding(self):
+        # smallest node first: two single-pair nodes per unfolding on the
+        # way to the empty node
+        unfolded = TREE_C
+        for k in range(1, 11):
+            unfolded = S.subst(TREE_C.body, {TREE_C.var: unfolded})
+            if k >= 2:
+                name, letter, nodes, _ = search_line(f"ladder {k}", TREE_C, unfolded).rsplit(" ", 3)
+                assert (letter, int(nodes)) == ("E", 2 * (k - 1)), name
 
 
 class TestEquivalenceRelation:

@@ -370,6 +370,16 @@ class TestErrorPaths:
         diags = check_source(src)
         assert any("declared twice" in d.message for d in diags)
 
+    def test_too_deep_definition_is_positioned_and_checking_goes_on(self):
+        # an operator chain is a left-nested spine of applications, which
+        # `synth` follows one Python frame per term
+        src = ("f : Int\nf = " + " + ".join(["1"] * 1500) + "\n"
+               "g : Int\ng = True\nmain : Int\nmain = 1\n")
+        diags = check_source(src)
+        assert [(d.line, d.col, d.message) for d in diags] == [
+            (2, 1, "in f: nesting too deep"),
+            (4, 5, "in g: expected type Int, found Bool")]
+
 
 class TestTypeNames:
     # A linear field inside a pair, reached through an abbreviation, makes

@@ -31,6 +31,9 @@ Rewrite the golden files (only when a verdict, search, grammar or front-end
 change is intended):
 
     PYTHONPATH=src python tests/verdict_corpus.py --write
+
+It prints `<name>: <old> -> <new>` for every golden line it changed (a
+verdict, a node count or a hash), then their total.
 """
 
 from __future__ import annotations
@@ -362,12 +365,36 @@ def write_frontend(lines: list[str]) -> None:
     ], lines)
 
 
+def changed_lines(old: list[str], new: list[str], fields: int) -> list[str]:
+    """`<name>: <old fields> -> <new fields>` for every golden line whose last
+    `fields` fields (verdict, node count, hashes) differ or that only one
+    side has. Hashes are cut to 12 digits."""
+    def split(line: str) -> tuple[str, str]:
+        name, *rest = line.rsplit(" ", fields)
+        return name, " ".join(field[:12] for field in rest)
+
+    before, after = dict(map(split, old)), dict(map(split, new))
+    return [f"{name}: {before.get(name, '(none)')} -> {after.get(name, '(none)')}"
+            for name in dict.fromkeys([*before, *after])
+            if before.get(name) != after.get(name)]
+
+
+def _verdict_lines(verdicts: dict[str, str]) -> list[str]:
+    return [f"{name} #{i} {letter}" for name, letters in verdicts.items()
+            for i, letter in enumerate(letters)]
+
+
 if __name__ == "__main__":
     result = compute()
     if "--write" in sys.argv[1:]:
+        changes = changed_lines(_verdict_lines(read_golden()), _verdict_lines(result), 1)
         write_golden(result)
-        write_traces(compute_traces())
-        write_grammars(compute_grammars())
-        write_frontend(compute_frontend())
+        for read, write, lines, fields in (
+                (read_traces, write_traces, compute_traces(), 3),
+                (read_grammars, write_grammars, compute_grammars(), 1),
+                (read_frontend, write_frontend, compute_frontend(), 3)):
+            changes += changed_lines(read(), lines, fields)
+            write(lines)
+        print("\n".join(changes + [f"{len(changes)} golden lines changed"]))
     for name, letters in result.items():
         print(name, len(letters), {c: letters.count(c) for c in "ENI"})
