@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .diagnostics import DiagnosticError
+from .diagnostics import Diagnostic, DiagnosticError
 from . import equiv as E
 from . import grammar as G
 from . import kinds as K
@@ -187,8 +187,11 @@ def _command(args: argparse.Namespace) -> int:
         prog, ok = _load(args.file)
         if prog is None or not ok:
             return EXIT_DIAGNOSTICS
-        print(T.dump_types(prog))
-        return EXIT_OK
+        diags: list[Diagnostic] = []
+        print(T.dump_types(prog, diags))
+        for d in diags:
+            print(d.render(args.file), file=sys.stderr)
+        return EXIT_DIAGNOSTICS if diags else EXIT_OK
 
     return EXIT_USAGE
 

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 from .syntax import (
-    Type, Skip, Semi, Message, Choice, Rec, TVar,
+    Type, DataRef, Skip, Semi, Message, Choice, Rec, TVar,
     OUT, IN, INTERNAL, EXTERNAL,
 )
 
+# The dual of abbreviation N is the name `dualof N`; its body is N's body's dual.
+DUALOF = "dualof "
+
 
 def dual(t: Type) -> Type:
-    """Flip every message polarity and choice view. Purely syntactic: message
-    payloads are basic, so nothing inside them varies."""
+    """Flip every message polarity and choice view, and dualise each name.
+    Purely syntactic: message payloads are basic, so nothing inside them varies."""
     match t:
         case Skip() | TVar(_):
             return t
@@ -23,4 +26,6 @@ def dual(t: Type) -> Type:
             return Choice(flipped, tuple((lab, dual(ty)) for lab, ty in branches))
         case Rec(var, body):
             return Rec(var, dual(body))
+        case DataRef(name):
+            return DataRef(name[len(DUALOF):] if name.startswith(DUALOF) else DUALOF + name)
     raise TypeError(f"dual is defined on session types only: {t!r}")

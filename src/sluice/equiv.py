@@ -27,7 +27,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Container, Iterable, Optional
+from typing import Callable, Container, Iterable, Mapping, Optional
 
 from . import kinds as K
 from . import syntax as S
@@ -426,7 +426,8 @@ def search(g: Grammar, w1: Word, w2: Word, config: SearchConfig | None = None,
 
 
 def equivalent(t1: Type, t2: Type, env: K.KindEnv | None = None, *,
-               datakinds: dict[str, S.Kind] | None = None,
+               datakinds: dict[str, S.Kind | None] | None = None,
+               abbrevs: Mapping[str, Type] | None = None,
                budget: int = DEFAULT_BUDGET,
                prioritize_nodes: bool = True,
                simplify_mode: str = "full",
@@ -434,7 +435,8 @@ def equivalent(t1: Type, t2: Type, env: K.KindEnv | None = None, *,
     """Sound-and-complete equivalence of kinded types. Session types go
     through the grammar pipeline; functional types descend structurally,
     comparing session components the same way. Comparing a session type
-    against a functional one is False, not an error."""
+    against a functional one is False, not an error. `datakinds` and
+    `abbrevs` are the program's tables of name kinds and abbreviation bodies."""
     env = dict(env or {})
     dk = datakinds or {}
     cfg = SearchConfig(budget, prioritize_nodes, simplify_mode)
@@ -445,7 +447,7 @@ def equivalent(t1: Type, t2: Type, env: K.KindEnv | None = None, *,
         if (ka.prekind == SESSION) != (kb.prekind == SESSION):
             return False
         if ka.prekind == SESSION:
-            g, wa, wb = build(a, b)
+            g, wa, wb = build(a, b, names=abbrevs)
             if wa == wb and cfg.simplify != "off":
                 # (R) at the root: equal words of one grammar are bisimilar
                 if trace:

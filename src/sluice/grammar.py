@@ -6,7 +6,9 @@ terminal, so words form a deterministic labelled transition system and type
 equivalence becomes bisimilarity of start words.
 
 The pipeline is: `build` (translate any number of types over one shared
-grammar, reading each nonterminal's productions off `syntax.head`),
+grammar, reading each nonterminal's productions off `syntax.head`; each
+abbreviation name is one nonterminal, as each equation of a system is in
+Almeida, Mordido and Vasconcelos, TACAS 2020),
 `compute_norms` (least fixed point of the shortest-termination measure), and
 `prune` (truncate production tails that sit behind an unnormed symbol and can
 never be reached).
@@ -15,9 +17,10 @@ never be reached).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from . import syntax as S
-from .syntax import Skip, Semi, Message, Choice, Rec, TVar, Terminal, Type
+from .syntax import DataRef, Skip, Semi, Message, Choice, Rec, TVar, Terminal, Type
 
 Word = tuple[int, ...]
 EPSILON: Word = ()
@@ -78,11 +81,16 @@ class _Builder:
     productions. Every type other than Skip and `;` becomes one nonterminal
     whose productions are its head normal form, so recursion bodies are
     entered only by unfolding and head actions are always computable even
-    when an inner recursion starts by running an outer one."""
+    when an inner recursion starts by running an outer one. A name is keyed
+    by itself, so it is one nonterminal however often it occurs; `build`
+    fills in its productions later, so a chain of names costs no Python
+    stack. A type with an empty head (a name for Skip) is the empty word."""
 
-    def __init__(self) -> None:
+    def __init__(self, names: Mapping[str, Type]) -> None:
+        self.names = names
         self.productions: dict[int, dict[Terminal, Word]] = {}
-        self._memo: dict[object, int] = {}
+        self._memo: dict[object, Word] = {}
+        self.deferred: list[tuple[dict[Terminal, Word], dict[Terminal, Type]]] = []
         # id of a composite subterm outside every binder -> (the subterm, its
         # key). The subterm is held so its id is not reused during the build.
         self._keys: dict[int, tuple[Type, object]] = {}
@@ -119,6 +127,8 @@ class _Builder:
                         tuple((lab, self._canon(ty, bound)) for lab, ty in branches))
             case Rec(var, body):
                 return ("rec", self._canon(body, bound + (var,)))
+            case DataRef(name):
+                return ("name", name)
         raise TypeError(f"not a session type: {t!r}")
 
     def word(self, t: Type) -> Word:
@@ -128,21 +138,31 @@ class _Builder:
             case Semi(lhs, rhs):
                 return self.word(lhs) + self.word(rhs)
         key = self._canon(t)
-        nt = self._memo.get(key)
-        if nt is None:
-            nt = self._memo[key] = len(self.productions)
-            prods = self.productions[nt] = {}
-            prods.update((a, self.word(k)) for a, k in S.head(t).items())
-        return (nt,)
+        w = self._memo.get(key)
+        if w is None:
+            actions = S.head(t, self.names)
+            w = self._memo[key] = (len(self.productions),) if actions else EPSILON
+            if not w:
+                return w
+            prods = self.productions[w[0]] = {}
+            if isinstance(t, DataRef):
+                self.deferred.append((prods, actions))
+            else:
+                prods.update((a, self.word(k)) for a, k in actions.items())
+        return w
 
 
-def build(*types: Type) -> tuple:
+def build(*types: Type, names: Mapping[str, Type] | None = None) -> tuple:
     """Translate session types into one shared grammar, returning
-    `(grammar, *start_words)`. Inputs must be contractive; abbreviations must
-    already be expanded. Structurally identical subterms share nonterminals,
-    so building the same type twice yields the same start word."""
-    b = _Builder()
+    `(grammar, *start_words)`. Inputs must be contractive. `names` maps each
+    abbreviation the types reach to its body. Structurally identical subterms
+    share nonterminals, so building the same type twice yields the same start
+    word."""
+    b = _Builder(names or {})
     words = [b.word(normalize(t)) for t in types]
+    while b.deferred:  # the names met, and the names they meet in turn
+        prods, actions = b.deferred.pop()
+        prods.update((a, b.word(k)) for a, k in actions.items())
     return (Grammar(b.productions), *words)
 
 
@@ -167,7 +187,7 @@ def compute_norms(g: Grammar) -> Grammar:
     changed = True
     while changed:
         changed = False
-        for nt, prods in g.productions.items():
+        for nt, prods in reversed(g.productions.items()):  # tails mostly name later nonterminals
             best: Norm = None
             for delta in prods.values():
                 tail = word_norm(g, delta)

@@ -16,14 +16,6 @@ from .syntax import (
 
 KindEnv = dict[str, Kind]
 
-_PRE_ORDER = {SESSION: 0, FUNCTIONAL: 1}
-_MULT_ORDER = {UNRESTRICTED: 0, LINEAR: 1}
-
-
-def subkind(k1: Kind, k2: Kind) -> bool:
-    return (_PRE_ORDER[k1.prekind] <= _PRE_ORDER[k2.prekind]
-            and _MULT_ORDER[k1.mult] <= _MULT_ORDER[k2.mult])
-
 
 def lub(k1: Kind, k2: Kind) -> Kind:
     pre = FUNCTIONAL if FUNCTIONAL in (k1.prekind, k2.prekind) else SESSION
@@ -31,8 +23,8 @@ def lub(k1: Kind, k2: Kind) -> Kind:
     return Kind(pre, mult)
 
 
-def _mult_join(m1: str, m2: str) -> str:
-    return LINEAR if LINEAR in (m1, m2) else UNRESTRICTED
+def subkind(k1: Kind, k2: Kind) -> bool:
+    return lub(k1, k2) == k2
 
 
 class KindError(DiagnosticError):
@@ -43,39 +35,47 @@ def _fail(msg: str) -> KindError:
     return KindError(Diagnostic(0, 0, msg))
 
 
-def synth_kind(env: KindEnv, t: Type, datatypes: dict[str, Kind] | None = None) -> Kind:
-    """Least kind of a type. Raises KindError on ill-formed types, unbound
-    variables, and non-contractive recursion.
+# Kinds of declared type names; None marks a rejected declaration.
+NameKinds = dict[str, Kind | None]
 
-    `datatypes` maps declared datatype names to their kinds; without it any
-    DataRef is rejected as unknown.
-    """
-    k = _synth(env, t, datatypes or {})
-    _check_contractive(env, t)
+
+def synth_kind(env: KindEnv, t: Type, datatypes: NameKinds | None = None) -> Kind:
+    """Least kind of a type. Raises KindError on ill-formed types, unbound
+    variables, and non-contractive recursion. `datatypes` maps declared type
+    names (datatypes and abbreviations) to their kinds; without it any
+    DataRef is rejected as unknown."""
+    datatypes = datatypes or {}
+    k = least_kind(env, t, datatypes)
+    if not contractive(env, t, datatypes):
+        raise _fail(f"non-contractive recursive type {S.pretty(t)}")
     return k
 
 
-def _synth(env: KindEnv, t: Type, datatypes: dict[str, Kind]) -> Kind:
+def least_kind(env: KindEnv, t: Type, datatypes: NameKinds) -> Kind:
+    """`synth_kind` without the contractivity check."""
     match t:
         case Basic(_):
             return TU
         case Arrow(mult, dom, cod):
-            _synth(env, dom, datatypes)
-            _synth(env, cod, datatypes)
+            least_kind(env, dom, datatypes)
+            least_kind(env, cod, datatypes)
             return TU if mult == UNRESTRICTED else TL
         case Pair(fst, snd):
-            k1 = _synth(env, fst, datatypes)
-            k2 = _synth(env, snd, datatypes)
-            return Kind(FUNCTIONAL, _mult_join(k1.mult, k2.mult))
+            k1 = least_kind(env, fst, datatypes)
+            k2 = least_kind(env, snd, datatypes)
+            return Kind(FUNCTIONAL, lub(k1, k2).mult)
         case DataRef(name):
             if name not in datatypes:
                 raise _fail(f"unknown type name {name}")
-            return datatypes[name]
+            k = datatypes[name]
+            if k is None:
+                raise _fail(f"type {name} is ill-formed")
+            return k
         case Skip():
             return SU
         case Semi(lhs, rhs):
-            k1 = _synth(env, lhs, datatypes)
-            k2 = _synth(env, rhs, datatypes)
+            k1 = least_kind(env, lhs, datatypes)
+            k2 = least_kind(env, rhs, datatypes)
             for side, k in (("left", k1), ("right", k2)):
                 if k.prekind != SESSION:
                     raise _fail(f"sequential composition requires session types; "
@@ -85,14 +85,14 @@ def _synth(env: KindEnv, t: Type, datatypes: dict[str, Kind]) -> Kind:
             return SL
         case Choice(_, branches):
             for lab, ty in branches:
-                k = _synth(env, ty, datatypes)
+                k = least_kind(env, ty, datatypes)
                 if k.prekind != SESSION:
                     raise _fail(f"choice branch {lab} must be a session type, got kind {k}")
             return SL
         case Rec(var, body):
             inner = dict(env)
             inner[var] = SU  # recursion variables are monomorphic session atoms
-            k = _synth(inner, body, datatypes)
+            k = least_kind(inner, body, datatypes)
             if k.prekind != SESSION:
                 raise _fail("only session types can be recursive")
             return k
@@ -107,54 +107,56 @@ def _synth(env: KindEnv, t: Type, datatypes: dict[str, Kind]) -> Kind:
 # Contractivity
 
 
-def _no_action(t: Type) -> bool:
+def _no_action(t: Type, names: NameKinds | None) -> bool:
     """Does this session type contribute no communication action on its own?
-    Skip and bare variables guard nothing, and neither do compositions of
-    them."""
+    Skip, bare variables and names of kind SU (a closed type of kind SU has
+    no action) guard nothing, and neither do compositions of them."""
     match t:
         case Skip() | TVar(_):
             return True
         case Semi(lhs, rhs):
-            return _no_action(lhs) and _no_action(rhs)
+            return _no_action(lhs, names) and _no_action(rhs, names)
         case Rec(_, body):
-            return _no_action(body)
+            return _no_action(body, names)
+        case DataRef(name):
+            return bool(names) and names.get(name) == SU
         case _:
             return False
 
 
-def _unguarded(t: Type) -> frozenset[str]:
-    """Variables reachable from the head of `t` without crossing an action."""
+def unguarded(t: Type, names: NameKinds | None) -> frozenset[str | DataRef]:
+    """Variables and names reachable from the head of `t` without an action."""
     match t:
         case TVar(name):
             return frozenset({name})
         case Rec(var, body):
-            return _unguarded(body) - {var}
+            return unguarded(body, names) - {var}
         case Semi(lhs, rhs):
-            out = _unguarded(lhs)
-            if _no_action(lhs):
-                out |= _unguarded(rhs)
+            out = unguarded(lhs, names)
+            if _no_action(lhs, names):
+                out |= unguarded(rhs, names)
             return out
+        case DataRef():
+            return frozenset({t})
         case _:
             return frozenset()
 
 
-def contractive(env: KindEnv, t: Type) -> bool:
-    """True when every rec binder in `t` is guarded by at least one action."""
-    match t:
-        case Rec(var, body):
-            return var not in _unguarded(body) and contractive(env, body)
-        case Semi(lhs, rhs):
-            return contractive(env, lhs) and contractive(env, rhs)
-        case Choice(_, branches):
-            return all(contractive(env, ty) for _, ty in branches)
-        case Arrow(_, dom, cod):
-            return contractive(env, dom) and contractive(env, cod)
-        case Pair(fst, snd):
-            return contractive(env, fst) and contractive(env, snd)
-        case _:
-            return True
-
-
-def _check_contractive(env: KindEnv, t: Type) -> None:
-    if not contractive(env, t):
-        raise _fail(f"non-contractive recursive type {S.pretty(t)}")
+def contractive(env: KindEnv, t: Type, datatypes: NameKinds | None = None) -> bool:
+    """True when every rec binder in `t` is guarded by at least one action;
+    a name of kind SU in `datatypes` guards nothing."""
+    def go(t: Type) -> bool:
+        match t:
+            case Rec(var, body):
+                return var not in unguarded(body, datatypes) and go(body)
+            case Semi(lhs, rhs):
+                return go(lhs) and go(rhs)
+            case Choice(_, branches):
+                return all(go(ty) for _, ty in branches)
+            case Arrow(_, dom, cod):
+                return go(dom) and go(cod)
+            case Pair(fst, snd):
+                return go(fst) and go(snd)
+            case _:
+                return True
+    return go(t)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count
-from typing import NamedTuple, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 # ---------------------------------------------------------------------------
 # Kinds
@@ -66,7 +66,8 @@ class Pair:
 
 @dataclass(frozen=True)
 class DataRef:
-    """A reference to a declared datatype or (before resolution) a type abbreviation."""
+    """A reference to a declared datatype or type abbreviation; both stay
+    names through checking (`head` unfolds an abbreviation)."""
 
     name: str
 
@@ -163,6 +164,20 @@ def free_tvars(t: Type) -> frozenset[str]:
             return frozenset()
 
 
+def type_names(t: Type) -> set[str]:
+    """The declared type names `t` refers to."""
+    match t:
+        case DataRef(name):
+            return {name}
+        case Semi(a, b) | Arrow(_, a, b) | Pair(a, b):
+            return type_names(a) | type_names(b)
+        case Choice(_, branches):
+            return set().union(*(type_names(ty) for _, ty in branches))
+        case Rec(_, body):
+            return type_names(body)
+    return set()
+
+
 _fresh_counter = count(1)
 
 
@@ -232,16 +247,17 @@ class NoHead(Exception):
     action (it is not contractive)."""
 
 
-# Contractive types reach an action after a few unfoldings; this only stops
-# the loop on non-contractive input.
+# Contractive types reach an action after a few unfoldings of `rec` and of
+# names; this only stops the loop on non-contractive input.
 MAX_UNFOLDINGS = 10_000
 
 
-def head(t: Type) -> dict[Terminal, Type]:
+def head(t: Type, names: Mapping[str, Type] | None = None) -> dict[Terminal, Type]:
     """Head normal form of a session type: each first action mapped to its
-    continuation; empty for a terminated protocol. Recursion is unfolded on
-    demand and the `;` spine is walked with an explicit stack of pending right
-    operands, so a deep spine costs heap, not Python stack."""
+    continuation; empty for a terminated protocol. Recursion, and each name
+    through its body in `names`, is unfolded on demand and the `;` spine is
+    walked with an explicit stack of pending right operands, so a deep spine
+    costs heap, not Python stack."""
     pending: list[Type] = []
     fuel = MAX_UNFOLDINGS
     while True:
@@ -267,6 +283,12 @@ def head(t: Type) -> dict[Terminal, Type]:
                 actions = ((Terminal(view, lab), ty) for lab, ty in branches)
             case TVar(name):
                 actions = ((Terminal(VAR, name), Skip()),)
+            case DataRef(name) if names and name in names:
+                if fuel == 0:
+                    raise NoHead(f"names do not reach an action: {name}")
+                fuel -= 1
+                t = names[name]
+                continue
             case _:
                 raise NoHead(f"not a session type: {t!r}")
         rest: Type = Skip()

@@ -11,17 +11,15 @@ normal form (`syntax.head`): each first action with its continuation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count
-from typing import Callable, Iterator
+from functools import reduce
 
 from .diagnostics import Diagnostic, DiagnosticError
 from . import equiv
 from . import kinds as K
 from . import syntax as S
-from .dual import dual
+from .dual import DUALOF, dual
 from .syntax import (
-    Kind, Type, Basic, Arrow, Pair, DataRef, Semi, Choice, Rec, TVar,
-    Scheme, SESSION, FUNCTIONAL, UNRESTRICTED, LINEAR,
+    Kind, Type, Basic, Arrow, Pair, DataRef, Scheme, SESSION, UNRESTRICTED, LINEAR,
     Expr, Lit, Var, Lam, App, PairE, LetPair, Let, Case, If as IfE, TypeApp,
     Fork, New, Send, Receive, Select, Match,
     INT, BOOL, UNIT,
@@ -69,78 +67,15 @@ BUILTINS: dict[str, Scheme] = {
 class GlobalEnv:
     schemes: dict[str, Scheme] = field(default_factory=dict)
     ctors: dict[str, tuple[str, tuple[Type, ...]]] = field(default_factory=dict)
-    datakinds: dict[str, Kind] = field(default_factory=dict)
+    datakinds: K.NameKinds = field(default_factory=dict)
+    # each abbreviation's body, and each derived dual name's: one system of equations
     abbrevs: dict[str, Type] = field(default_factory=dict)
-    # numbers the recursion variables of expanded abbreviations, afresh for
-    # each program, so a diagnostic that quotes one reads the same every time
-    abbrev_vars: Iterator[int] = field(default_factory=lambda: count(1))
 
     def kind_of(self, kenv: K.KindEnv, t: Type) -> Kind:
         return K.synth_kind(kenv, t, self.datakinds)
 
     def equivalent(self, t1: Type, t2: Type, kenv: K.KindEnv) -> bool:
-        return equiv.equivalent(t1, t2, kenv, datakinds=self.datakinds)
-
-
-def _map_names(t: Type, lookup: Callable[[DataRef], Type]) -> Type:
-    """`t` with every type-name reference replaced by its `lookup`."""
-    match t:
-        case DataRef():
-            return lookup(t)
-        case Semi(lhs, rhs):
-            return Semi(_map_names(lhs, lookup), _map_names(rhs, lookup))
-        case Arrow(mult, dom, cod):
-            return Arrow(mult, _map_names(dom, lookup), _map_names(cod, lookup))
-        case Pair(fst, snd):
-            return Pair(_map_names(fst, lookup), _map_names(snd, lookup))
-        case Choice(view, branches):
-            return Choice(view, tuple((lab, _map_names(ty, lookup)) for lab, ty in branches))
-        case Rec(var, body):
-            return Rec(var, _map_names(body, lookup))
-        case _:
-            return t
-
-
-def _lookup(env: GlobalEnv, ref: DataRef) -> Type:
-    if ref.name in env.abbrevs:
-        return env.abbrevs[ref.name]
-    if ref.name in env.datakinds:
-        return ref
-    raise _fail(f"unknown type name {ref.name}")
-
-
-def resolve_type(env: GlobalEnv, t: Type) -> Type:
-    """Replace abbreviation references by their recursive expansions; leave
-    datatype references nominal."""
-    return _map_names(t, lambda ref: _lookup(env, ref))
-
-
-def _expand_abbrev(env: GlobalEnv, decls: dict[str, S.TypeAbbrev], name: str,
-                   active: dict[str, str]) -> Type:
-    """The closed expansion of abbreviation `name`. `active` maps each
-    abbreviation being expanded further out to its recursion variable, so a
-    reference back to one becomes that variable and the outer expansion binds
-    it. An expansion that still holds such a variable is open, and is not
-    memoised: the abbreviation expands afresh when reached another way."""
-    if name in env.abbrevs:
-        return env.abbrevs[name]
-    var = f"{name.lower()}_{next(env.abbrev_vars)}"
-
-    def lookup(ref: DataRef) -> Type:
-        if ref.name in active:
-            return TVar(active[ref.name])
-        if ref.name in decls:
-            return _expand_abbrev(env, decls, ref.name, active)
-        return _lookup(env, ref)
-
-    active[name] = var
-    body = _map_names(decls[name].body, lookup)
-    del active[name]
-    free = S.free_tvars(body)
-    expanded = Rec(var, body) if var in free else body
-    if free.isdisjoint(active.values()):
-        env.abbrevs[name] = expanded
-    return expanded
+        return equiv.equivalent(t1, t2, kenv, datakinds=self.datakinds, abbrevs=self.abbrevs)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +184,6 @@ def synth(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr) -> tuple[Type, Ctx
                 raise _fail(f"{name} expects {len(scheme.binders)} type arguments, got {len(args)}", e.pos)
             mapping: dict[str, Type] = {}
             for (bname, bkind), arg in zip(scheme.binders, args):
-                arg = resolve_type(env, arg)
                 try:
                     akind = env.kind_of(kenv, arg)
                 except K.KindError as err:
@@ -269,7 +203,7 @@ def synth(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr) -> tuple[Type, Ctx
                 if not isinstance(tv, Basic):
                     raise _fail(f"send carries basic values only, got {S.pretty(tv)}", e.pos)
                 tc, ctx2 = synth(ctx1, env, kenv, arg)
-                msg = _actions(tc, S.OUT, e.pos)
+                msg = _actions(env, tc, S.OUT, e.pos)
                 if not msg:
                     raise _fail(f"channel of type {S.pretty(tc)} has no output action", e.pos)
                 (payload, cont), = msg.items()
@@ -291,25 +225,24 @@ def synth(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr) -> tuple[Type, Ctx
 
         case Receive(chan):
             tc, ctx1 = synth(ctx, env, kenv, chan)
-            msg = _actions(tc, S.IN, e.pos)
+            msg = _actions(env, tc, S.IN, e.pos)
             if not msg:
                 raise _fail(f"channel of type {S.pretty(tc)} has no input action", e.pos)
             (payload, cont), = msg.items()
             return Pair(Basic(payload), cont), ctx1
 
         case New(session):
-            ty = resolve_type(env, session)
             try:
-                kind = env.kind_of(kenv, ty)
+                kind = env.kind_of(kenv, session)
             except K.KindError as err:
                 raise _fail(err.diag.message, e.pos)
             if kind.prekind != SESSION:
                 raise _fail(f"new requires a session type, got {S.pretty(session)} : {kind}", e.pos)
-            return Pair(ty, dual(ty)), ctx
+            return Pair(session, dual(session)), ctx
 
         case Select(label, chan):
             tc, ctx1 = synth(ctx, env, kenv, chan)
-            offered = _actions(tc, S.INTERNAL, e.pos)
+            offered = _actions(env, tc, S.INTERNAL, e.pos)
             if not offered:
                 raise _fail(f"channel of type {S.pretty(tc)} offers no internal choice", e.pos)
             if label not in offered:
@@ -318,7 +251,7 @@ def synth(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr) -> tuple[Type, Ctx
 
         case Match(scrutinee, branches):
             tc, ctx1 = synth(ctx, env, kenv, scrutinee)
-            offered = _actions(tc, S.EXTERNAL, e.pos)
+            offered = _actions(env, tc, S.EXTERNAL, e.pos)
             if not offered:
                 raise _fail(f"channel of type {S.pretty(tc)} offers no external choice", e.pos)
             covered = {lab for lab, _, _ in branches}
@@ -352,7 +285,7 @@ def synth(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr) -> tuple[Type, Ctx
 
         case Case(scrutinee, branches):
             ts, ctx1 = synth(ctx, env, kenv, scrutinee)
-            if not isinstance(ts, DataRef):
+            if not isinstance(ts, DataRef) or ts.name in env.abbrevs:
                 raise _fail(f"case needs a datatype value, got {S.pretty(ts)}", e.pos)
             all_ctors = {c: fields for c, (d, fields) in env.ctors.items() if d == ts.name}
             covered = {c for c, _, _ in branches}
@@ -411,12 +344,12 @@ def _let_spine(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr) -> tuple[Type
     return ty, ctx
 
 
-def _actions(t: Type, tag: str, pos: S.Pos | None) -> dict[str, Type]:
+def _actions(env: GlobalEnv, t: Type, tag: str, pos: S.Pos | None) -> dict[str, Type]:
     """The first actions of a channel type that carry `tag` (a polarity or a
     choice view), each argument mapped to its continuation; empty when the
     type starts with anything else."""
     try:
-        head = S.head(t)
+        head = S.head(t, env.abbrevs)
     except S.NoHead:
         raise _fail(f"expected a channel, got {S.pretty(t)}", pos)
     return {a.arg: cont for a, cont in head.items() if a.tag == tag}
@@ -497,48 +430,75 @@ def check_against(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr, t: Type) -
 # Programs
 
 
+def _declare_names(env: GlobalEnv, p: S.Program) -> dict[str, str]:
+    """Fill `env`'s tables of type names, returning the error of each rejected
+    abbreviation. The kinds are one least fixed point: an abbreviation kinds
+    as its body, from SU, and a datatype as the tuple of its fields, from TU,
+    and a name is kinded again when a name it refers to changes. Kinds only
+    rise and kind errors persist as they do, so a failing abbreviation is
+    rejected for good (kind None), and so is each one that refers to it.
+    Contractivity needs the final kinds, so it comes last."""
+    kinds = env.datakinds
+    bodies = {name: decl.body for name, decl in p.abbrevs.items()}
+    types: dict[str, Type] = {
+        name: reduce(Pair, [f for fields in decl.ctors.values() for f in fields], UNIT)
+        for name, decl in p.datatypes.items()}
+    types.update(bodies)
+    users: dict[str, list[str]] = {}
+    for name, t in types.items():
+        for ref in S.type_names(t):
+            users.setdefault(ref, []).append(name)
+    kinds.update(dict.fromkeys(p.datatypes, S.TU) | dict.fromkeys(bodies, S.SU))
+    errors: dict[str, str] = {}
+
+    def settle(work: list[str]) -> None:
+        while work:
+            name = work.pop()
+            if kinds[name] is None:
+                continue
+            try:
+                new = K.least_kind({}, types[name], kinds)
+                if name in bodies and new.prekind != SESSION:
+                    raise K.KindError(Diagnostic(
+                        0, 0, f"type abbreviation {name} must be a session type"))
+            except K.KindError as err:
+                if name not in bodies:
+                    continue  # a datatype's fields are reported with its constructors
+                errors[name], new = err.diag.message, None
+            if new != kinds[name]:
+                kinds[name] = new
+                work.extend(users.get(name, ()))
+
+    settle(list(types))
+    bodies = {name: body for name, body in bodies.items() if kinds[name] is not None}
+    # a name must reach an action before it comes back to itself: mark the
+    # names whose bodies refer, before any action, only to marked names
+    refs = {name: {r.name for r in K.unguarded(body, kinds) if isinstance(r, DataRef)}
+            for name, body in bodies.items()}
+    productive: set[str] = set()
+    work = list(bodies)
+    while work:
+        name = work.pop()
+        if name in bodies and name not in productive and refs[name] <= productive:
+            productive.add(name)
+            work.extend(users.get(name, ()))
+    looping = [name for name, body in bodies.items()
+               if name not in productive or not K.contractive({}, body, kinds)]
+    for name in looping:
+        errors[name], kinds[name] = f"type abbreviation {name} is not contractive", None
+    settle([user for name in looping for user in users.get(name, ())])
+    for name, body in bodies.items():
+        if kinds[name] is not None:
+            env.abbrevs[name], env.abbrevs[DUALOF + name] = body, dual(body)
+            kinds[DUALOF + name] = kinds[name]
+    return errors
+
+
 def build_global_env(p: S.Program, diags: list[Diagnostic]) -> GlobalEnv:
     env = GlobalEnv(schemes=dict(BUILTINS))
-
-    # abbreviations expand to closed recursive forms; that needs only the
-    # datatype names, so it comes before the datatype kinds
-    for name in p.datatypes:
-        env.datakinds[name] = S.TU
-    for name in p.abbrevs:
-        try:
-            _expand_abbrev(env, p.abbrevs, name, {})
-        except CheckError:
-            pass  # reported with the abbreviation kinds below
-
-    # datatype kinds: functional prekind, multiplicity the join over the fields,
-    # computed as a fixed point so recursive datatypes work
-    changed = True
-    while changed:
-        changed = False
-        for name, decl in p.datatypes.items():
-            mult = UNRESTRICTED
-            for fields in decl.ctors.values():
-                for fty in fields:
-                    try:
-                        k = env.kind_of({}, resolve_type(env, fty))
-                    except (K.KindError, CheckError):
-                        continue  # reported with the constructors below
-                    if k.mult == LINEAR:
-                        mult = LINEAR
-            new = Kind(FUNCTIONAL, mult)
-            if env.datakinds[name] != new:
-                env.datakinds[name] = new
-                changed = True
-
-    # abbreviations must be session-kinded
-    for name, decl in p.abbrevs.items():
-        try:
-            kind = env.kind_of({}, _expand_abbrev(env, p.abbrevs, name, {}))
-            if kind.prekind != SESSION:
-                diags.append(Diagnostic(decl.pos[0], decl.pos[1],
-                                        f"type abbreviation {name} must be a session type"))
-        except (CheckError, K.KindError) as err:
-            diags.append(Diagnostic(decl.pos[0], decl.pos[1], err.diag.message))
+    errors = _declare_names(env, p)
+    diags.extend(Diagnostic(*decl.pos, errors[name])
+                 for name, decl in p.abbrevs.items() if name in errors)
 
     # constructors become curried unrestricted functions
     for dname, decl in p.datatypes.items():
@@ -548,26 +508,22 @@ def build_global_env(p: S.Program, diags: list[Diagnostic]) -> GlobalEnv:
                                         f"constructor {cname} declared twice"))
                 continue
             try:
-                rfields = tuple(resolve_type(env, f) for f in fields)
-                for f in rfields:
+                for f in fields:
                     env.kind_of({}, f)
-            except (CheckError, K.KindError) as err:
+            except K.KindError as err:
                 diags.append(Diagnostic(decl.pos[0], decl.pos[1], err.diag.message))
                 continue
-            env.ctors[cname] = (dname, rfields)
-            env.schemes[cname] = Scheme((), _arrow(*rfields, DataRef(dname)))
+            env.ctors[cname] = (dname, fields)
+            env.schemes[cname] = Scheme((), _arrow(*fields, DataRef(dname)))
 
-    # signatures: resolve and kind-check under their binders
+    # signatures: kind-check under their binders
     for name, sig in p.signatures.items():
-        binders = sig.scheme.binders
-        kenv = {b: k for b, k in binders}
         try:
-            body = resolve_type(env, sig.scheme.body)
-            env.kind_of(kenv, body)
-        except (CheckError, K.KindError) as err:
+            env.kind_of(dict(sig.scheme.binders), sig.scheme.body)
+        except K.KindError as err:
             diags.append(Diagnostic(sig.pos[0], sig.pos[1], err.diag.message))
             continue
-        env.schemes[name] = Scheme(binders, body)
+        env.schemes[name] = sig.scheme
     return env
 
 
@@ -584,7 +540,7 @@ def check_program(p: S.Program) -> list[Diagnostic]:
             diags.append(Diagnostic(d.pos[0], d.pos[1], f"definition of {name} has no signature"))
             continue
         if name not in env.schemes:
-            continue  # the signature itself failed to resolve
+            continue  # the signature itself was rejected
         scheme = env.schemes[name]
         kenv: K.KindEnv = {b: k for b, k in scheme.binders}
         try:
@@ -607,35 +563,23 @@ def check_program(p: S.Program) -> list[Diagnostic]:
             # `synth` recurses once per application, as in a long operator chain
             diags.append(Diagnostic(d.pos[0], d.pos[1], f"in {name}: nesting too deep"))
 
-    main = p.definitions.get("main")
+    main, scheme = p.definitions.get("main"), env.schemes.get("main")
     if main is None:
         diags.append(Diagnostic(1, 1, "missing main"))
-    else:
-        scheme = env.schemes.get("main")
-        if scheme is not None:
-            if scheme.binders:
-                diags.append(Diagnostic(main.pos[0], main.pos[1], "main cannot be polymorphic"))
-            else:
-                if isinstance(scheme.body, Arrow) or main.params:
-                    diags.append(Diagnostic(main.pos[0], main.pos[1],
-                                            "main must have a non-function type"))
-                else:
-                    try:
-                        k = env.kind_of({}, scheme.body)
-                        if k.prekind == SESSION:
-                            diags.append(Diagnostic(main.pos[0], main.pos[1],
-                                                    "main must have a non-session type"))
-                    except K.KindError:
-                        pass
+    elif scheme is not None:  # kinded with the signatures
+        problem = ("main cannot be polymorphic" if scheme.binders else
+                   "main must have a non-function type"
+                   if isinstance(scheme.body, Arrow) or main.params else
+                   "main must have a non-session type"
+                   if env.kind_of({}, scheme.body).prekind == SESSION else None)
+        if problem:
+            diags.append(Diagnostic(main.pos[0], main.pos[1], problem))
     return diags
 
 
-def dump_types(p: S.Program) -> str:
-    """One line per top-level name with its resolved scheme."""
-    diags: list[Diagnostic] = []
-    env = build_global_env(p, diags)
-    lines = []
-    for name in p.signatures:
-        if name in env.schemes:
-            lines.append(f"{name} : {S.pretty_scheme(env.schemes[name])}")
-    return "\n".join(lines)
+def dump_types(p: S.Program, diags: list[Diagnostic] | None = None) -> str:
+    """One line per top-level name with its kind-checked scheme; the
+    declaration errors that leave names out go to `diags`."""
+    env = build_global_env(p, [] if diags is None else diags)
+    return "\n".join(f"{name} : {S.pretty_scheme(env.schemes[name])}"
+                     for name in p.signatures if name in env.schemes)

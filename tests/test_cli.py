@@ -64,6 +64,22 @@ class TestCheck:
             assert done.returncode == 1 and "Traceback" not in done.stderr, command
             assert done.stderr == f"{deep}:2:1: error: in main: nesting too deep\n", command
 
+    def test_rejected_abbreviations_are_diagnostics(self, tmp_path):
+        # a loop of names, and a name behind Skip that never reaches an
+        # action; every use of them is a diagnostic too
+        src = tmp_path / "loop.fst"
+        src.write_text("type A = B\ntype B = A\ntype U = Skip\ntype C = !Int; rec x. U;x\n"
+                       "f : A -> C\nf c = c\nmain : Int\nmain = let a, b = new C in 1\n")
+        for command in ("check", "run"):
+            done = run_cli(command, str(src))
+            assert done.returncode == 1 and "Traceback" not in done.stderr, command
+            assert done.stderr.splitlines() == [
+                f"{src}:1:1: error: type abbreviation A is not contractive",
+                f"{src}:2:1: error: type abbreviation B is not contractive",
+                f"{src}:4:1: error: type abbreviation C is not contractive",
+                f"{src}:5:1: error: type A is ill-formed",
+                f"{src}:8:19: error: in main: type C is ill-formed"], command
+
     @pytest.mark.parametrize("digit", ["\u00b2", "\u0663", "1\u00b2"])
     def test_non_ascii_digit_is_a_diagnostic(self, tmp_path, digit):
         # integer literals are ASCII digits; `str.isdigit` also accepts
@@ -186,7 +202,15 @@ class TestDumps:
     def test_dump_types(self, capsys):
         assert main(["dump-types", TREE]) == 0
         out = capsys.readouterr().out
-        assert "treeSum : forall alpha:SL => " in out
+        assert "treeSum : forall alpha:SL => TreeS;alpha -> (Int, alpha)" in out
+
+    def test_dump_types_reports_declaration_errors(self, tmp_path, capsys):
+        src = tmp_path / "foo.fst"
+        src.write_text("f : Foo -> Int\nf x = 1\nmain : Int\nmain = 1\n")
+        assert main(["dump-types", str(src)]) == 1
+        out = capsys.readouterr()
+        assert out.out == "main : Int\n"
+        assert out.err == f"{src}:1:1: error: unknown type name Foo\n"
 
 
 class TestUsage:

@@ -2,10 +2,11 @@
 
 import random
 
+from sluice import syntax as S
 from sluice.dual import dual
 from sluice.equiv import equivalent
 from sluice.parser import parse_type
-from sluice.syntax import Skip
+from sluice.syntax import DataRef, Message, Semi, Skip
 
 from gen import lawify, rand_session
 
@@ -44,3 +45,9 @@ def test_dual_flips_inequivalence_evidence():
     assert dual(a) == b and dual(b) == a
     assert not equivalent(a, b)
     assert not equivalent(dual(a), dual(b))
+
+
+def test_a_name_dualises_to_its_derived_name():
+    t = parse_type("!Int;A")
+    assert dual(t) == Semi(Message(S.IN, "Int"), DataRef("dualof A"))
+    assert dual(dual(t)) == t

@@ -49,13 +49,13 @@ def test_every_recorded_grammar_is_reproduced():
 def test_every_recorded_front_end_result_is_reproduced():
     golden = read_frontend()
     current = compute_frontend()
-    assert [line.rsplit(" ", 3)[0] for line in current] == \
-        [line.rsplit(" ", 3)[0] for line in golden]
-    stages = ("tokens", "program", "diagnostics")
+    assert [line.rsplit(" ", 4)[0] for line in current] == \
+        [line.rsplit(" ", 4)[0] for line in golden]
+    stages = ("tokens", "program", "diagnostics", "verdicts")
     changed = []
     for old, now in zip(golden, current):
-        name, *was = old.rsplit(" ", 3)
-        differ = [stage for stage, a, b in zip(stages, was, now.rsplit(" ", 3)[1:]) if a != b]
+        name, *was = old.rsplit(" ", 4)
+        differ = [stage for stage, a, b in zip(stages, was, now.rsplit(" ", 4)[1:]) if a != b]
         if differ:
             changed.append(f"{name}: {', '.join(differ)}")
     assert not changed, f"{len(changed)} front-end lines changed:\n" + "\n".join(changed)

@@ -161,6 +161,27 @@ class TestBuild:
             assert normalize(t) is t
         assert normalize(parse_type("!Int;Skip")) == parse_type("!Int")
 
+    def test_each_name_is_one_nonterminal(self):
+        names = {"A": parse_type("!Int;B"), "B": parse_type("+{More: ?Int;A, Done: U}"),
+                 "U": parse_type("Skip;Skip")}
+        g, wa, wb, wu = build(*map(S.DataRef, "ABU"), names=names)
+        # A and B are one nonterminal each, whatever their bodies unfold to;
+        # U names a terminated protocol, so it is the empty word
+        assert (wa, wb, wu) == ((0,), (1,), EPSILON)
+        assert g.productions == {
+            0: {Terminal("!", "Int"): (1,)},
+            1: {Terminal("+", "More"): (2, 0), Terminal("+", "Done"): EPSILON},
+            2: {Terminal("?", "Int"): EPSILON},
+        }
+
+    def test_a_long_chain_of_names_costs_no_stack(self):
+        n = 5000
+        names = {f"A{i}": parse_type(f"!Int;A{i + 1}") for i in range(n)}
+        names[f"A{n}"] = Skip()
+        g, w = build(S.DataRef("A0"), names=names)
+        compute_norms(g)
+        assert word_norm(g, w) == n
+
     def test_gnf_and_determinism_by_construction(self):
         rng = random.Random(13)
         for _ in range(100):

@@ -99,3 +99,18 @@ def test_head_of_a_deep_left_nested_spine():
         assert cont.rhs == INT_OUT
         cont, semis = cont.lhs, semis + 1
     assert cont == INT_OUT and semis == DEPTH - 1
+
+
+def test_names_unfold_through_their_table():
+    names = {"A": parse_type("B"), "B": parse_type("!Int;A")}
+    assert S.head(parse_type("A;?Bool"), names) == {
+        Terminal(S.OUT, "Int"): parse_type("A;?Bool")}
+    assert S.head(parse_type("A;?Bool"), {"A": Skip()}) == {
+        Terminal(S.IN, "Bool"): Skip()}
+
+
+def test_looping_names_run_out_of_fuel():
+    with pytest.raises(S.NoHead, match="names do not reach an action"):
+        S.head(parse_type("A"), {"A": parse_type("Skip;A")})
+    with pytest.raises(S.NoHead, match="not a session type"):
+        S.head(parse_type("A"))

@@ -5,11 +5,11 @@ import random
 import pytest
 
 from sluice import syntax as S
-from sluice.kinds import KindError, contractive, lub, subkind, synth_kind
+from sluice.kinds import KindError, contractive, lub, subkind, synth_kind, unguarded
 from sluice.parser import parse_type
 from sluice.syntax import (
     SU, SL, TU, TL, ALL_KINDS,
-    Skip, Semi, Message, Choice, Rec, TVar, Basic, Pair,
+    Skip, Semi, Message, Choice, Rec, TVar, Basic, Pair, DataRef,
 )
 
 from gen import rand_session
@@ -136,6 +136,19 @@ class TestContractive:
 
     def test_skip_does_not_guard(self):
         assert not contractive({}, parse_type("rec x. Skip;x"))
+
+    def test_names_of_kind_su_do_not_guard(self):
+        kinds = {"U": SU, "M": SL}
+        assert not contractive({}, parse_type("rec x. U;x"), kinds)
+        assert contractive({}, parse_type("rec x. M;x"), kinds)
+        with pytest.raises(KindError, match="contractive"):
+            synth_kind({}, parse_type("!Int;(rec x. U;U;x)"), kinds)
+
+    def test_unguarded_names(self):
+        kinds = {"U": SU, "M": SL}
+        assert unguarded(parse_type("U;M;A"), kinds) == {DataRef("U"), DataRef("M")}
+        assert unguarded(parse_type("rec x. U;x;A"), kinds) == {DataRef("U"), DataRef("A")}
+        assert unguarded(parse_type("!Int;A"), kinds) == frozenset()
 
     def test_tree_channel_contractive(self):
         assert contractive({}, TREE_C)

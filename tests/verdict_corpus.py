@@ -21,7 +21,10 @@ every verdict but builds a different grammar shows up as a diff as well.
 
 `golden/frontend.txt` records the front end: for each input, a SHA-256 of
 `lex`'s token tuples, of `repr` of the parsed program (positions included)
-and of the rendered parse and check diagnostics. The inputs are the example
+and of the rendered parse and check diagnostics, then one letter per source
+(A accepted: no diagnostics, D diagnostics, X raised), so a change that
+rewords diagnostics on purpose still shows whether any source moved between
+accepted and rejected. The inputs are the example
 programs, seeded single-character mutants of each, two seeded soups (one with
 non-ASCII letters and digits) and `let` chains of depth 1..LET_DEPTH, so a
 front-end change that moves a token, a node, a position or a diagnostic
@@ -256,9 +259,10 @@ def write_grammars(lines: list[str]) -> None:
     ], lines)
 
 
-def frontend_parts(source: str) -> tuple[str, str, str]:
+def frontend_parts(source: str) -> tuple[str, str, str, str]:
     """What the front end makes of `source`: its tokens as tuples, `repr` of
-    the parsed program and the rendered parse and check diagnostics. A lexer
+    the parsed program, the rendered parse and check diagnostics, and the
+    verdict letter (A no diagnostics, D diagnostics, X raised). A lexer
     error stands in for the tokens, and an exception other than a diagnostic
     is recorded by its type, since the record must hold whatever the front
     end does, crashes included."""
@@ -269,14 +273,14 @@ def frontend_parts(source: str) -> tuple[str, str, str]:
     try:
         prog, diags = parse_program(source)
     except Exception as exc:
-        return tokens, f"raised {type(exc).__name__}", ""
+        return tokens, f"raised {type(exc).__name__}", "", "X"
     try:
         if prog is not None and not diags:
             diags = check_program(prog)
         rendered = "\n".join(d.render() for d in diags)
     except Exception as exc:
-        rendered = f"raised {type(exc).__name__}"
-    return tokens, repr(prog), rendered
+        return tokens, repr(prog), f"raised {type(exc).__name__}", "X"
+    return tokens, repr(prog), rendered, "D" if diags else "A"
 
 
 def let_chains(depth: int) -> list[str]:
@@ -340,13 +344,17 @@ def frontend_inputs() -> Iterator[tuple[str, list[str]]]:
 
 
 def frontend_line(name: str, sources: list[str]) -> str:
-    """`<name> <sha256 of the tokens> <of the programs> <of the diagnostics>`,
-    each over every source of the line in order."""
+    """`<name> <sha256 of the tokens> <of the programs> <of the diagnostics>
+    <verdict letters>`, each hash over every source of the line in order and
+    one letter per source."""
     digests = [hashlib.sha256() for _ in range(3)]
+    letters = []
     for source in sources:
-        for digest, part in zip(digests, frontend_parts(source)):
+        *parts, letter = frontend_parts(source)
+        for digest, part in zip(digests, parts):
             digest.update(part.encode() + b"\n\n")
-    return " ".join([name] + [d.hexdigest() for d in digests])
+        letters.append(letter)
+    return " ".join([name] + [d.hexdigest() for d in digests] + ["".join(letters)])
 
 
 def compute_frontend() -> list[str]:
@@ -361,17 +369,22 @@ def write_frontend(lines: list[str]) -> None:
     _write_lines(FRONTEND, [
         "# What sluice's lexer, parser and typechecker make of the inputs of tests/verdict_corpus.py:",
         "# <input> <sha256 of lex's token tuples> <of repr(program)> <of the parse+check diagnostics>",
+        "#   <one letter per source: A no diagnostics, D diagnostics, X raised>",
         "# Regenerate: PYTHONPATH=src python tests/verdict_corpus.py --write",
     ], lines)
 
 
 def changed_lines(old: list[str], new: list[str], fields: int) -> list[str]:
     """`<name>: <old fields> -> <new fields>` for every golden line whose last
-    `fields` fields (verdict, node count, hashes) differ or that only one
-    side has. Hashes are cut to 12 digits."""
+    `fields` fields (verdict, node count, hashes, letters) differ or that
+    only one side has. SHA-256 hashes are cut to 12 digits; verdict letters
+    are shown whole."""
+    def short(field: str) -> str:
+        return field[:12] if len(field) == 64 and field.islower() else field
+
     def split(line: str) -> tuple[str, str]:
         name, *rest = line.rsplit(" ", fields)
-        return name, " ".join(field[:12] for field in rest)
+        return name, " ".join(map(short, rest))
 
     before, after = dict(map(split, old)), dict(map(split, new))
     return [f"{name}: {before.get(name, '(none)')} -> {after.get(name, '(none)')}"
@@ -392,7 +405,7 @@ if __name__ == "__main__":
         for read, write, lines, fields in (
                 (read_traces, write_traces, compute_traces(), 3),
                 (read_grammars, write_grammars, compute_grammars(), 1),
-                (read_frontend, write_frontend, compute_frontend(), 3)):
+                (read_frontend, write_frontend, compute_frontend(), 4)):
             changes += changed_lines(read(), lines, fields)
             write(lines)
         print("\n".join(changes + [f"{len(changes)} golden lines changed"]))
