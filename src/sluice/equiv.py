@@ -425,6 +425,19 @@ def search(g: Grammar, w1: Word, w2: Word, config: SearchConfig | None = None,
 # The public decision procedure
 
 
+def _is_session(t: Type, env: K.KindEnv, datakinds: K.NameKinds) -> bool:
+    """The prekind of a part of a well-kinded type, read off its syntax: a
+    variable's from `env`, a name's from `datakinds`."""
+    match t:
+        case Basic() | Arrow() | Pair():
+            return False
+        case TVar(name):
+            return env[name].prekind == SESSION
+        case DataRef(name):
+            return datakinds[name].prekind == SESSION  # type: ignore[union-attr]
+    return True
+
+
 def equivalent(t1: Type, t2: Type, env: K.KindEnv | None = None, *,
                datakinds: dict[str, S.Kind | None] | None = None,
                abbrevs: Mapping[str, Type] | None = None,
@@ -437,16 +450,17 @@ def equivalent(t1: Type, t2: Type, env: K.KindEnv | None = None, *,
     comparing session components the same way. Comparing a session type
     against a functional one is False, not an error. `datakinds` and
     `abbrevs` are the program's tables of name kinds and abbreviation bodies."""
-    env = dict(env or {})
+    env = env or {}
     dk = datakinds or {}
     cfg = SearchConfig(budget, prioritize_nodes, simplify_mode)
+    K.synth_kind(env, t1, dk)
+    K.synth_kind(env, t2, dk)
 
     def go(a: Type, b: Type) -> bool:
-        ka = K.synth_kind(env, a, dk)
-        kb = K.synth_kind(env, b, dk)
-        if (ka.prekind == SESSION) != (kb.prekind == SESSION):
+        on_session = _is_session(a, env, dk)
+        if on_session != _is_session(b, env, dk):
             return False
-        if ka.prekind == SESSION:
+        if on_session:
             g, wa, wb = build(a, b, names=abbrevs)
             if wa == wb and cfg.simplify != "off":
                 # (R) at the root: equal words of one grammar are bisimilar

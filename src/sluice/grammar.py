@@ -5,8 +5,9 @@ terminated protocol. Each nonterminal owns at most one production per
 terminal, so words form a deterministic labelled transition system and type
 equivalence becomes bisimilarity of start words.
 
-The pipeline is: `build` (translate any number of types over one shared
-grammar, reading each nonterminal's productions off `syntax.head`; each
+The pipeline is: `build` (Skip-normalize and translate any number of types
+over one shared grammar, walking a shared subterm once, and reading each
+nonterminal's productions off `syntax.head`; each
 abbreviation name is one nonterminal, as each equation of a system is in
 Almeida, Mordido and Vasconcelos, TACAS 2020),
 `compute_norms` (least fixed point of the shortest-termination measure), and
@@ -52,28 +53,13 @@ def step(g: Grammar, w: Word) -> dict[Terminal, Word]:
 def normalize(t: Type) -> Type:
     """Skip-normalization: quotient by the monoid laws so the empty word is
     the unique image of terminated behavior, and drop vacuous recursion.
-    A subterm that is already normal comes back as the same object, so a
-    subterm shared along several paths stays shared for `_Builder`."""
-    match t:
-        case Semi(lhs, rhs):
-            lhs2, rhs2 = normalize(lhs), normalize(rhs)
-            if (lhs2 is lhs and rhs2 is rhs
-                    and not isinstance(lhs, Skip) and not isinstance(rhs, Skip)):
-                return t
-            return S.seq(lhs2, rhs2)
-        case Choice(view, branches):
-            branches2 = tuple((lab, normalize(ty)) for lab, ty in branches)
-            for (_, ty2), (_, ty) in zip(branches2, branches):
-                if ty2 is not ty:
-                    return Choice(view, branches2)
-            return t
-        case Rec(var, body):
-            body2 = normalize(body)
-            if var not in S.free_tvars(body2):
-                return body2
-            return t if body2 is body else Rec(var, body2)
-        case _:
-            return t
+    A subterm that is already normal comes back as the same object."""
+    return _Builder({}).normal(t)[0]
+
+
+# A key identifies a type up to alpha-equivalence: a short tuple for a leaf,
+# an interned int for a composite type.
+Key = object
 
 
 class _Builder:
@@ -89,47 +75,86 @@ class _Builder:
     def __init__(self, names: Mapping[str, Type]) -> None:
         self.names = names
         self.productions: dict[int, dict[Terminal, Word]] = {}
-        self._memo: dict[object, Word] = {}
+        self._memo: dict[Key, Word] = {}
         self.deferred: list[tuple[dict[Terminal, Word], dict[Terminal, Type]]] = []
         # id of a composite subterm outside every binder -> (the subterm, its
-        # key). The subterm is held so its id is not reused during the build.
-        self._keys: dict[int, tuple[Type, object]] = {}
+        # normal form, the key of that). The subterm is held so its id is not
+        # reused during the build.
+        self._seen: dict[int, tuple[Type, Type, Key]] = {}
+        # composite key -> a small int, so hashing a key costs its arity
+        self._interned: dict[tuple, int] = {}
 
-    def _canon(self, t: Type, bound: tuple[str, ...] = ()) -> object:
-        """Hashable key identifying a subterm up to alpha-equivalence. Outside
-        every binder a composite subterm's key depends on the subterm alone,
+    def _intern(self, key: tuple) -> int:
+        n = self._interned.get(key)
+        if n is None:
+            n = self._interned[key] = len(self._interned)
+        return n
+
+    def normal(self, t: Type, bound: tuple[str, ...] = ()) -> tuple[Type, Key, int]:
+        """The Skip-normal form of `t` under the `rec` binders `bound`
+        (outermost first), its key, and the bit set of the levels of `bound`
+        that its free variables refer to. A bound variable is keyed by its
+        de Bruijn index and a free one by its name. A `rec` is vacuous when
+        its body does not refer to its level; it is dropped, and its body is
+        keyed again without the binder only when the body refers to outer
+        ones. Outside every binder the result depends on the subterm alone,
         so it is computed once per object: a subterm shared along several
         paths (as `subst` leaves an unfolding) is walked once, not once per
-        path. Leaves are keyed directly, which is cheaper than a lookup."""
+        path."""
         match t:
             case Skip():
-                return ("skip",)
+                return t, ("skip",), 0
             case Message(polarity, payload):
-                return ("msg", polarity, payload)
+                return t, ("msg", polarity, payload), 0
             case TVar(name):
-                for depth, b in enumerate(reversed(bound)):
-                    if b == name:
-                        return ("bvar", depth)
-                return ("rigid", name)
-        if bound:
-            return self._composite_key(t, bound)
-        hit = self._keys.get(id(t))
-        if hit is None:
-            hit = self._keys[id(t)] = (t, self._composite_key(t, bound))
-        return hit[1]
-
-    def _composite_key(self, t: Type, bound: tuple[str, ...]) -> object:
+                for level in range(len(bound) - 1, -1, -1):
+                    if bound[level] == name:
+                        return t, ("bvar", len(bound) - 1 - level), 1 << level
+                return t, ("rigid", name), 0
+            case DataRef(name):
+                return t, ("name", name), 0
+        if not bound:
+            hit = self._seen.get(id(t))
+            if hit is not None:
+                return hit[1], hit[2], 0
+        out: tuple[Type, Key, int]
         match t:
             case Semi(lhs, rhs):
-                return ("semi", self._canon(lhs, bound), self._canon(rhs, bound))
+                lhs2, k1, r1 = self.normal(lhs, bound)
+                rhs2, k2, r2 = self.normal(rhs, bound)
+                if isinstance(lhs2, Skip):
+                    out = rhs2, k2, r2
+                elif isinstance(rhs2, Skip):
+                    out = lhs2, k1, r1
+                else:
+                    same = lhs2 is lhs and rhs2 is rhs
+                    out = (t if same else Semi(lhs2, rhs2)), self._intern(("semi", k1, k2)), r1 | r2
             case Choice(view, branches):
-                return ("choice", view,
-                        tuple((lab, self._canon(ty, bound)) for lab, ty in branches))
+                key: list[object] = ["choice", view]
+                branches2 = []
+                refs, same = 0, True
+                for lab, ty in branches:
+                    ty2, k, r = self.normal(ty, bound)
+                    branches2.append((lab, ty2))
+                    key += (lab, k)
+                    refs |= r
+                    same = same and ty2 is ty
+                out = (t if same else Choice(view, tuple(branches2))), self._intern(tuple(key)), refs
             case Rec(var, body):
-                return ("rec", self._canon(body, bound + (var,)))
-            case DataRef(name):
-                return ("name", name)
-        raise TypeError(f"not a session type: {t!r}")
+                level = len(bound)
+                body2, k, refs = self.normal(body, bound + (var,))
+                if refs >> level & 1:
+                    rec = t if body2 is body else Rec(var, body2)
+                    out = rec, self._intern(("rec", k)), refs & ~(1 << level)
+                elif refs:
+                    out = self.normal(body2, bound)
+                else:
+                    out = body2, k, 0
+            case _:
+                raise TypeError(f"not a session type: {t!r}")
+        if not bound:
+            self._seen[id(t)] = (t, out[0], out[1])
+        return out
 
     def word(self, t: Type) -> Word:
         match t:
@@ -137,7 +162,9 @@ class _Builder:
                 return EPSILON
             case Semi(lhs, rhs):
                 return self.word(lhs) + self.word(rhs)
-        key = self._canon(t)
+        t2, key, _ = self.normal(t)
+        if t2 is not t:  # an input, or part of a name's body, not yet normal
+            return self.word(t2)
         w = self._memo.get(key)
         if w is None:
             actions = S.head(t, self.names)
@@ -159,7 +186,7 @@ def build(*types: Type, names: Mapping[str, Type] | None = None) -> tuple:
     share nonterminals, so building the same type twice yields the same start
     word."""
     b = _Builder(names or {})
-    words = [b.word(normalize(t)) for t in types]
+    words = [b.word(t) for t in types]
     while b.deferred:  # the names met, and the names they meet in turn
         prods, actions = b.deferred.pop()
         prods.update((a, b.word(k)) for a, k in actions.items())

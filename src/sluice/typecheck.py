@@ -456,15 +456,13 @@ def _declare_names(env: GlobalEnv, p: S.Program) -> dict[str, str]:
             name = work.pop()
             if kinds[name] is None:
                 continue
-            try:
-                new = K.least_kind({}, types[name], kinds)
-                if name in bodies and new.prekind != SESSION:
-                    raise K.KindError(Diagnostic(
-                        0, 0, f"type abbreviation {name} must be a session type"))
-            except K.KindError as err:
+            new, error, _, _ = K.kinding({}, types[name], kinds)
+            if error is None and name in bodies and new.prekind != SESSION:
+                error = f"type abbreviation {name} must be a session type"
+            if error is not None:
                 if name not in bodies:
                     continue  # a datatype's fields are reported with its constructors
-                errors[name], new = err.diag.message, None
+                errors[name], new = error, None
             if new != kinds[name]:
                 kinds[name] = new
                 work.extend(users.get(name, ()))
@@ -473,8 +471,13 @@ def _declare_names(env: GlobalEnv, p: S.Program) -> dict[str, str]:
     bodies = {name: body for name, body in bodies.items() if kinds[name] is not None}
     # a name must reach an action before it comes back to itself: mark the
     # names whose bodies refer, before any action, only to marked names
-    refs = {name: {r.name for r in K.unguarded(body, kinds) if isinstance(r, DataRef)}
-            for name, body in bodies.items()}
+    refs: dict[str, set[str]] = {}
+    loops: set[str] = set()  # bodies with an unguarded rec
+    for name, body in bodies.items():
+        _, _, unguarded, contractive = K.kinding({}, body, kinds)
+        refs[name] = {r.name for r in unguarded if isinstance(r, DataRef)}
+        if not contractive:
+            loops.add(name)
     productive: set[str] = set()
     work = list(bodies)
     while work:
@@ -482,8 +485,8 @@ def _declare_names(env: GlobalEnv, p: S.Program) -> dict[str, str]:
         if name in bodies and name not in productive and refs[name] <= productive:
             productive.add(name)
             work.extend(users.get(name, ()))
-    looping = [name for name, body in bodies.items()
-               if name not in productive or not K.contractive({}, body, kinds)]
+    looping = [name for name in bodies
+               if name not in productive or name in loops]
     for name in looping:
         errors[name], kinds[name] = f"type abbreviation {name} is not contractive", None
     settle([user for name in looping for user in users.get(name, ())])

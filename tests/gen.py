@@ -5,8 +5,9 @@ from __future__ import annotations
 import random
 
 from sluice import syntax as S
-from sluice.kinds import contractive
 from sluice.syntax import Skip, Semi, Message, Choice, Rec, TVar, Type
+
+from oracles import reference_contractive
 
 BASICS = ["Int", "Bool", "Char", "Unit"]
 LABELS = ["A", "B", "C", "Go", "Stop", "Leaf", "Node"]
@@ -26,10 +27,12 @@ def _labels(rng: random.Random, n: int) -> list[str]:
 
 def rand_session(rng: random.Random, depth: int, binders: tuple[str, ...] = ()) -> Type:
     """An arbitrary closed-if-binders-empty session type; retried until
-    contractive (bare recursion guards nothing)."""
+    contractive (bare recursion guards nothing). Contractivity is judged by
+    the reference walker, so a fault in `kinds` cannot steer the inputs of
+    the tests that judge it."""
     for _ in range(60):
         t = _rand_session(rng, depth, binders)
-        if contractive({}, t) and S.free_tvars(t) <= set(binders):
+        if reference_contractive(t) and S.free_tvars(t) <= set(binders):
             return t
     return rand_message(rng)
 

@@ -4,10 +4,11 @@ Everything here works from first principles on its own data structures:
 a transition semantics read directly off the type syntax, a depth-bounded
 product-graph bisimilarity check, a fixed-point equivalence decision for the
 tail-recursive fragment, a shortest-path norm, a congruence closure on
-bounded words (by union-find, and by brute force as its reference), and a
-congruence test that scans every rule at every step. None of it calls into
-the pipeline it is used to judge (the grammar translation, the
-expansion-tree search, or the norm fixed point).
+bounded words (by union-find, and by brute force as its reference), a
+congruence test that scans every rule at every step, and kinding and
+contractivity as separate walks that visit every path of a type. None of it
+calls into the pipeline it is used to judge (the grammar translation, the
+expansion-tree search, the norm fixed point, or the fused kinding walk).
 """
 
 from __future__ import annotations
@@ -15,7 +16,10 @@ from __future__ import annotations
 from collections import deque
 
 from sluice import syntax as S
-from sluice.syntax import Skip, Semi, Message, Choice, Rec, TVar, Type
+from sluice.syntax import (
+    Kind, SU, SL, TU, TL, SESSION, FUNCTIONAL, UNRESTRICTED, LINEAR,
+    Basic, Arrow, Pair, DataRef, Skip, Semi, Message, Choice, Rec, TVar, Type,
+)
 
 # ---------------------------------------------------------------------------
 # A transition semantics on types themselves
@@ -278,3 +282,115 @@ def scanning_congruent(pair, rel) -> bool:
         return False
 
     return go(*pair)
+
+
+# ---------------------------------------------------------------------------
+# Kinding and contractivity as separate walks, each following every path
+
+class ReferenceKindError(Exception):
+    """A kind error of `reference_kind`; its argument is the message."""
+
+
+def reference_kind(env, t: Type, names=None) -> Kind:
+    """Least kind by one walk, then the contractivity check by another, with
+    the messages and precedence `kinds.synth_kind` promises."""
+    names = names or {}
+    k = reference_least_kind(env, t, names)
+    if not reference_contractive(t, names):
+        raise ReferenceKindError(f"non-contractive recursive type {S.pretty(t)}")
+    return k
+
+
+def reference_least_kind(env, t: Type, names) -> Kind:
+    match t:
+        case Basic(_):
+            return TU
+        case Arrow(mult, dom, cod):
+            reference_least_kind(env, dom, names)
+            reference_least_kind(env, cod, names)
+            return TU if mult == UNRESTRICTED else TL
+        case Pair(fst, snd):
+            k1 = reference_least_kind(env, fst, names)
+            k2 = reference_least_kind(env, snd, names)
+            return Kind(FUNCTIONAL, LINEAR if LINEAR in (k1.mult, k2.mult) else UNRESTRICTED)
+        case DataRef(name):
+            if name not in names:
+                raise ReferenceKindError(f"unknown type name {name}")
+            if names[name] is None:
+                raise ReferenceKindError(f"type {name} is ill-formed")
+            return names[name]
+        case Skip():
+            return SU
+        case Semi(lhs, rhs):
+            k1 = reference_least_kind(env, lhs, names)
+            k2 = reference_least_kind(env, rhs, names)
+            for side, k, operand in (("left", k1, lhs), ("right", k2, rhs)):
+                if k.prekind != SESSION:
+                    raise ReferenceKindError(
+                        f"sequential composition requires session types; "
+                        f"{side} operand {S.pretty(operand)} has kind {k}")
+            return SU if k1 == SU and k2 == SU else SL
+        case Message(_, _):
+            return SL
+        case Choice(_, branches):
+            for lab, ty in branches:
+                k = reference_least_kind(env, ty, names)
+                if k.prekind != SESSION:
+                    raise ReferenceKindError(
+                        f"choice branch {lab} must be a session type, got kind {k}")
+            return SL
+        case Rec(var, body):
+            k = reference_least_kind({**env, var: SU}, body, names)
+            if k.prekind != SESSION:
+                raise ReferenceKindError("only session types can be recursive")
+            return k
+        case TVar(name):
+            if name not in env:
+                raise ReferenceKindError(f"unbound type variable {name}")
+            return env[name]
+    raise TypeError(f"not a type: {t!r}")
+
+
+def _no_action(t: Type, names) -> bool:
+    match t:
+        case Skip() | TVar(_):
+            return True
+        case Semi(lhs, rhs):
+            return _no_action(lhs, names) and _no_action(rhs, names)
+        case Rec(_, body):
+            return _no_action(body, names)
+        case DataRef(name):
+            return bool(names) and names.get(name) == SU
+    return False
+
+
+def reference_unguarded(t: Type, names) -> frozenset:
+    """Variables and names reachable from the head of `t` without an action,
+    re-walking the left operand of every `;` to ask whether it acts."""
+    match t:
+        case TVar(name):
+            return frozenset({name})
+        case Rec(var, body):
+            return reference_unguarded(body, names) - {var}
+        case Semi(lhs, rhs):
+            out = reference_unguarded(lhs, names)
+            if _no_action(lhs, names):
+                out |= reference_unguarded(rhs, names)
+            return out
+        case DataRef():
+            return frozenset({t})
+    return frozenset()
+
+
+def reference_contractive(t: Type, names=None) -> bool:
+    """Every `rec` in `t` has its variable guarded, asked of each `rec` by a
+    fresh walk of its body."""
+    match t:
+        case Rec(var, body):
+            return (var not in reference_unguarded(body, names)
+                    and reference_contractive(body, names))
+        case Semi(a, b) | Arrow(_, a, b) | Pair(a, b):
+            return reference_contractive(a, names) and reference_contractive(b, names)
+        case Choice(_, branches):
+            return all(reference_contractive(ty, names) for _, ty in branches)
+    return True

@@ -2,10 +2,12 @@
 
 import heapq
 import random
+import time
 
 import pytest
 
 from sluice import equiv as E
+from sluice import kinds as K
 from sluice import syntax as S
 from sluice.kinds import KindError
 from sluice.equiv import (
@@ -14,7 +16,7 @@ from sluice.equiv import (
 )
 from sluice.grammar import Terminal, build, compute_norms, prune, step, word_norm
 from sluice.parser import parse_type
-from sluice.syntax import Basic, Pair, Rec, Semi, TVar, SL, TU
+from sluice.syntax import Basic, DataRef, Pair, Rec, Semi, TVar, SL, TU
 
 from gen import lawify, perturb, rand_regular, rand_session, receive_bool
 from oracles import (
@@ -427,6 +429,24 @@ class TestEquivalentLaws:
         assert equivalent(TVar("f"), TVar("f"), env)
         assert not equivalent(TVar("f"), Basic("Int"), env)
 
+    def test_functional_descent_kinds_only_the_roots(self, monkeypatch):
+        # a component is a session or a functional type by its syntax: a
+        # variable by `env`, a name by `datakinds`
+        kinded = []
+        synth_kind = K.synth_kind
+        monkeypatch.setattr(K, "synth_kind", lambda *args: kinded.append(args) or synth_kind(*args))
+        env, names, bodies = {"s": SL, "f": TU}, {"D": TU, "A": SL}, {"A": parse_type("!Int")}
+        chain = parse_type("!Int;?Bool")
+        for _ in range(50):
+            chain = S.Arrow(S.UNRESTRICTED, Pair(TVar("s"), DataRef("D")), chain)
+        assert equivalent(chain, chain, env, datakinds=names)
+        assert len(kinded) == 2
+        assert not equivalent(Pair(TVar("s"), TVar("f")), Pair(TVar("f"), TVar("f")), env)
+        assert not equivalent(Pair(DataRef("A"), DataRef("D")), Pair(DataRef("D"), DataRef("D")),
+                              datakinds=names, abbrevs=bodies)
+        assert equivalent(Pair(DataRef("A"), TVar("f")), Pair(DataRef("A"), TVar("f")), env,
+                          datakinds=names, abbrevs=bodies)
+
 
 class TestLadder:
     def test_tree_c_against_its_unfoldings(self):
@@ -447,6 +467,23 @@ class TestLadder:
             if k >= 2:
                 name, letter, nodes, _ = search_line(f"ladder {k}", TREE_C, unfolded).rsplit(" ", 3)
                 assert (letter, int(nodes)) == ("E", 2 * (k - 1)), name
+
+    def test_shared_rungs_grow_linearly(self):
+        # The 20-fold unfolding has 2^20 paths to its innermost copy but four
+        # objects per fold, and so does the ?Bool variant built by `subst`
+        # from a ?Bool body: kinding, translation and search follow objects.
+        bool_c = receive_bool(TREE_C)
+        unfolded, variant = TREE_C, bool_c
+        sizes = []
+        for _ in range(20):
+            unfolded = S.subst(TREE_C.body, {TREE_C.var: unfolded})
+            variant = S.subst(bool_c.body, {bool_c.var: variant})
+            sizes.append([len(build(TREE_C, t)[0].productions) for t in (unfolded, variant)])
+        assert {(b[0] - a[0], b[1] - a[1]) for a, b in zip(sizes, sizes[1:])} == {(1, 1)}
+        start = time.perf_counter()
+        assert equivalent(TREE_C, unfolded)
+        assert not equivalent(TREE_C, variant)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestEquivalenceRelation:

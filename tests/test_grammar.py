@@ -161,6 +161,14 @@ class TestBuild:
             assert normalize(t) is t
         assert normalize(parse_type("!Int;Skip")) == parse_type("!Int")
 
+    def test_vacuous_rec_keys_as_its_body(self):
+        # `rec y` binds nothing; once it is dropped, `x` is one binder out
+        vacuous = parse_type("rec x. +{A: rec y. !Int;x, B: Skip}")
+        plain = parse_type("rec x. +{A: !Int;x, B: Skip}")
+        assert normalize(vacuous) == plain
+        g, w1, w2 = build(vacuous, plain)
+        assert w1 == w2
+
     def test_each_name_is_one_nonterminal(self):
         names = {"A": parse_type("!Int;B"), "B": parse_type("+{More: ?Int;A, Done: U}"),
                  "U": parse_type("Skip;Skip")}

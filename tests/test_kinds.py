@@ -8,11 +8,14 @@ from sluice import syntax as S
 from sluice.kinds import KindError, contractive, lub, subkind, synth_kind, unguarded
 from sluice.parser import parse_type
 from sluice.syntax import (
-    SU, SL, TU, TL, ALL_KINDS,
-    Skip, Semi, Message, Choice, Rec, TVar, Basic, Pair, DataRef,
+    SU, SL, TU, TL, ALL_KINDS, UNRESTRICTED,
+    Skip, Semi, Message, Choice, Rec, TVar, Basic, Pair, DataRef, Arrow,
 )
 
-from gen import rand_session
+from gen import _rand_session, _replace_at, _spots, perturb, rand_regular, rand_session, receive_bool
+from oracles import (
+    ReferenceKindError, reference_contractive, reference_kind, reference_unguarded,
+)
 
 TREE_C = parse_type("rec x. +{Leaf: Skip, Node: !Int;x;x;?Int}")
 
@@ -177,3 +180,62 @@ class TestContractive:
                     case _:
                         pass
             walk(t)
+
+
+# Names and variables the mutants refer to: U guards nothing, M is an action,
+# Bad is a rejected declaration and Nope is not declared at all.
+NAMES = {"U": SU, "M": SL, "Bad": None}
+ENV = {"a": SL, "b": TU}
+MUTANTS = [
+    Basic("Int"), Arrow(UNRESTRICTED, Basic("Int"), Basic("Bool")),
+    Pair(Basic("Int"), Message(S.OUT, "Int")),        # functional operands
+    TVar("free"), TVar("a"), TVar("b"),                # unbound and bound variables
+    Rec("z", TVar("z")), Rec("z", Semi(DataRef("U"), TVar("z"))),
+    Rec("z", Semi(DataRef("M"), TVar("z"))),           # non-contractive and guarded recs
+    Rec("z", Semi(Semi(Skip(), Message(S.OUT, "Int")), TVar("z"))),
+    Rec("z", Semi(Semi(DataRef("U"), Skip()), TVar("z"))),
+    Rec("z", Semi(Rec("w", Semi(Message(S.IN, "Int"), TVar("w"))), TVar("z"))),
+    DataRef("U"), DataRef("M"), DataRef("Bad"), DataRef("Nope"),
+]
+
+
+def _outcome(kind_of):
+    try:
+        return kind_of()
+    except KindError as err:
+        return err.diag.message
+    except ReferenceKindError as err:
+        return err.args[0]
+
+
+class TestFusedWalk:
+    """The one kinding walk against the separate per-path walks it replaced."""
+
+    def _types(self):
+        rng = random.Random(17)
+        out = [rand_session(rng, rng.randint(0, 5)) for _ in range(60)]
+        out += [_rand_session(rng, rng.randint(1, 5), ()) for _ in range(30)]  # unfiltered
+        out += [rand_regular(rng, rng.randint(1, 4)) for _ in range(30)]
+        out += [perturb(rng, rand_session(rng, rng.randint(1, 4))) for _ in range(30)]
+        unfolded = TREE_C
+        for _ in range(6):  # DAGs: each unfolding holds the last one twice
+            unfolded = S.subst(TREE_C.body, {TREE_C.var: unfolded})
+            out += [unfolded, receive_bool(unfolded)]
+        for v in "yb":  # one object inside the binder of its variable and outside it
+            shared = Choice(S.INTERNAL, (("A", Semi(Message(S.OUT, "Int"), TVar(v))),))
+            inner = Rec(v, Semi(Message(S.IN, "Int"), shared))
+            out += [Semi(inner, shared), Semi(shared, inner)]
+        for base in out[:100] + out[-12:]:
+            for _ in range(2):
+                t = base
+                for _ in range(rng.randint(1, 2)):
+                    t = _replace_at(t, rng.choice(_spots(t)), rng.choice(MUTANTS))
+                out += [t, Pair(t, t), Arrow(UNRESTRICTED, t, base)]
+        return out
+
+    def test_same_kind_error_contractivity_and_unguarded_set(self):
+        for t in self._types():
+            assert (_outcome(lambda: synth_kind(ENV, t, NAMES))
+                    == _outcome(lambda: reference_kind(ENV, t, NAMES))), S.pretty(t)
+            assert contractive(ENV, t, NAMES) == reference_contractive(t, NAMES)
+            assert unguarded(t, NAMES) == reference_unguarded(t, NAMES)
