@@ -115,6 +115,8 @@ def main(argv: list[str] | None = None) -> int:
     p_types.add_argument("file")
 
     args = ap.parse_args(argv)
+    if args.command == "equiv" and args.budget < 0:
+        p_equiv.error(f"argument --budget: must be at least 0, got {args.budget}")
     try:
         return _command(args)
     except RecursionError:

@@ -62,22 +62,6 @@ class Budget:
             raise Inconclusive(f"node budget of {self.limit} exhausted in {where}")
 
 
-@dataclass
-class SearchConfig:
-    budget: int = DEFAULT_BUDGET
-    # Pop the node with the fewest pairs, then the shortest words, first, and
-    # equal keys in push order; off, every node has the same key and the walk
-    # is breadth-first. Either way the search is complete: each node is pushed
-    # once, and only finitely many nodes have a key at or below any bound.
-    prioritize: bool = True
-    simplify: str = "full"  # 'full' | 'single' | 'off'
-
-    def __post_init__(self) -> None:
-        if self.simplify not in ("full", "single", "off"):
-            raise ValueError(f"unknown simplify mode {self.simplify!r}: "
-                             "expected 'full', 'single' or 'off'")
-
-
 TraceFn = Callable[[int, int, str], None]  # depth, pair count, action
 
 
@@ -194,11 +178,10 @@ def _b2_candidates(g: Grammar, y: int, steps: int) -> list[Word]:
 
 
 def simplify(g: Grammar, pairs: Iterable[WordPair], history: Iterable[WordPair],
-             fixed_point: bool = True,
              witnesses: dict[tuple[int, int], list[Word]] | None = None,
              budget: Budget | None = None) -> set[Node]:
     """Shrink a node with the reflexivity (R), congruence (C), and
-    decomposition (B1/B2) rules, iterating to a fixed point when asked.
+    decomposition (B1/B2) rules to a fixed point.
     B2 branches: one sibling per candidate witness plus one keeping the pair
     untouched, so the result is a set of alternative nodes.
 
@@ -216,14 +199,11 @@ def simplify(g: Grammar, pairs: Iterable[WordPair], history: Iterable[WordPair],
         witnesses = {}
     reduced: dict[Node, Node] = {}
     results: set[Node] = set()
-    work: list[tuple[Node, frozenset[WordPair], bool]] = [(_canon_pairs(g, pairs), frozenset(), True)]
+    work: list[tuple[Node, frozenset[WordPair]]] = [(_canon_pairs(g, pairs), frozenset())]
     seen: set[tuple[Node, frozenset[WordPair]]] = set()
     while work:
-        P, b2done, live = work.pop()
+        P, b2done = work.pop()
         budget.draw("simplification")
-        if not live:
-            results.add(P)
-            continue
         if (P, b2done) in seen:
             continue
         seen.add((P, b2done))
@@ -256,12 +236,12 @@ def simplify(g: Grammar, pairs: Iterable[WordPair], history: Iterable[WordPair],
                 witnesses[key] = _b2_candidates(g, *key)  # type: ignore[arg-type]
             for beta in witnesses[key]:
                 child = base | {((y,), (x,) + beta), (gamma, beta + delta)}
-                work.append((_canon_pairs(g, child), done, fixed_point))
-            work.append((node, done, fixed_point))
+                work.append((_canon_pairs(g, child), done))
+            work.append((node, done))
             continue
 
-        if fixed_point and changed:
-            work.append((node, b2done, True))
+        if changed:
+            work.append((node, b2done))
         else:
             results.add(node)
     return results
@@ -349,55 +329,42 @@ def _node_size(pairs: Node) -> int:
 _Queued = tuple[int, int, int, _Entry]
 
 
-def _push(frontier: list[_Queued], entry: _Entry, order: int, prioritize: bool) -> None:
-    """Queue `entry` keyed (pair count, node size, `order`) when `prioritize`,
-    else (0, 0, `order`), which is breadth-first. Orders are distinct, so
-    equal sizes come out first in, first out and entries are never compared."""
-    count, size = (len(entry.pairs), _node_size(entry.pairs)) if prioritize else (0, 0)
-    heapq.heappush(frontier, (count, size, order, entry))
+def _push(frontier: list[_Queued], entry: _Entry, order: int) -> None:
+    """Queue `entry` keyed (pair count, node size, `order`). Orders are
+    distinct, so equal sizes come out first in, first out and entries are
+    never compared."""
+    heapq.heappush(frontier, (len(entry.pairs), _node_size(entry.pairs), order, entry))
 
 
-def search(g: Grammar, w1: Word, w2: Word, config: SearchConfig | None = None,
+def search(g: Grammar, w1: Word, w2: Word, budget: int = DEFAULT_BUDGET,
            trace: TraceFn | None = None) -> bool:
     """Decide bisimilarity of two start words over a pruned grammar."""
-    config = config or SearchConfig()
-    if config.simplify != "off":
-        w1, w2 = truncate(g, w1), truncate(g, w2)
-    root = frozenset({(w1, w2)})
+    root = frozenset({(truncate(g, w1), truncate(g, w2))})
     frontier: list[_Queued] = []
     pushes = itertools.count()
-    _push(frontier, _Entry(root, frozenset(), 0), next(pushes), config.prioritize)
+    _push(frontier, _Entry(root, frozenset(), 0), next(pushes))
     visited = {root}
     probe_cache: dict[WordPair, bool] = {}
     witnesses: dict[tuple[int, int], list[Word]] = {}
-    probing = config.simplify != "off"
-    budget = Budget(config.budget)
-    fail_seen = False
+    quota = Budget(budget)
 
     while frontier:
         entry = heapq.heappop(frontier)[-1]
-        budget.draw("search")
+        quota.draw("search")
 
         expanded = expand(g, entry.pairs)
         if expanded is None:
-            fail_seen = True
             if trace:
                 trace(entry.depth, len(entry.pairs), "expansion failed")
             continue
-        if probing and any(p[0] != p[1] and _pair_refuted(g, p, probe_cache)
-                           for p in expanded):
-            fail_seen = True
+        if any(p[0] != p[1] and _pair_refuted(g, p, probe_cache) for p in expanded):
             if trace:
                 trace(entry.depth, len(entry.pairs), "refuted by expansion probe")
             continue
 
         assumed = entry.history | entry.pairs
-        if config.simplify == "off":
-            siblings: Iterable[Node] = (expanded,)
-            child_history = assumed
-        else:
-            siblings = simplify(g, expanded, assumed, config.simplify == "full", witnesses, budget)
-            child_history = assumed | expanded
+        siblings = simplify(g, expanded, assumed, witnesses, quota)
+        child_history = assumed | expanded
 
         pushed = 0
         for sib in siblings:
@@ -408,16 +375,11 @@ def search(g: Grammar, w1: Word, w2: Word, config: SearchConfig | None = None,
             if sib in visited:
                 continue
             visited.add(sib)
-            _push(frontier, _Entry(sib, child_history, entry.depth + 1),
-                  next(pushes), config.prioritize)
+            _push(frontier, _Entry(sib, child_history, entry.depth + 1), next(pushes))
             pushed += 1
         if trace:
             trace(entry.depth, len(entry.pairs), f"expanded, {pushed} new siblings")
 
-    if config.simplify == "off" and not fail_seen:
-        # Pure expansion closed every branch by revisiting nodes; without the
-        # simplification rules that is not evidence either way.
-        raise Inconclusive("expansion-only search closed all branches by revisits")
     return False
 
 
@@ -442,8 +404,6 @@ def equivalent(t1: Type, t2: Type, env: K.KindEnv | None = None, *,
                datakinds: dict[str, S.Kind | None] | None = None,
                abbrevs: Mapping[str, Type] | None = None,
                budget: int = DEFAULT_BUDGET,
-               prioritize_nodes: bool = True,
-               simplify_mode: str = "full",
                trace: TraceFn | None = None) -> bool:
     """Sound-and-complete equivalence of kinded types. Session types go
     through the grammar pipeline; functional types descend structurally,
@@ -452,7 +412,6 @@ def equivalent(t1: Type, t2: Type, env: K.KindEnv | None = None, *,
     `abbrevs` are the program's tables of name kinds and abbreviation bodies."""
     env = env or {}
     dk = datakinds or {}
-    cfg = SearchConfig(budget, prioritize_nodes, simplify_mode)
     K.synth_kind(env, t1, dk)
     K.synth_kind(env, t2, dk)
 
@@ -462,14 +421,14 @@ def equivalent(t1: Type, t2: Type, env: K.KindEnv | None = None, *,
             return False
         if on_session:
             g, wa, wb = build(a, b, names=abbrevs)
-            if wa == wb and cfg.simplify != "off":
+            if wa == wb:
                 # (R) at the root: equal words of one grammar are bisimilar
                 if trace:
                     trace(0, 0, "empty: equivalent")
                 return True
             compute_norms(g)
             prune(g)
-            return search(g, wa, wb, cfg, trace)
+            return search(g, wa, wb, budget, trace)
         match (a, b):
             case (Basic(x), Basic(y)):
                 return x == y

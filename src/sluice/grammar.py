@@ -175,7 +175,8 @@ class _Builder:
             if isinstance(t, DataRef):
                 self.deferred.append((prods, actions))
             else:
-                prods.update((a, self.word(k)) for a, k in actions.items())
+                for a, k in actions.items():
+                    prods[a] = self.word(k)
         return w
 
 
@@ -189,7 +190,8 @@ def build(*types: Type, names: Mapping[str, Type] | None = None) -> tuple:
     words = [b.word(t) for t in types]
     while b.deferred:  # the names met, and the names they meet in turn
         prods, actions = b.deferred.pop()
-        prods.update((a, b.word(k)) for a, k in actions.items())
+        for a, k in actions.items():
+            prods[a] = b.word(k)
     return (Grammar(b.productions), *words)
 
 

@@ -223,3 +223,9 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["equiv", "!Int"])
         assert exc.value.code == 64
+
+    def test_negative_budget_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["equiv", "!Int;?Int", "!Int;?Bool", "--budget", "-1"])
+        assert exc.value.code == 64
+        assert "--budget" in capsys.readouterr().err

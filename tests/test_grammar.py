@@ -190,6 +190,16 @@ class TestBuild:
         compute_norms(g)
         assert word_norm(g, w) == n
 
+    def test_a_deep_nest_of_choices_takes_one_frame_per_level(self):
+        n = 900
+        t = Message(S.OUT, "Int")
+        for _ in range(n):
+            t = Choice(S.INTERNAL, (("A", t),))
+        g, w = build(t)
+        compute_norms(g)
+        assert len(g.productions) == n + 1
+        assert word_norm(g, w) == n + 1
+
     def test_gnf_and_determinism_by_construction(self):
         rng = random.Random(13)
         for _ in range(100):
