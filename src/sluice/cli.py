@@ -173,6 +173,11 @@ def _command(args: argparse.Namespace) -> int:
         t = _session_type(args.type, "dual is defined on session types")
         if t is None:
             return EXIT_DIAGNOSTICS
+        free = sorted(free_tvars(t))
+        if free:
+            print(f"<type>:1:1: error: dual is not defined on type variable {free[0]}",
+                  file=sys.stderr)
+            return EXIT_DIAGNOSTICS
         print(pretty(dual(t)))
         return EXIT_OK
 

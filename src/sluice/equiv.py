@@ -5,9 +5,9 @@ node through the grammar; a node whose pairs disagree on available actions
 fails to expand, killing that branch. Simplification shrinks the expanded
 node with the reflexivity, congruence, and word-decomposition rules, branching
 into sibling nodes where a decomposition must guess a witness. The tree is
-walked best-first over one heap: the node with the fewest pairs, then the
-shortest words, is processed next, and nodes with equal keys in the order
-they were pushed. The search stays complete, because a visited set keeps every
+walked best-first over one heap: the smallest node, by the total length of
+its words, is processed next, and nodes of equal size in the order they were
+pushed. The search stays complete, because a visited set keeps every
 node from being pushed twice and a grammar has only finitely many nodes at or
 below any key, so every pushed node is eventually popped. Reaching an empty
 node decides positively, exhausting the frontier decides negatively, and
@@ -326,14 +326,14 @@ def _node_size(pairs: Node) -> int:
     return sum(len(a) + len(b) for a, b in pairs)
 
 
-_Queued = tuple[int, int, int, _Entry]
+_Queued = tuple[int, int, _Entry]
 
 
 def _push(frontier: list[_Queued], entry: _Entry, order: int) -> None:
-    """Queue `entry` keyed (pair count, node size, `order`). Orders are
-    distinct, so equal sizes come out first in, first out and entries are
-    never compared."""
-    heapq.heappush(frontier, (len(entry.pairs), _node_size(entry.pairs), order, entry))
+    """Queue `entry` keyed (node size, `order`), where the size is the total
+    length of its words. Orders are distinct, so equal sizes come out first
+    in, first out and entries are never compared."""
+    heapq.heappush(frontier, (_node_size(entry.pairs), order, entry))
 
 
 def search(g: Grammar, w1: Word, w2: Word, budget: int = DEFAULT_BUDGET,

@@ -470,14 +470,17 @@ def _declaration(p: _P, prog: S.Program, diags: list[Diagnostic]) -> None:
             return
         prog.signatures[name] = S.SigDecl(name, scheme, pos)
         return
+    # `f x y = e` is `f = \x -> \y -> e`
     params: list[str] = []
     while not p.at("sym", "="):
         params.append(p._binder())
     p.expect("sym", "=")
     body = p.expr()
     p.expect("eof")
+    for param in reversed(params):
+        body = S.Lam(S.UNRESTRICTED, param, body, pos=pos)
     if check_unique(name):
-        prog.definitions[name] = S.FunDef(name, tuple(params), body, pos)
+        prog.definitions[name] = S.FunDef(name, body, pos)
 
 
 # ---------------------------------------------------------------------------

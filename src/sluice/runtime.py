@@ -299,11 +299,11 @@ class _Machine:
                         v, e = self.globals[name], None
                     else:
                         d = self.program.definitions.get(name)
-                        if d is not None and not d.params:
+                        if d is not None:
                             k.append((_GLOBAL, name))
                             e, env = d.body, {}
                         else:
-                            v = self.globals[name] = self._constant(name, d)
+                            v = self.globals[name] = self._constant(name)
                             e = None
                 elif cls is App:
                     k.append((_ARG, e.arg, env, e))
@@ -435,14 +435,9 @@ class _Machine:
         th.expr, th.env, th.value = e, env, v
         return False
 
-    def _constant(self, name: str, d: S.FunDef | None) -> object:
-        """The value of a top-level name that needs no evaluation: a function
-        definition, a builtin or a constructor."""
-        if d is not None:
-            body: Expr = d.body
-            for param in reversed(d.params[1:]):
-                body = Lam(S.UNRESTRICTED, param, body)
-            return Closure(d.params[0], body, {})
+    def _constant(self, name: str) -> object:
+        """The value of a top-level name that is not defined in the program: a
+        builtin or a constructor."""
         if name in _BUILTIN_ARITY:
             return Builtin(name, _BUILTIN_ARITY[name])
         for decl in self.program.datatypes.values():

@@ -500,8 +500,7 @@ class SigDecl:
 @dataclass
 class FunDef:
     name: str
-    params: tuple[str, ...]
-    body: Expr
+    body: Expr  # parameters are lambdas
     pos: Pos
 
 

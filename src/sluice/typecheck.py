@@ -238,6 +238,9 @@ def synth(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr) -> tuple[Type, Ctx
                 raise _fail(err.diag.message, e.pos)
             if kind.prekind != SESSION:
                 raise _fail(f"new requires a session type, got {S.pretty(session)} : {kind}", e.pos)
+            free = sorted(S.free_tvars(session))
+            if free:
+                raise _fail(f"new cannot take the dual of type variable {free[0]}", e.pos)
             return Pair(session, dual(session)), ctx
 
         case Select(label, chan):
@@ -403,9 +406,12 @@ def _join_branches(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv,
 
 def check_against(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr, t: Type) -> Ctx:
     """Synthesize and compare by equivalence. Functions cannot be synthesized
-    without an annotation, so a function checked against an arrow pushes the
-    arrow inward instead."""
-    if isinstance(e, Lam) and isinstance(t, Arrow):
+    without an annotation, so a function (a lambda, or a definition's
+    parameters) checked against an arrow pushes the arrow inward instead;
+    under `->` it must not consume a linear variable from outside."""
+    if isinstance(e, Lam):
+        if not isinstance(t, Arrow):
+            raise _fail(f"expected type {S.pretty(t)}, found a function", e.pos)
         if e.mult == LINEAR and t.mult == UNRESTRICTED:
             raise _fail("a one-shot function cannot be used where an unrestricted one is expected",
                         e.pos)
@@ -413,7 +419,7 @@ def check_against(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr, t: Type) -
         scope = _bind_all(ctx, env, kenv, [(e.param, t.dom)], e.pos)
         residual = check_against(ctx, env, kenv, e.body, t.cod)
         residual.drop(scope, e.pos)
-        if e.mult == UNRESTRICTED:
+        if t.mult == UNRESTRICTED:
             captured = sorted(linear_before - residual.linear_names())
             if captured:
                 raise _fail(
@@ -503,7 +509,8 @@ def build_global_env(p: S.Program, diags: list[Diagnostic]) -> GlobalEnv:
     diags.extend(Diagnostic(*decl.pos, errors[name])
                  for name, decl in p.abbrevs.items() if name in errors)
 
-    # constructors become curried unrestricted functions
+    # constructors become curried functions; a partial application that holds
+    # a linear field is itself linear, so every arrow after that field is -o
     for dname, decl in p.datatypes.items():
         for cname, fields in decl.ctors.items():
             if cname in env.ctors:
@@ -511,13 +518,15 @@ def build_global_env(p: S.Program, diags: list[Diagnostic]) -> GlobalEnv:
                                         f"constructor {cname} declared twice"))
                 continue
             try:
-                for f in fields:
-                    env.kind_of({}, f)
+                mults = [env.kind_of({}, f).mult for f in fields]
             except K.KindError as err:
                 diags.append(Diagnostic(decl.pos[0], decl.pos[1], err.diag.message))
                 continue
+            ty: Type = DataRef(dname)
+            for i in reversed(range(len(fields))):
+                ty = Arrow(LINEAR if LINEAR in mults[:i] else UNRESTRICTED, fields[i], ty)
             env.ctors[cname] = (dname, fields)
-            env.schemes[cname] = Scheme((), _arrow(*fields, DataRef(dname)))
+            env.schemes[cname] = Scheme((), ty)
 
     # signatures: kind-check under their binders
     for name, sig in p.signatures.items():
@@ -547,15 +556,11 @@ def check_program(p: S.Program) -> list[Diagnostic]:
         scheme = env.schemes[name]
         kenv: K.KindEnv = {b: k for b, k in scheme.binders}
         try:
-            ty = scheme.body
-            ctx = Ctx()
-            scope: list[Shadowed] = []
-            for param in d.params:
-                if not isinstance(ty, Arrow):
-                    raise _fail(f"{name} has more parameters than its signature has arrows", d.pos)
-                scope += _bind_all(ctx, env, kenv, [(param, ty.dom)], d.pos)
-                ty = ty.cod
-            check_against(ctx, env, kenv, d.body, ty).drop(scope, d.pos)
+            # a value that is not a function is evaluated once and shared
+            if not isinstance(d.body, Lam) and env.kind_of(kenv, scheme.body).mult == LINEAR:
+                raise _fail(f"top-level value {name} has linear type {S.pretty(scheme.body)}; "
+                            "every use would share it", d.pos)
+            check_against(Ctx(), env, kenv, d.body, scheme.body)
         except CheckError as err:
             line, col = (err.diag.line, err.diag.col) if err.diag.line else d.pos
             diags.append(Diagnostic(line, col, f"in {name}: {err.diag.message}"))
@@ -572,7 +577,7 @@ def check_program(p: S.Program) -> list[Diagnostic]:
     elif scheme is not None:  # kinded with the signatures
         problem = ("main cannot be polymorphic" if scheme.binders else
                    "main must have a non-function type"
-                   if isinstance(scheme.body, Arrow) or main.params else
+                   if isinstance(scheme.body, Arrow) else
                    "main must have a non-session type"
                    if env.kind_of({}, scheme.body).prekind == SESSION else None)
         if problem:

@@ -176,6 +176,11 @@ class TestDumps:
     def test_dual_rejects_functional(self, capsys):
         assert main(["dual", "Int -> Bool"]) == 1
 
+    def test_dual_rejects_a_free_type_variable(self, capsys):
+        assert main(["dual", "!Int;alpha"]) == 1
+        assert capsys.readouterr().err == (
+            "<type>:1:1: error: dual is not defined on type variable alpha\n")
+
     def test_dump_grammar(self, capsys):
         assert main(["dump-grammar", "rec x. !Int;x"]) == 0
         out = capsys.readouterr().out

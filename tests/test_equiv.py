@@ -348,12 +348,24 @@ class TestFrontierOrder:
             _push(frontier, _Entry(frozenset(pairs), frozenset(), 1), order)
         return [heapq.heappop(frontier)[-1].pairs for _ in nodes]
 
-    def test_fewer_pairs_then_shorter_words_first(self):
+    def test_smaller_nodes_first_whatever_their_pair_count(self):
         long_pair = {((1, 2, 3), (4, 5, 6))}
         two_pairs = {((1,), (2,)), ((3,), (4,))}
         short_pair = {((1,), (2, 3))}
-        assert self.drain([two_pairs, long_pair, short_pair]) == [
-            short_pair, long_pair, two_pairs]
+        assert self.drain([long_pair, two_pairs, short_pair]) == [
+            short_pair, two_pairs, long_pair]
+
+    def test_a_deep_lawified_pair_takes_the_small_nodes(self):
+        # A tree recursion against a lawified 5-fold unfolding: a key that
+        # takes the node with fewer pairs first processes 26 nodes here, one
+        # that takes the smaller node first 15.
+        tree = parse_type("rec x. +{Leaf: Skip, Node: !Int;!Int;x;x;?Int;?Int}")
+        unfolded = tree
+        for _ in range(5):
+            unfolded = S.subst(tree.body, {tree.var: unfolded})
+        lawified = lawify(random.Random(9), unfolded)
+        _, letter, nodes, _ = search_line("deep", tree, lawified).rsplit(" ", 3)
+        assert (letter, int(nodes)) == ("E", 15)
 
     def test_equal_keys_come_out_in_push_order(self):
         nodes = [{((1,), (2,))}, {((3,), (4,))}, {((2,), (1,))}, {((5,), (6,))}]

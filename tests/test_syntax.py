@@ -190,7 +190,7 @@ class TestParseProgram:
                "main : Int\nmain = 0\n")
         prog, diags = parse_program(src)
         assert diags == []
-        outer = prog.definitions["f"].body
+        outer = prog.definitions["f"].body.body.body
         assert [b[0] for b in outer.branches] == ["A", "B"]
         assert [b[0] for b in outer.branches[0][2].branches] == ["L", "M"]
 
@@ -201,7 +201,7 @@ class TestParseProgram:
                "main : Int\nmain = 0\n")
         prog, diags = parse_program(src)
         assert diags == []
-        assert [b[0] for b in prog.definitions["g"].body.branches] == ["A", "B"]
+        assert [b[0] for b in prog.definitions["g"].body.body.body.branches] == ["A", "B"]
 
     def test_lambda_forms(self):
         from sluice.parser import parse_expr
@@ -210,6 +210,14 @@ class TestParseProgram:
         assert (e.mult, e.param) == (S.UNRESTRICTED, "x")
         assert (e.body.mult, e.body.param) == (S.LINEAR, "y")
 
+    def test_parameters_are_lambdas(self):
+        prog, diags = parse_program("f : Int -> Int -> Int\nf x _ = x\n"
+                                    "main : Int\nmain = f 1 2\n")
+        assert diags == []
+        assert prog.definitions["f"].body == S.Lam(
+            S.UNRESTRICTED, "x", S.Lam(S.UNRESTRICTED, "_", S.Var("x")))
+        assert prog.definitions["f"].body.pos == prog.definitions["f"].body.body.pos == (2, 1)
+
     def test_branches_split_on_commas_too(self):
         src = ("data D = A | B\n"
                "f : D -> Int\n"
@@ -217,7 +225,7 @@ class TestParseProgram:
                "main : Int\nmain = f A")
         prog, diags = parse_program(src)
         assert diags == []
-        branches = prog.definitions["f"].body.branches
+        branches = prog.definitions["f"].body.body.branches
         assert [b[0] for b in branches] == ["A", "B"]
 
 

@@ -607,3 +607,79 @@ def test_expose_exposes_message():
     (action, cont), = head.items()
     assert action == S.Terminal(S.OUT, "Int")
     assert equivalent(cont, parse_type("?Bool"))
+
+
+def positioned(diags):
+    return [(d.line, d.col, d.message) for d in diags]
+
+
+class TestDefinitionsAreLambdas:
+    """`f x y = e` is `f = \\x -> \\y -> e`, checked by the lambda rule: an
+    unrestricted arrow's function may not capture a linear variable."""
+
+    def test_unrestricted_arrow_after_a_linear_parameter_is_rejected(self):
+        diags = check_source(
+            "f : !Int -> Int -> Int\n"
+            "f c n = let _ = send n c in n\n"
+            "main : Int\n"
+            "main = let a, r = new !Int in let _ = fork (receive r) in"
+            " let g = f a in g 1 + g 2 + g 3\n")
+        assert positioned(diags) == [
+            (2, 1, "in f: unrestricted function consumes linear variables: c")]
+
+    def test_one_shot_arrow_after_a_linear_parameter_checks_and_runs(self):
+        from conftest import checked_program
+        from sluice.runtime import run
+
+        prog = checked_program(
+            "f : !Int -> Int -o Int\n"
+            "f c n = let _ = send n c in n\n"
+            "main : Int\n"
+            "main = let a, r = new !Int in let _ = fork (receive r) in"
+            " let g = f a in g 1\n")
+        assert run(prog, seed=0) == 1
+
+    def test_a_parameter_against_a_non_arrow_type(self):
+        diags = check_source("main : Int\nmain x = 1\n")
+        assert positioned(diags) == [(2, 1, "in main: expected type Int, found a function")]
+
+    def test_a_one_shot_lambda_where_an_unrestricted_function_is_expected(self):
+        diags = check_source("f : Int -> Int\nf = \\x -o x\nmain : Int\nmain = f 1\n")
+        assert positioned(diags) == [
+            (2, 5, "in f: a one-shot function cannot be used where an unrestricted one "
+                   "is expected")]
+
+    def test_constructor_arrows_after_a_linear_field_are_one_shot(self):
+        source = ("data Box = B !Int Int\n"
+                  "use : Box -> Int\n"
+                  "use b = case b of B c n -> let _ = send n c in n\n"
+                  "main : Int\n"
+                  "main = let a, r = new !Int in let _ = fork (receive r) in\n"
+                  "  let f = B a in use (f 1) + use (f 2) + use (f 3)\n")
+        prog, _ = parse_program(source)
+        assert S.pretty(build_global_env(prog, []).schemes["B"].body) == "!Int -> Int -o Box"
+        assert positioned(check_source(source)) == [
+            (6, 35, "in main: linear variable f is used more than once")]
+
+    def test_a_linear_top_level_value_is_rejected(self):
+        diags = check_source(
+            "ch : !Int\n"
+            "ch = let a, b = new !Int in let _ = fork (receive b) in a\n"
+            "main : Int\n"
+            "main = let _ = send 1 ch in let _ = send 2 ch in let _ = send 3 ch in 0\n")
+        assert positioned(diags) == [
+            (2, 1, "in ch: top-level value ch has linear type !Int; every use would share it")]
+
+    def test_a_top_level_one_shot_function_is_legal(self):
+        assert check_source("f : Int -o Int\nf x = x\nmain : Int\nmain = f 1 + f 2\n") == []
+
+    def test_new_on_a_type_variable_is_rejected(self):
+        diags = check_source(
+            "mk : forall alpha:SL => () -> (!Int;alpha, ?Int;alpha)\n"
+            "mk u = new !Int;alpha\n"
+            "main : Int\nmain = 0\n")
+        assert positioned(diags) == [
+            (2, 8, "in mk: new cannot take the dual of type variable alpha")]
+        assert check_source(
+            "mk : () -> (rec x. !Int;x, rec x. ?Int;x)\nmk u = new rec x. !Int;x\n"
+            "main : Int\nmain = 0\n") == []
