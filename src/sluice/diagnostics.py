@@ -25,7 +25,3 @@ class DiagnosticError(Exception):
     def __init__(self, diag: Diagnostic):
         super().__init__(diag.message)
         self.diag = diag
-
-
-def error(message: str, line: int = 0, col: int = 0) -> Diagnostic:
-    return Diagnostic(line, col, message)

@@ -103,25 +103,23 @@ def index_rules(rel: Iterable[WordPair]) -> RuleIndex:
     return index
 
 
-def congruent(pair: WordPair, rel: Iterable[WordPair] | RuleIndex,
-              history: RuleIndex | None = None,
-              live: Container[WordPair] | None = None) -> bool:
+def congruent(pair: WordPair, own: RuleIndex, history: RuleIndex,
+              live: Container[WordPair]) -> bool:
     """Membership test for the congruence (over concatenation) generated by
     a relation: peel equal head symbols or matching rule prefixes from both
     sides until the pair is reflexive. Only ever answers True when a
     derivation exists, so deleting a pair it approves is always sound.
 
-    The relation is `rel` (plain pairs, or their `index_rules`) plus the
-    rules of the `history` index. When `live` is given, a rule from `rel`
-    counts only while its source pair is in `live`, so `simplify` indexes a
-    node's pairs once per round and deletes pairs without reindexing, and
-    indexes its history once per call. A word pair (u, v) can only use rules
-    keyed (u[:1], v[:1]), ((), v[:1]) or (u[:1], ()), so each step looks up
-    those keys instead of scanning every rule. The depth-first search with
-    its visited set answers whether a reflexive pair is reachable, which
-    does not depend on the order it tries the rules in."""
-    own = rel if isinstance(rel, dict) else index_rules(rel)
-    sources = ((own, live), (history or {}, None))
+    The relation is the rules of the `own` index whose source pair is in
+    `live`, plus every rule of the `history` index. `_reduce` indexes a
+    node's pairs once per round and deletes pairs from `live` without
+    reindexing; `simplify` indexes its history once per call. A word pair
+    (u, v) can only use rules keyed (u[:1], v[:1]), ((), v[:1]) or
+    (u[:1], ()), so each step looks up those keys instead of scanning every
+    rule. The depth-first search with its visited set answers whether a
+    reflexive pair is reachable, which does not depend on the order it tries
+    the rules in."""
+    sources = ((own, live), (history, None))
     seen: set[WordPair] = set()
 
     def go(u: Word, v: Word) -> bool:
@@ -178,8 +176,7 @@ def _b2_candidates(g: Grammar, y: int, steps: int) -> list[Word]:
 
 
 def simplify(g: Grammar, pairs: Iterable[WordPair], history: Iterable[WordPair],
-             witnesses: dict[tuple[int, int], list[Word]] | None = None,
-             budget: Budget | None = None) -> set[Node]:
+             witnesses: dict[tuple[int, int], list[Word]], budget: Budget) -> set[Node]:
     """Shrink a node with the reflexivity (R), congruence (C), and
     decomposition (B1/B2) rules to a fixed point.
     B2 branches: one sibling per candidate witness plus one keeping the pair
@@ -190,13 +187,9 @@ def simplify(g: Grammar, pairs: Iterable[WordPair], history: Iterable[WordPair],
     the node comes back (as the untouched B2 sibling, or as a witness child
     that coincides with a node already seen). B2's witness lists depend only
     on the grammar, so `search` passes one `witnesses` dict for the whole
-    query; without one, the call keeps its own. Each work item popped draws
-    on `budget`, the query's when `search` calls, else a default one."""
-    budget = budget or Budget()
+    query, and each work item popped draws on the query's `budget`."""
     hist = frozenset(history)
     hist_rules = index_rules(hist)
-    if witnesses is None:
-        witnesses = {}
     reduced: dict[Node, Node] = {}
     results: set[Node] = set()
     work: list[tuple[Node, frozenset[WordPair]]] = [(_canon_pairs(g, pairs), frozenset())]

@@ -68,15 +68,16 @@ class _Builder:
     whose productions are its head normal form, so recursion bodies are
     entered only by unfolding and head actions are always computable even
     when an inner recursion starts by running an outer one. A name is keyed
-    by itself, so it is one nonterminal however often it occurs; `build`
-    fills in its productions later, so a chain of names costs no Python
-    stack. A type with an empty head (a name for Skip) is the empty word."""
+    by itself, so it is one nonterminal however often it occurs. `word`
+    queues each new nonterminal with its head actions on `pending`, for
+    `build` to fill in, so only a `;` spine costs Python stack. A type with
+    an empty head (a name for Skip) is the empty word."""
 
     def __init__(self, names: Mapping[str, Type]) -> None:
         self.names = names
         self.productions: dict[int, dict[Terminal, Word]] = {}
         self._memo: dict[Key, Word] = {}
-        self.deferred: list[tuple[dict[Terminal, Word], dict[Terminal, Type]]] = []
+        self.pending: list[tuple[dict[Terminal, Word], dict[Terminal, Type]]] = []
         # id of a composite subterm outside every binder -> (the subterm, its
         # normal form, the key of that). The subterm is held so its id is not
         # reused during the build.
@@ -169,14 +170,9 @@ class _Builder:
         if w is None:
             actions = S.head(t, self.names)
             w = self._memo[key] = (len(self.productions),) if actions else EPSILON
-            if not w:
-                return w
-            prods = self.productions[w[0]] = {}
-            if isinstance(t, DataRef):
-                self.deferred.append((prods, actions))
-            else:
-                for a, k in actions.items():
-                    prods[a] = self.word(k)
+            if w:
+                prods = self.productions[w[0]] = {}
+                self.pending.append((prods, actions))
         return w
 
 
@@ -185,11 +181,11 @@ def build(*types: Type, names: Mapping[str, Type] | None = None) -> tuple:
     `(grammar, *start_words)`. Inputs must be contractive. `names` maps each
     abbreviation the types reach to its body. Structurally identical subterms
     share nonterminals, so building the same type twice yields the same start
-    word."""
+    word. This one worklist loop fills in every nonterminal's productions."""
     b = _Builder(names or {})
     words = [b.word(t) for t in types]
-    while b.deferred:  # the names met, and the names they meet in turn
-        prods, actions = b.deferred.pop()
+    while b.pending:  # filling one nonterminal may queue more
+        prods, actions = b.pending.pop()
         for a, k in actions.items():
             prods[a] = b.word(k)
     return (Grammar(b.productions), *words)

@@ -26,6 +26,10 @@ _PRECEDENCE = {"||": 1, "&&": 2, "==": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
 _T = TypeVar("_T")
 
 
+def _error_at(t: Token, msg: str) -> DiagnosticError:
+    return DiagnosticError(Diagnostic(t.line, t.col, msg))
+
+
 class _P:
     def __init__(self, tokens: list[Token]):
         self.toks = tokens
@@ -62,8 +66,16 @@ class _P:
         raise self.err(f"expected {want!r}, found {t.text!r}" if t.text else f"expected {want!r}, found end of input")
 
     def err(self, msg: str) -> DiagnosticError:
-        t = self.peek()
-        return DiagnosticError(Diagnostic(t.line, t.col, msg))
+        return _error_at(self.peek(), msg)
+
+    def fresh(self, kind: str, what: str, seen: set[str], duplicate: str) -> str:
+        """Expect a `kind` token naming a `what` that is not in `seen`, and
+        add it there; a repeat is reported at the repeated name."""
+        t = self.expect(kind, what=what)
+        if t.text in seen:
+            raise _error_at(t, f"{duplicate} {t.text}")
+        seen.add(t.text)
+        return t.text
 
     # -- types ---------------------------------------------------------------
 
@@ -138,10 +150,7 @@ class _P:
         branches: list[tuple[str, S.Type]] = []
         seen: set[str] = set()
         while True:
-            lab = self.expect("uident", what="branch label").text
-            if lab in seen:
-                raise self.err(f"duplicate branch label {lab}")
-            seen.add(lab)
+            lab = self.fresh("uident", "branch label", seen, "duplicate branch label")
             self.expect("sym", ":")
             branches.append((lab, self.type_()))
             if not self.eat("sym", ","):
@@ -155,15 +164,12 @@ class _P:
         binders: list[tuple[str, S.Kind]] = []
         seen: set[str] = set()
         while True:
-            name = self.expect("lident", what="type variable").text
-            if name in seen:
-                raise self.err(f"duplicate forall binder {name}")
-            seen.add(name)
+            name = self.fresh("lident", "type variable", seen, "duplicate forall binder")
             kind = S.SL  # default kind for a polymorphic variable
             if self.eat("sym", ":"):
                 kt = self.expect("uident", what="kind")
                 if kt.text not in S.KIND_NAMES:
-                    raise DiagnosticError(Diagnostic(kt.line, kt.col, f"unknown kind {kt.text}"))
+                    raise _error_at(kt, f"unknown kind {kt.text}")
                 kind = S.KIND_NAMES[kt.text]
             binders.append((name, kind))
             if not self.eat("sym", ","):
@@ -266,19 +272,11 @@ class _P:
         head = self._prefix()
         while True:
             t = self.peek()
-            if t.kind in ("int", "char"):
-                head = S.App(head, self._atom(), pos=(t.line, t.col))
-            elif t.kind == "lident":
-                head = S.App(head, self._atom(), pos=(t.line, t.col))
-            elif t.kind == "uident":
-                if self._starts_branch_pattern():
-                    break
-                head = S.App(head, self._atom(), pos=(t.line, t.col))
-            elif t.kind == "sym" and t.text == "(":
-                head = S.App(head, self._atom(), pos=(t.line, t.col))
-            else:
-                break
-        return head
+            if not (t.kind in ("int", "char", "lident")
+                    or t.kind == "sym" and t.text == "("
+                    or t.kind == "uident" and not self._starts_branch_pattern()):
+                return head
+            head = S.App(head, self._atom(), pos=(t.line, t.col))
 
     def _prefix(self) -> S.Expr:
         t = self.peek()
@@ -338,10 +336,7 @@ class _P:
         branches: list[tuple[str, tuple[str, ...], S.Expr]] = []
         seen: set[str] = set()
         while True:
-            ctor = self.expect("uident", what="constructor pattern").text
-            if ctor in seen:
-                raise self.err(f"duplicate case branch {ctor}")
-            seen.add(ctor)
+            ctor = self.fresh("uident", "constructor pattern", seen, "duplicate case branch")
             params: list[str] = []
             while self.peek().kind == "lident" or self.at("sym", "_"):
                 params.append(self._binder())
@@ -355,10 +350,7 @@ class _P:
         branches: list[tuple[str, str, S.Expr]] = []
         seen: set[str] = set()
         while True:
-            label = self.expect("uident", what="branch label").text
-            if label in seen:
-                raise self.err(f"duplicate match branch {label}")
-            seen.add(label)
+            label = self.fresh("uident", "branch label", seen, "duplicate match branch")
             binder = self._binder()
             self.expect("sym", "->")
             branches.append((label, binder, self.expr()))
@@ -445,10 +437,9 @@ def _declaration(p: _P, prog: S.Program, diags: list[Diagnostic]) -> None:
         name = p.expect("uident", what="datatype name").text
         p.expect("sym", "=")
         ctors: dict[str, tuple[S.Type, ...]] = {}
+        seen: set[str] = set()
         while True:
-            cname = p.expect("uident", what="constructor").text
-            if cname in ctors:
-                raise p.err(f"duplicate constructor {cname}")
+            cname = p.fresh("uident", "constructor", seen, "duplicate constructor")
             fields: list[S.Type] = []
             while not p.at("sym", "|") and not p.at("eof"):
                 fields.append(p.type_atom())

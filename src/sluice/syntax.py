@@ -102,15 +102,6 @@ class Choice:
     view: str  # INTERNAL or EXTERNAL
     branches: tuple[tuple[str, "Type"], ...]  # ordered, labels pairwise distinct
 
-    def branch(self, label: str) -> Optional["Type"]:
-        for lab, ty in self.branches:
-            if lab == label:
-                return ty
-        return None
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(lab for lab, _ in self.branches)
-
 
 @dataclass(frozen=True)
 class Rec:

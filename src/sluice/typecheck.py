@@ -257,13 +257,8 @@ def synth(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr) -> tuple[Type, Ctx
             offered = _actions(env, tc, S.EXTERNAL, e.pos)
             if not offered:
                 raise _fail(f"channel of type {S.pretty(tc)} offers no external choice", e.pos)
-            covered = {lab for lab, _, _ in branches}
-            if covered != set(offered):
-                missing = sorted(set(offered) - covered)
-                extra = sorted(covered - set(offered))
-                what = (f"missing {', '.join(missing)}" if missing else
-                        f"unknown {', '.join(extra)}")
-                raise _fail(f"match branches do not cover the choice: {what}", e.pos)
+            _check_coverage({lab for lab, _, _ in branches}, set(offered),
+                            "match branches do not cover the choice", e.pos)
             outs = []
             for lab, binder, body in branches:
                 outs.append(_branch(ctx1, env, kenv, [(binder, offered[lab])], body, e.pos))
@@ -291,13 +286,8 @@ def synth(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr) -> tuple[Type, Ctx
             if not isinstance(ts, DataRef) or ts.name in env.abbrevs:
                 raise _fail(f"case needs a datatype value, got {S.pretty(ts)}", e.pos)
             all_ctors = {c: fields for c, (d, fields) in env.ctors.items() if d == ts.name}
-            covered = {c for c, _, _ in branches}
-            if covered != set(all_ctors):
-                missing = sorted(set(all_ctors) - covered)
-                extra = sorted(covered - set(all_ctors))
-                what = (f"missing {', '.join(missing)}" if missing else
-                        f"unknown {', '.join(extra)}")
-                raise _fail(f"case branches do not cover {ts.name}: {what}", e.pos)
+            _check_coverage({c for c, _, _ in branches}, set(all_ctors),
+                            f"case branches do not cover {ts.name}", e.pos)
             outs = []
             for ctor, params, body in branches:
                 fields = all_ctors[ctor]
@@ -374,6 +364,16 @@ def _bind_all(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv,
             continue
         scope.append(ctx.bind(name, ty, kind, pos))
     return scope
+
+
+def _check_coverage(covered: set[str], expected: set[str], what: str, pos: S.Pos | None) -> None:
+    """Branches name exactly the expected labels, or `what` is reported with
+    the missing ones, else the unknown ones."""
+    if covered != expected:
+        missing = sorted(expected - covered)
+        extra = sorted(covered - expected)
+        detail = f"missing {', '.join(missing)}" if missing else f"unknown {', '.join(extra)}"
+        raise _fail(f"{what}: {detail}", pos)
 
 
 def _branch(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv,

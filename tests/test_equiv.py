@@ -11,7 +11,7 @@ from sluice import kinds as K
 from sluice import syntax as S
 from sluice.kinds import KindError
 from sluice.equiv import (
-    Inconclusive, _Entry, _push, congruent, equivalent,
+    Budget, Inconclusive, _Entry, _push, congruent, equivalent,
     expand, index_rules, search, simplify,
 )
 from sluice.grammar import Terminal, build, compute_norms, prune, step, word_norm
@@ -27,6 +27,18 @@ from verdict_corpus import SEED, SUITES, ladder_queries, search_line
 
 TREE_C = parse_type("rec x. +{Leaf: Skip, Node: !Int;x;x;?Int}")
 TREE_CHANNEL = parse_type("rec x. +{Leaf: Skip, Node: !Int;x;x}")
+
+
+def congruent_in(pair, rel):
+    """`congruent` against a plain relation: every pair live, no history."""
+    rel = set(rel)
+    return congruent(pair, index_rules(rel), {}, rel)
+
+
+def simplify_alone(g, pairs, history, witnesses=None):
+    """`simplify` outside a search: its own witness table unless one is
+    given, and a fresh default budget."""
+    return simplify(g, pairs, history, {} if witnesses is None else witnesses, Budget())
 
 
 def tree_grammar():
@@ -63,20 +75,20 @@ class TestExpand:
 
 class TestCongruent:
     def test_reflexive(self):
-        assert congruent(((1, 2), (1, 2)), [])
+        assert congruent_in(((1, 2), (1, 2)), [])
 
     def test_member(self):
-        assert congruent(((1,), (2,)), [((1,), (2,))])
+        assert congruent_in(((1,), (2,)), [((1,), (2,))])
 
     def test_common_prefix_then_member(self):
         # (T R, T R') from (R, R') under the reflexive head T
-        assert congruent(((0, 1), (0, 2)), [((1,), (2,))])
+        assert congruent_in(((0, 1), (0, 2)), [((1,), (2,))])
 
     def test_concatenation_of_members(self):
-        assert congruent(((1, 3), (2, 4)), [((1,), (2,)), ((3,), (4,))])
+        assert congruent_in(((1, 3), (2, 4)), [((1,), (2,)), ((3,), (4,))])
 
     def test_unjustified(self):
-        assert not congruent(((1,), (2,)), [((3,), (4,))])
+        assert not congruent_in(((1,), (2,)), [((3,), (4,))])
 
     def test_sound_vs_brute_force(self):
         rng = random.Random(17)
@@ -91,7 +103,7 @@ class TestCongruent:
             for _ in range(10):
                 u = tuple(rng.choices(alphabet, k=rng.randint(0, 3)))
                 v = tuple(rng.choices(alphabet, k=rng.randint(0, 3)))
-                if congruent((u, v), rel):
+                if congruent_in((u, v), rel):
                     assert (u, v) in closure, (u, v, rel)
 
     def test_union_find_closure_equals_pairwise_closure(self):
@@ -140,7 +152,7 @@ class TestCongruent:
             for _ in range(4):
                 pair = (word(4), word(4))
                 expected = scanning_congruent(pair, node | hist)
-                assert congruent(pair, node | hist) == expected, (pair, node, hist)
+                assert congruent_in(pair, node | hist) == expected, (pair, node, hist)
                 answers[expected] += 1
         assert min(answers.values()) > 300, answers
 
@@ -148,7 +160,7 @@ class TestCongruent:
 class TestSimplify:
     def test_reflexive_pair_dissolves(self):
         g, w = tree_grammar()
-        out = simplify(g, {(w, w)}, [])
+        out = simplify_alone(g, {(w, w)}, [])
         assert out == {frozenset()}
 
     def test_congruence_uses_history(self):
@@ -160,9 +172,9 @@ class TestSimplify:
                  if Terminal("!", "Int") in g.productions[nt])
         pair_small = ((r,), (r, m))
         pair_big = ((t, r), (t, r, m))
-        out = simplify(g, {pair_big, pair_small}, [])
+        out = simplify_alone(g, {pair_big, pair_small}, [])
         assert any(pair_big not in node for node in out)
-        out_hist = simplify(g, {pair_big}, [pair_small])
+        out_hist = simplify_alone(g, {pair_big}, [pair_small])
         assert frozenset() in out_hist
 
     def test_b1_cancels_normed_head(self):
@@ -173,7 +185,7 @@ class TestSimplify:
         r = next(nt for nt in g.productions
                  if Terminal("?", "Int") in g.productions[nt])
         assert g.norms[m] == 1
-        out = simplify(g, {((m, t), (m, r))}, [])
+        out = simplify_alone(g, {((m, t), (m, r))}, [])
         assert any(((t,), (r,)) in node for node in out)
 
     def test_unnormed_head_not_cancelled(self):
@@ -181,7 +193,7 @@ class TestSimplify:
         compute_norms(g)
         prune(g)
         (x,) = w
-        out = simplify(g, {((x, x), (x,))}, [])
+        out = simplify_alone(g, {((x, x), (x,))}, [])
         # words are truncated behind the unnormed head instead
         assert out == {frozenset()}
 
@@ -191,7 +203,7 @@ class TestSimplify:
         g, w1, w2 = build(t1, t2)
         compute_norms(g)
         prune(g)
-        out = simplify(g, {(w1, w2)}, [])
+        out = simplify_alone(g, {(w1, w2)}, [])
         # the shared normed head cancels first; the decomposed pair survives
         # untouched in one sibling
         reduced = (w1[1:], w2[1:])
@@ -209,7 +221,7 @@ class TestSimplify:
             for x in normed:
                 for y in normed:
                     pairs = {((x,), (y,)), ((y, x), (x, y))}
-                    assert simplify(g, pairs, [], witnesses=shared) == simplify(g, pairs, [])
+                    assert simplify_alone(g, pairs, [], shared) == simplify_alone(g, pairs, [])
             keys += len(shared)
         assert keys >= 40
 

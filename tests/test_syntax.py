@@ -69,9 +69,10 @@ class TestParseType:
     def test_choice_with_references(self):
         t = parse_type("+{Leaf: Skip, Node: !Int;x;x;?Int}")
         assert isinstance(t, Choice) and t.view == S.INTERNAL
-        assert t.labels() == ("Leaf", "Node")
-        assert t.branch("Leaf") == Skip()
-        node = t.branch("Node")
+        branches = dict(t.branches)
+        assert tuple(branches) == ("Leaf", "Node")
+        assert branches["Leaf"] == Skip()
+        node = branches["Node"]
         assert node == Semi(Message(S.OUT, "Int"),
                             Semi(TVar("x"), Semi(TVar("x"), Message(S.IN, "Int"))))
 
@@ -159,6 +160,25 @@ class TestParseProgram:
         src = "f : Int\nf = 1\nf = 2\nmain : Int\nmain = f"
         _, diags = parse_program(src)
         assert any("duplicate" in d.message for d in diags)
+
+    @pytest.mark.parametrize("src, line, col, message", [
+        pytest.param("data D = A | A Int", 1, 14, "duplicate constructor A", id="constructor"),
+        pytest.param("type T = +{A: Skip,\n  A: Skip}", 2, 3, "duplicate branch label A",
+                     id="branch-label"),
+        pytest.param("f : forall a, a => Int\nf = 1", 1, 15, "duplicate forall binder a",
+                     id="forall-binder"),
+        pytest.param("f : Int\nf = case x of A -> 1, A -> 2", 2, 23, "duplicate case branch A",
+                     id="case-branch"),
+        pytest.param("f : Int\nf = match x with A y -> 1, A z -> 2", 2, 28,
+                     "duplicate match branch A", id="match-branch"),
+        pytest.param("f : forall a : Q => Int\nf = 1", 1, 16, "unknown kind Q", id="unknown-kind"),
+        pytest.param("f : Int\nf : Int\nf = 1", 2, 1, "duplicate signature for f",
+                     id="duplicate-signature"),
+        pytest.param("f : Char\nf = '\\q'", 2, 5, "unknown escape \\q", id="unknown-escape"),
+    ])
+    def test_diagnostic_points_at_the_offending_token(self, src, line, col, message):
+        _, diags = parse_program(src)
+        assert (line, col, message) in [(d.line, d.col, d.message) for d in diags], diags
 
     def test_definition_without_signature(self):
         _, diags = parse_program("f = 1\nmain : Int\nmain = f")
