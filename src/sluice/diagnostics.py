@@ -10,13 +10,12 @@ class Diagnostic:
     line: int
     col: int
     message: str
-    severity: str = "error"
 
     def render(self, filename: str = "<input>") -> str:
-        """`file:line:col: severity: message`; line 0 means no position, and
+        """`file:line:col: error: message`; line 0 means no position, and
         the position is left out."""
         where = f"{filename}:{self.line}:{self.col}" if self.line else filename
-        return f"{where}: {self.severity}: {self.message}"
+        return f"{where}: error: {self.message}"
 
 
 class DiagnosticError(Exception):

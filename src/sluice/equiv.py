@@ -176,18 +176,24 @@ def _b2_candidates(g: Grammar, y: int, steps: int) -> list[Word]:
 
 
 def simplify(g: Grammar, pairs: Iterable[WordPair], history: Iterable[WordPair],
-             witnesses: dict[tuple[int, int], list[Word]], budget: Budget) -> set[Node]:
+             budget: Budget) -> set[Node]:
     """Shrink a node with the reflexivity (R), congruence (C), and
     decomposition (B1/B2) rules to a fixed point.
     B2 branches: one sibling per candidate witness plus one keeping the pair
     untouched, so the result is a set of alternative nodes.
 
+    B2 decomposes a pair (X gamma, Y delta), norm(X) <= norm(Y), only when
+    gamma is non-empty. With gamma empty, every witness child holds the pair
+    ((), beta delta): if beta delta is non-empty, that pair is not bisimilar
+    (the empty word has no transition), so the child never reaches the empty
+    node; if it is empty, the child only turns (X, Y) into (Y, X), which the
+    untouched sibling already covers.
+
     R, C and B1 read only the node and the history, which is fixed for the
     call, so each distinct node is reduced once and the result reused when
     the node comes back (as the untouched B2 sibling, or as a witness child
-    that coincides with a node already seen). B2's witness lists depend only
-    on the grammar, so `search` passes one `witnesses` dict for the whole
-    query, and each work item popped draws on the query's `budget`."""
+    that coincides with a node already seen). Each work item popped draws on
+    the query's `budget`."""
     hist = frozenset(history)
     hist_rules = index_rules(hist)
     reduced: dict[Node, Node] = {}
@@ -205,15 +211,17 @@ def simplify(g: Grammar, pairs: Iterable[WordPair], history: Iterable[WordPair],
             node = reduced[P] = _reduce(g, P, hist, hist_rules)
         changed = node != P
 
-        # (B2) decompose one pair with distinct normed heads, guessing the
-        # witness among the norm-reducing reachables
+        # (B2) decompose one pair with distinct normed heads whose
+        # smaller-norm side is longer than one symbol, guessing the witness
+        # among the norm-reducing reachables
         target = None
         for p in sorted(node):
             u, v = p
             if p in b2done or not u or not v:
                 continue
             nu, nv = g.norms.get(u[0]), g.norms.get(v[0])
-            if u[0] != v[0] and nu is not None and nv is not None:
+            if (u[0] != v[0] and nu is not None and nv is not None
+                    and len(u if nu <= nv else v) > 1):
                 target = p
                 break
         if target is not None:
@@ -224,10 +232,7 @@ def simplify(g: Grammar, pairs: Iterable[WordPair], history: Iterable[WordPair],
             y, delta = v[0], v[1:]
             base = node - {target}
             done = b2done | {target}
-            key = (y, g.norms[x])
-            if key not in witnesses:
-                witnesses[key] = _b2_candidates(g, *key)  # type: ignore[arg-type]
-            for beta in witnesses[key]:
+            for beta in _b2_candidates(g, y, g.norms[x]):  # type: ignore[arg-type]
                 child = base | {((y,), (x,) + beta), (gamma, beta + delta)}
                 work.append((_canon_pairs(g, child), done))
             work.append((node, done))
@@ -292,8 +297,11 @@ class _Entry:
 # keeps one level of margin over the deepest refutation and cuts a ladder
 # pass's `step` calls from about 111,000 to 17,500.
 #
-# Width guards against a blow-up only: no recorded probe comes near it (the
-# widest level is 140 pairs on the ladder and at most 16 on either corpus).
+# Width: no recorded probe comes near the cap (the widest level is 14 pairs
+# on the ladder, 15 on the verdict corpus and 39 on its deep suite), but it
+# is load-bearing. Levels grow as n^depth on an equivalent recursion with n
+# labels whose branches distribute a trailing message; at n = 4 the query
+# makes about 1,400 `step` calls with the cap and 233,000 without it.
 _PROBE_DEPTH = 8
 _PROBE_WIDTH = 192
 
@@ -338,7 +346,6 @@ def search(g: Grammar, w1: Word, w2: Word, budget: int = DEFAULT_BUDGET,
     _push(frontier, _Entry(root, frozenset(), 0), next(pushes))
     visited = {root}
     probe_cache: dict[WordPair, bool] = {}
-    witnesses: dict[tuple[int, int], list[Word]] = {}
     quota = Budget(budget)
 
     while frontier:
@@ -356,7 +363,7 @@ def search(g: Grammar, w1: Word, w2: Word, budget: int = DEFAULT_BUDGET,
             continue
 
         assumed = entry.history | entry.pairs
-        siblings = simplify(g, expanded, assumed, witnesses, quota)
+        siblings = simplify(g, expanded, assumed, quota)
         child_history = assumed | expanded
 
         pushed = 0

@@ -247,26 +247,16 @@ class _P:
             return "_"
         return self.expect("lident", what="binder").text
 
-    def _starts_branch_pattern(self) -> bool:
-        # `Ctor x y ->` or `Label x ->` begins the next branch of the
-        # enclosing case/match; application must not swallow it.
+    def _branch_pattern(self) -> int | None:
+        """The binder count of a `Name binder* ->` ahead, else None. Such a
+        pattern begins the next branch of the enclosing case (any count) or
+        match (exactly one); application must not swallow it."""
         if self.peek().kind != "uident":
-            return False
+            return None
         j = 1
         while self.peek(j).kind == "lident" or (self.peek(j).kind == "sym" and self.peek(j).text == "_"):
             j += 1
-        return self.peek(j).kind == "sym" and self.peek(j).text == "->"
-
-    def _starts_match_pattern(self) -> bool:
-        # match branches are exactly `Label binder ->`; anything else after a
-        # nested match belongs to the enclosing construct
-        if self.peek().kind != "uident":
-            return False
-        second = self.peek(1)
-        if not (second.kind == "lident" or (second.kind == "sym" and second.text == "_")):
-            return False
-        third = self.peek(2)
-        return third.kind == "sym" and third.text == "->"
+        return j - 1 if self.peek(j).kind == "sym" and self.peek(j).text == "->" else None
 
     def _app(self) -> S.Expr:
         head = self._prefix()
@@ -274,7 +264,7 @@ class _P:
             t = self.peek()
             if not (t.kind in ("int", "char", "lident")
                     or t.kind == "sym" and t.text == "("
-                    or t.kind == "uident" and not self._starts_branch_pattern()):
+                    or t.kind == "uident" and self._branch_pattern() is None):
                 return head
             head = S.App(head, self._atom(), pos=(t.line, t.col))
 
@@ -342,7 +332,7 @@ class _P:
                 params.append(self._binder())
             self.expect("sym", "->")
             branches.append((ctor, tuple(params), self.expr()))
-            if self._another_branch(self._starts_branch_pattern):
+            if self._another_branch(lambda: self._branch_pattern() is not None):
                 continue
             return branches
 
@@ -354,7 +344,7 @@ class _P:
             binder = self._binder()
             self.expect("sym", "->")
             branches.append((label, binder, self.expr()))
-            if self._another_branch(self._starts_match_pattern):
+            if self._another_branch(lambda: self._branch_pattern() == 1):
                 continue
             return branches
 
@@ -501,9 +491,7 @@ def parse_program(source: str) -> tuple[S.Program | None, list[Diagnostic]]:
     for name, s in prog.signatures.items():
         if name not in prog.definitions:
             diags.append(Diagnostic(s.pos[0], s.pos[1], f"signature for {name} has no definition"))
-    if diags:
-        return prog, diags
-    return prog, []
+    return prog, diags
 
 
 def _within_stack(p: _P, rule: Callable[[_P], _T]) -> _T:

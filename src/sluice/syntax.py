@@ -239,7 +239,11 @@ class NoHead(Exception):
 
 
 # Contractive types reach an action after a few unfoldings of `rec` and of
-# names; this only stops the loop on non-contractive input.
+# names; this only stops the loop on non-contractive input. No loop check
+# can replace the count: unfolding `rec x. rec y. x` never meets the same
+# object again, only an equal one, and type equality recurses; binder names
+# cannot key one either, as `(rec x. Skip);(rec x. !Int;x)` meets `x` twice
+# and is contractive.
 MAX_UNFOLDINGS = 10_000
 
 

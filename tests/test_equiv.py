@@ -23,7 +23,7 @@ from oracles import (
     congruence_closure, k_bisimilar_types, pairwise_congruence_closure,
     regular_equivalent, scanning_congruent,
 )
-from verdict_corpus import SEED, SUITES, ladder_queries, search_line
+from verdict_corpus import SEED, SUITES, ladder_queries, search_line, unfoldings
 
 TREE_C = parse_type("rec x. +{Leaf: Skip, Node: !Int;x;x;?Int}")
 TREE_CHANNEL = parse_type("rec x. +{Leaf: Skip, Node: !Int;x;x}")
@@ -35,10 +35,9 @@ def congruent_in(pair, rel):
     return congruent(pair, index_rules(rel), {}, rel)
 
 
-def simplify_alone(g, pairs, history, witnesses=None):
-    """`simplify` outside a search: its own witness table unless one is
-    given, and a fresh default budget."""
-    return simplify(g, pairs, history, {} if witnesses is None else witnesses, Budget())
+def simplify_alone(g, pairs, history):
+    """`simplify` outside a search, with a fresh default budget."""
+    return simplify(g, pairs, history, Budget())
 
 
 def tree_grammar():
@@ -198,32 +197,28 @@ class TestSimplify:
         assert out == {frozenset()}
 
     def test_b2_keeps_an_unchanged_sibling(self):
-        t1 = parse_type("!Int;?Bool")
+        t1 = parse_type("!Int;?Bool;!Char")
         t2 = parse_type("!Int;?Char")
         g, w1, w2 = build(t1, t2)
         compute_norms(g)
         prune(g)
         out = simplify_alone(g, {(w1, w2)}, [])
         # the shared normed head cancels first; the decomposed pair survives
-        # untouched in one sibling
+        # untouched in one sibling, next to the witness children
         reduced = (w1[1:], w2[1:])
+        assert len(reduced[0]) == 2 and len(reduced[1]) == 1
         assert frozenset({reduced}) in out
+        assert len(out) > 1
         assert all(isinstance(node, frozenset) for node in out)
 
-    def test_shared_witnesses_change_nothing(self):
-        # search hands one witness dict to every simplify call of a query, so
-        # a list stored for one decomposition must be right for all later ones
-        rng = random.Random(61)
-        keys = 0
-        for _, _, g, _, _ in small_instances(rng, 30):
-            shared: dict = {}
-            normed = sorted(nt for nt, n in g.norms.items() if n)
-            for x in normed:
-                for y in normed:
-                    pairs = {((x,), (y,)), ((y, x), (x, y))}
-                    assert simplify_alone(g, pairs, [], shared) == simplify_alone(g, pairs, [])
-            keys += len(shared)
-        assert keys >= 40
+    def test_b2_skips_a_single_symbol_side(self):
+        # every witness child of (X, Y) is dead or the swapped pair (Y, X),
+        # so the pair is left as it is
+        g, w1, w2 = build(parse_type("!Int;?Bool"), parse_type("!Int;?Char"))
+        compute_norms(g)
+        prune(g)
+        out = simplify_alone(g, {(w1, w2)}, [])
+        assert out == {frozenset({(w1[1:], w2[1:])})}
 
 
 class TestSearchBasics:
@@ -353,6 +348,30 @@ class TestProbeDepth:
         assert deepest == 6
 
 
+class TestProbeWidth:
+    """The width cap is load-bearing: on this equivalent pair, the probe's
+    levels grow as n^depth with n labels."""
+
+    def test_the_cap_keeps_a_widening_probe_small(self, monkeypatch):
+        msgs = ("!Int", "?Int", "!Char", "?Bool")
+        t1 = parse_type("rec x. +{" + "".join(
+            f"L{i}: x;+{{A: {m}, B: ?Char}};!Bool, " for i, m in enumerate(msgs)) + "End: Skip}")
+        t2 = parse_type("rec x. +{" + "".join(
+            f"L{i}: x;+{{A: {m};!Bool, B: ?Char;!Bool}}, " for i, m in enumerate(msgs))
+            + "End: Skip}")
+        calls = 0
+
+        def counting(g, w):
+            nonlocal calls
+            calls += 1
+            return step(g, w)
+
+        monkeypatch.setattr(E, "step", counting)
+        assert equivalent(t1, t2)
+        # about 1,400 with the cap, 233,000 without it
+        assert calls < 5_000
+
+
 class TestFrontierOrder:
     def drain(self, nodes):
         frontier = []
@@ -369,15 +388,13 @@ class TestFrontierOrder:
 
     def test_a_deep_lawified_pair_takes_the_small_nodes(self):
         # A tree recursion against a lawified 5-fold unfolding: a key that
-        # takes the node with fewer pairs first processes 26 nodes here, one
-        # that takes the smaller node first 15.
+        # takes the node with fewer pairs first processes 10 nodes here, one
+        # that takes the smaller node first 6.
         tree = parse_type("rec x. +{Leaf: Skip, Node: !Int;!Int;x;x;?Int;?Int}")
-        unfolded = tree
-        for _ in range(5):
-            unfolded = S.subst(tree.body, {tree.var: unfolded})
+        *_, unfolded = unfoldings(tree, 5)
         lawified = lawify(random.Random(9), unfolded)
         _, letter, nodes, _ = search_line("deep", tree, lawified).rsplit(" ", 3)
-        assert (letter, int(nodes)) == ("E", 15)
+        assert (letter, int(nodes)) == ("E", 6)
 
     def test_equal_keys_come_out_in_push_order(self):
         nodes = [{((1,), (2,))}, {((3,), (4,))}, {((2,), (1,))}, {((5,), (6,))}]
@@ -460,15 +477,12 @@ class TestLadder:
             assert equivalent(TREE_C, unfolded), k
             assert not equivalent(TREE_C, receive_bool(unfolded)), k
 
-    def test_each_rung_processes_two_nodes_per_unfolding(self):
-        # smallest node first: two single-pair nodes per unfolding on the
-        # way to the empty node
-        unfolded = TREE_C
-        for k in range(1, 11):
-            unfolded = S.subst(TREE_C.body, {TREE_C.var: unfolded})
-            if k >= 2:
-                name, letter, nodes, _ = search_line(f"ladder {k}", TREE_C, unfolded).rsplit(" ", 3)
-                assert (letter, int(nodes)) == ("E", 2 * (k - 1)), name
+    def test_each_rung_processes_one_node_per_unfolding(self):
+        # smallest node first: one single-pair node per unfolding on the way
+        # to the empty node
+        for k, unfolded in enumerate(unfoldings(TREE_C, 10), 1):
+            name, letter, nodes, _ = search_line(f"ladder {k}", TREE_C, unfolded).rsplit(" ", 3)
+            assert (letter, int(nodes)) == ("E", k), name
 
     def test_shared_rungs_grow_linearly(self):
         # The 20-fold unfolding has 2^20 paths to its innermost copy but four

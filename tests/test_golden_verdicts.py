@@ -5,10 +5,13 @@ verdict_corpus.py)."""
 import random
 
 from sluice import syntax as S
+from sluice.grammar import build
 
+from oracles import k_bisimilar_words
 from verdict_corpus import (
-    LADDER, SEED, SUITES, compute, compute_frontend, compute_grammars,
-    compute_traces, read_frontend, read_golden, read_grammars, read_traces,
+    LADDER, SEED, SUITES, VERDICT_SUITES, compute, compute_frontend,
+    compute_grammars, compute_traces, read_frontend, read_golden,
+    read_grammars, read_traces,
 )
 
 
@@ -17,7 +20,7 @@ def test_every_recorded_verdict_is_reproduced():
     assert sum(map(len, golden.values())) >= 10_000
     current = compute()
     assert list(current) == list(golden)
-    for name, draw in SUITES:
+    for name, draw in VERDICT_SUITES:
         if current[name] == golden[name]:
             continue
         pairs = list(draw(random.Random(f"{SEED}:{name}")))
@@ -25,6 +28,19 @@ def test_every_recorded_verdict_is_reproduced():
                  f"{golden[name][i]} -> {now}"
                  for i, now in enumerate(current[name]) if now != golden[name][i]]
         raise AssertionError(f"{len(flips)} {name} verdicts changed:\n" + "\n".join(flips[:10]))
+
+
+def test_the_deep_suite_agrees_with_a_product_walk():
+    # A depth-18 walk of the product of the two words refutes every recorded
+    # N of the deep suite and finds no mismatch on any recorded E.
+    letters = read_golden()["deep"]
+    assert "I" not in letters
+    pairs = list(dict(VERDICT_SUITES)["deep"](random.Random(f"{SEED}:deep")))
+    assert len(pairs) == len(letters)
+    for (t1, t2), letter in zip(pairs, letters):
+        g, w1, w2 = build(t1, t2)
+        assert k_bisimilar_words(g, w1, w2, 18) == (letter == "E"), \
+            (letter, S.pretty(t1), S.pretty(t2))
 
 
 def test_every_recorded_search_is_reproduced():

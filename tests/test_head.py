@@ -69,6 +69,7 @@ def test_terminated_and_open_heads():
 
 @pytest.mark.parametrize("t", [
     Rec("x", TVar("x")),
+    Rec("x", Rec("y", TVar("x"))),
     Rec("x", Semi(TVar("x"), INT_OUT)),
     Basic("Int"),
     Semi(Skip(), Basic("Int")),

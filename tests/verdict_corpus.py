@@ -7,6 +7,12 @@ perturbed or fresh partner. `golden/verdicts.txt` holds one letter per pair
 (E equivalent, N not equivalent, I inconclusive), so a change to the decider
 that flips any verdict shows up as a diff.
 
+The `deep` suite holds few, large pairs, recorded by verdict only: tree
+recursions with one to three `x` against their plain, perturbed and
+lawified 1- to 5-fold unfoldings, depth-7/8 sessions against two rounds of
+`lawify`, and two perturbed 5-fold unfoldings of a three-`x` tree that
+once ran out of budget.
+
 `golden/search_traces.txt` records the shape of the search on fewer
 queries: the TreeC ladder (TreeC against its k-fold unfoldings, k = 1..8,
 and against their ?Bool variants) and every `TRACE_STRIDE`-th corpus pair.
@@ -74,6 +80,12 @@ TRACE_STRIDE = 20
 MUTANTS = 150
 SOUP = 400
 LET_DEPTH = 50
+DEEP_TREES = ("rec x. +{Leaf: Skip, Node: !Bool;x}",
+              "rec x. +{Leaf: Skip, Node: !Bool;x;x}",
+              "rec x. +{Leaf: Skip, Node: !Bool;x;x;x}")
+DEEP_FOLDS = 5
+DEEP_SESSIONS = 20
+DEEP_SEEDS = (3, 7)
 
 Pair = tuple[Type, Type]
 
@@ -111,7 +123,34 @@ def _regular(rng: random.Random) -> Iterator[Pair]:
         yield t1, t2
 
 
+def unfoldings(tree: Type, folds: int) -> Iterator[Type]:
+    """The 1- to `folds`-fold unfoldings of a `rec` type, each holding the
+    previous one at every site of the variable, as one shared object."""
+    unfolded = tree
+    for _ in range(folds):
+        unfolded = S.subst(tree.body, {tree.var: unfolded})
+        yield unfolded
+
+
+def _deep(rng: random.Random) -> Iterator[Pair]:
+    for source in DEEP_TREES:
+        tree = parse_type(source)
+        for unfolded in unfoldings(tree, DEEP_FOLDS):
+            yield tree, unfolded
+            yield tree, perturb(rng, unfolded)
+            yield tree, lawify(rng, unfolded)
+    for _ in range(DEEP_SESSIONS):
+        t = rand_session(rng, rng.randint(7, 8))
+        yield t, lawify(rng, lawify(rng, t))
+    tree = parse_type(DEEP_TREES[-1])
+    *_, unfolded = unfoldings(tree, DEEP_FOLDS)
+    for seed in DEEP_SEEDS:
+        yield tree, perturb(random.Random(seed), unfolded)
+
+
 SUITES = (("laws", _laws), ("perturbed", _perturbed), ("regular", _regular))
+# the suites of verdicts.txt; search traces and grammars cover `SUITES` only
+VERDICT_SUITES = SUITES + (("deep", _deep),)
 
 
 def verdict(t1: Type, t2: Type, trace: TraceFn | None = None) -> str:
@@ -124,7 +163,7 @@ def verdict(t1: Type, t2: Type, trace: TraceFn | None = None) -> str:
 def compute() -> dict[str, str]:
     """Each suite's verdicts, one letter per pair, in drawing order."""
     out = {}
-    for name, draw in SUITES:
+    for name, draw in VERDICT_SUITES:
         rng = random.Random(f"{SEED}:{name}")
         out[name] = "".join(verdict(t1, t2) for t1, t2 in draw(rng))
     return out
@@ -162,13 +201,9 @@ def write_golden(verdicts: dict[str, str]) -> None:
 
 def ladder_queries() -> Iterator[tuple[str, Pair]]:
     """TreeC against its k-fold unfolding and against that unfolding's ?Bool
-    variant, k = 1..LADDER, named `ladder <k>` and `ladder-bool <k>`. Each
-    unfolding holds the previous one at both `x` sites, as one shared
-    object."""
+    variant, k = 1..LADDER, named `ladder <k>` and `ladder-bool <k>`."""
     tree_c = parse_type(TREE_C)
-    unfolded = tree_c
-    for k in range(1, LADDER + 1):
-        unfolded = S.subst(tree_c.body, {tree_c.var: unfolded})
+    for k, unfolded in enumerate(unfoldings(tree_c, LADDER), 1):
         yield f"ladder {k}", (tree_c, unfolded)
         yield f"ladder-bool {k}", (tree_c, receive_bool(unfolded))
 
