@@ -13,10 +13,21 @@ Almeida, Mordido and Vasconcelos, TACAS 2020),
 `compute_norms` (least fixed point of the shortest-termination measure), and
 `prune` (truncate production tails that sit behind an unnormed symbol and can
 never be reached).
+
+An equivalence session (`equiv.Session`) keeps one `_Builder` for a whole
+program and translates each query's types into the grammar it has grown so
+far, so a name or type translated before costs a memo lookup. Norms and
+pruning then run on the nonterminals added since the last search only:
+`compute_norms` and `prune` take the count of nonterminals already done. A
+nonterminal added by a finished translation reaches only nonterminals that
+existed when that translation ended, so its norm and its truncated tails are
+final. Within one translation an earlier nonterminal does refer to later
+ones, which is why the new ones are normed together.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -50,13 +61,6 @@ def step(g: Grammar, w: Word) -> dict[Terminal, Word]:
 # Translation
 
 
-def normalize(t: Type) -> Type:
-    """Skip-normalization: quotient by the monoid laws so the empty word is
-    the unique image of terminated behavior, and drop vacuous recursion.
-    A subterm that is already normal comes back as the same object."""
-    return _Builder({}).normal(t)[0]
-
-
 # A key identifies a type up to alpha-equivalence: a short tuple for a leaf,
 # an interned int for a composite type.
 Key = object
@@ -70,8 +74,10 @@ class _Builder:
     when an inner recursion starts by running an outer one. A name is keyed
     by itself, so it is one nonterminal however often it occurs. `word`
     queues each new nonterminal with its head actions on `pending`, for
-    `build` to fill in, so only a `;` spine costs Python stack. A type with
-    an empty head (a name for Skip) is the empty word."""
+    `words` to fill in, so only a `;` spine costs Python stack. A type with
+    an empty head (a name for Skip) is the empty word. One builder can
+    translate any number of batches of types: what an earlier batch
+    translated is reused, and each batch only adds nonterminals."""
 
     def __init__(self, names: Mapping[str, Type]) -> None:
         self.names = names
@@ -175,19 +181,27 @@ class _Builder:
                 self.pending.append((prods, actions))
         return w
 
+    def words(self, *types: Type) -> list[Word]:
+        """The start words of `types`, with every nonterminal they reach
+        filled in. This one worklist loop fills in every nonterminal's
+        productions."""
+        word, pending = self.word, self.pending
+        out = [word(t) for t in types]
+        while pending:  # filling one nonterminal may queue more
+            prods, actions = pending.pop()
+            for a, k in actions.items():
+                prods[a] = word(k)
+        return out
+
 
 def build(*types: Type, names: Mapping[str, Type] | None = None) -> tuple:
     """Translate session types into one shared grammar, returning
     `(grammar, *start_words)`. Inputs must be contractive. `names` maps each
     abbreviation the types reach to its body. Structurally identical subterms
     share nonterminals, so building the same type twice yields the same start
-    word. This one worklist loop fills in every nonterminal's productions."""
+    word."""
     b = _Builder(names or {})
-    words = [b.word(t) for t in types]
-    while b.pending:  # filling one nonterminal may queue more
-        prods, actions = b.pending.pop()
-        for a, k in actions.items():
-            prods[a] = b.word(k)
+    words = b.words(*types)
     return (Grammar(b.productions), *words)
 
 
@@ -205,14 +219,18 @@ def word_norm(g: Grammar, w: Word) -> Norm:
     return total
 
 
-def compute_norms(g: Grammar) -> Grammar:
+def compute_norms(g: Grammar, done: int = 0) -> Grammar:
     """Least fixed point, starting from everything unnormed: a nonterminal's
-    norm is one more than the cheapest norm among its production tails."""
-    g.norms = {nt: None for nt in g.productions}
+    norm is one more than the cheapest norm among its production tails.
+    The first `done` nonterminals, in the order they were added, keep the
+    norms they have: their tails reach no later nonterminal."""
+    fresh = list(itertools.islice(g.productions.items(), done, None))
+    for nt, _ in fresh:
+        g.norms[nt] = None
     changed = True
     while changed:
         changed = False
-        for nt, prods in reversed(g.productions.items()):  # tails mostly name later nonterminals
+        for nt, prods in reversed(fresh):  # tails mostly name later nonterminals
             best: Norm = None
             for delta in prods.values():
                 tail = word_norm(g, delta)
@@ -226,10 +244,12 @@ def compute_norms(g: Grammar) -> Grammar:
     return g
 
 
-def prune(g: Grammar) -> Grammar:
+def prune(g: Grammar, done: int = 0) -> Grammar:
     """Truncate every production tail: the symbols behind its first unnormed
-    one can never be reached, so bisimilarity of all words is preserved."""
-    for prods in g.productions.values():
+    one can never be reached, so bisimilarity of all words is preserved.
+    The first `done` nonterminals, in the order they were added, are pruned
+    already."""
+    for prods in itertools.islice(g.productions.values(), done, None):
         for a, delta in prods.items():
             prods[a] = truncate(g, delta)
     return g

@@ -39,6 +39,12 @@ _INT_MAX = 2 ** 63 - 1
 
 # Machine steps a thread takes before the scheduler picks again, so that a
 # thread which never communicates cannot starve the others.
+# `tests/test_runtime.py::test_spinning_thread_does_not_starve_main` pins
+# it: with a slice of 10^8 steps it ran for minutes without finishing. The
+# value trades fairness against scheduling cost. Measured over 10 seeds on
+# a 2-CPU container, that test's program runs in 0.16 ms at 1,000 steps,
+# 2.8 ms at 10^4 and 17 ms at 10^5, while `sumTo 20000` runs in 1.0 s at a
+# slice of 1, 0.24 s at 10 and 0.15-0.19 s from 100 steps up.
 _SLICE = 1000
 
 # Continuation frames one thread may hold. Runaway non-tail recursion ends

@@ -292,28 +292,6 @@ def head(t: Type, names: Mapping[str, Type] | None = None) -> dict[Terminal, Typ
         return {a: seq(k, rest) for a, k in actions}
 
 
-def reassoc_semi(t: Type) -> Type:
-    """Right-associate every sequential composition; used to compare parse trees."""
-    match t:
-        case Semi(Semi(a, b), c):
-            return reassoc_semi(Semi(a, Semi(b, c)))
-        case Semi(lhs, rhs):
-            lhs2 = reassoc_semi(lhs)
-            if isinstance(lhs2, Semi):
-                return reassoc_semi(Semi(lhs2, reassoc_semi(rhs)))
-            return Semi(lhs2, reassoc_semi(rhs))
-        case Arrow(mult, dom, cod):
-            return Arrow(mult, reassoc_semi(dom), reassoc_semi(cod))
-        case Pair(fst, snd):
-            return Pair(reassoc_semi(fst), reassoc_semi(snd))
-        case Choice(view, branches):
-            return Choice(view, tuple((lab, reassoc_semi(ty)) for lab, ty in branches))
-        case Rec(var, body):
-            return Rec(var, reassoc_semi(body))
-        case _:
-            return t
-
-
 # ---------------------------------------------------------------------------
 # Pretty-printing types
 

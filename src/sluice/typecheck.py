@@ -70,12 +70,17 @@ class GlobalEnv:
     datakinds: K.NameKinds = field(default_factory=dict)
     # each abbreviation's body, and each derived dual name's: one system of equations
     abbrevs: dict[str, Type] = field(default_factory=dict)
+    # kinds and equivalence for the whole program, over the two tables above
+    session: equiv.Session = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.session = equiv.Session(self.datakinds, self.abbrevs)
 
     def kind_of(self, kenv: K.KindEnv, t: Type) -> Kind:
-        return K.synth_kind(kenv, t, self.datakinds)
+        return self.session.kind_of(kenv, t)
 
     def equivalent(self, t1: Type, t2: Type, kenv: K.KindEnv) -> bool:
-        return equiv.equivalent(t1, t2, kenv, datakinds=self.datakinds, abbrevs=self.abbrevs)
+        return self.session.equivalent(t1, t2, kenv)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from sluice.equiv import (
     Budget, Inconclusive, _Entry, _push, congruent, equivalent,
     expand, index_rules, search, simplify,
 )
-from sluice.grammar import Terminal, build, compute_norms, prune, step, word_norm
+from sluice.grammar import Grammar, Terminal, build, compute_norms, prune, step, word_norm
 from sluice.parser import parse_type
 from sluice.syntax import Basic, DataRef, Pair, Rec, Semi, TVar, SL, TU
 
@@ -455,11 +455,25 @@ class TestEquivalentLaws:
         synth_kind = K.synth_kind
         monkeypatch.setattr(K, "synth_kind", lambda *args: kinded.append(args) or synth_kind(*args))
         env, names, bodies = {"s": SL, "f": TU}, {"D": TU, "A": SL}, {"A": parse_type("!Int")}
-        chain = parse_type("!Int;?Bool")
-        for _ in range(50):
-            chain = S.Arrow(S.UNRESTRICTED, Pair(TVar("s"), DataRef("D")), chain)
-        assert equivalent(chain, chain, env, datakinds=names)
-        assert len(kinded) == 2
+
+        def chain():
+            out = parse_type("!Int;?Bool")
+            for _ in range(50):
+                out = S.Arrow(S.UNRESTRICTED, Pair(TVar("s"), DataRef("D")), out)
+            return out
+
+        # only root objects are kinded, and one object once
+        c1, c2 = chain(), chain()
+        assert equivalent(c1, c2, env, datakinds=names)
+        assert equivalent(c1, c1, env, datakinds=names)
+        assert len(kinded) == 3 and all(a[1] is b for a, b in zip(kinded, (c1, c2, c1)))
+        # a session kinds each (object, env) pair once over all its queries
+        kinded.clear()
+        session = E.Session(names, {})
+        for _ in range(3):
+            assert session.equivalent(c1, c2, env)
+            assert session.equivalent(c2, c1, env)
+        assert len(kinded) == 2 and kinded[0][1] is c1 and kinded[1][1] is c2
         assert not equivalent(Pair(TVar("s"), TVar("f")), Pair(TVar("f"), TVar("f")), env)
         assert not equivalent(Pair(DataRef("A"), DataRef("D")), Pair(DataRef("D"), DataRef("D")),
                               datakinds=names, abbrevs=bodies)
@@ -500,6 +514,21 @@ class TestLadder:
         assert equivalent(TREE_C, unfolded)
         assert not equivalent(TREE_C, variant)
         assert time.perf_counter() - start < 1.0
+
+
+class TestSession:
+    def test_one_growing_grammar_decides_as_fresh_queries(self):
+        # the corpus pairs and the ladder, in turn, through one session: each
+        # search norms and prunes only the nonterminals its query added
+        pairs = [pair for name, draw in SUITES
+                 for pair in list(draw(random.Random(f"{SEED}:{name}")))[:150]]
+        pairs += [pair for _, pair in ladder_queries()]
+        session = E.Session({}, {})
+        verdicts = [session.equivalent(t1, t2, {}) for t1, t2 in pairs]
+        assert verdicts == [equivalent(t1, t2) for t1, t2 in pairs]
+        assert 100 < verdicts.count(False) < len(pairs) - 100
+        g = session.grammar
+        assert g.norms == compute_norms(Grammar(dict(g.productions))).norms
 
 
 class TestEquivalenceRelation:

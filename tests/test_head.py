@@ -10,6 +10,7 @@ from sluice.syntax import Basic, Choice, Message, Rec, Semi, Skip, TVar, Termina
 
 from gen import lawify, rand_regular, rand_session
 from oracles import _skip_elim, type_step
+from test_syntax import reassoc_semi
 
 INT_OUT = Message(S.OUT, "Int")
 DEPTH = 5000
@@ -33,7 +34,7 @@ def _alpha(t, bound=()):
 def _up_to_laws(t):
     """Canonical form modulo the Skip laws, associativity of `;` and
     alpha-renaming."""
-    return _alpha(S.reassoc_semi(_skip_elim(t)))
+    return _alpha(reassoc_semi(_skip_elim(t)))
 
 
 def _seeded_types():

@@ -9,10 +9,32 @@ from sluice.diagnostics import DiagnosticError
 from sluice.parser import parse_expr, parse_program, parse_scheme, parse_type
 from sluice.syntax import (
     Skip, Semi, Message, Choice, Rec, TVar, Basic, Arrow, Pair, DataRef,
-    pretty, reassoc_semi,
+    pretty,
 )
 
 from gen import rand_session
+
+
+def reassoc_semi(t):
+    """Right-associate every sequential composition; used to compare parse trees."""
+    match t:
+        case Semi(Semi(a, b), c):
+            return reassoc_semi(Semi(a, Semi(b, c)))
+        case Semi(lhs, rhs):
+            lhs2 = reassoc_semi(lhs)
+            if isinstance(lhs2, Semi):
+                return reassoc_semi(Semi(lhs2, reassoc_semi(rhs)))
+            return Semi(lhs2, reassoc_semi(rhs))
+        case Arrow(mult, dom, cod):
+            return Arrow(mult, reassoc_semi(dom), reassoc_semi(cod))
+        case Pair(fst, snd):
+            return Pair(reassoc_semi(fst), reassoc_semi(snd))
+        case Choice(view, branches):
+            return Choice(view, tuple((lab, reassoc_semi(ty)) for lab, ty in branches))
+        case Rec(var, body):
+            return Rec(var, reassoc_semi(body))
+        case _:
+            return t
 
 # The tree-transform listing as a self-contained source file: three type
 # abbreviations, one datatype, and three signature/definition pairs.

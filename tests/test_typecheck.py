@@ -5,8 +5,10 @@ import time
 
 import pytest
 
+from sluice import kinds as K
 from sluice import syntax as S
-from sluice.equiv import equivalent
+from sluice.equiv import Session, equivalent
+from sluice.kinds import KindError
 from sluice.parser import parse_expr, parse_program, parse_type
 from sluice.syntax import SL, Scheme, TVar, Basic, Pair
 from sluice.typecheck import (
@@ -15,6 +17,7 @@ from sluice.typecheck import (
 )
 
 from gen import rand_session
+from verdict_corpus import frontend_inputs
 
 TREE_C = parse_type("rec x. +{Leaf: Skip, Node: !Int;x;x;?Int}")
 
@@ -519,29 +522,31 @@ main =
             (11, 19, "in main: type A is ill-formed")]
 
 
+def dense_system(n: int) -> str:
+    """A program over a dense system of 2n names: each client name offers a
+    branch to every name; the server side is written out as its own system,
+    and `s0 b` compares it with the derived dual names."""
+    labels = [f"L{j}" for j in range(n)]
+    src = ""
+    for side, msg in (("A", "!Int"), ("B", "?Int")):
+        view = "+" if side == "A" else "&"
+        body = ", ".join(f"{lab}: {msg};{side}{j}" for j, lab in enumerate(labels))
+        src += "".join(f"type {side}{i} = {view}{{{body}, End: Skip}}\n" for i in range(n))
+    for i in range(n):
+        arms = "".join(f"    {lab} c -> let x, c = receive c in x + s{j} c,\n"
+                       for j, lab in enumerate(labels))
+        src += f"s{i} : B{i} -> Int\ns{i} c =\n  match c with\n{arms}    End c -> 0\n"
+    return src + (f"f : A0 -> A{n - 1}\nf c = send 4 (select L{n - 1} c)\n"
+                  "main : Int\nmain = let a, b = new A0 in\n"
+                  "  let _ = fork (select End (f a)) in s0 b\n")
+
+
 class TestNameSystemSize:
     """Names stay nominal, so a program's abbreviations cost one
     nonterminal each, and the name graph is walked in loops."""
 
     def test_dense_system_checks_fast(self):
-        # each client name offers a branch to every name; the server side is
-        # written out as its own system, and `s0 b` compares it with the
-        # derived dual names
-        n = 8
-        labels = [f"L{j}" for j in range(n)]
-        src = ""
-        for side, msg in (("A", "!Int"), ("B", "?Int")):
-            view = "+" if side == "A" else "&"
-            body = ", ".join(f"{lab}: {msg};{side}{j}" for j, lab in enumerate(labels))
-            src += "".join(f"type {side}{i} = {view}{{{body}, End: Skip}}\n" for i in range(n))
-        for i in range(n):
-            arms = "".join(f"    {lab} c -> let x, c = receive c in x + s{j} c,\n"
-                           for j, lab in enumerate(labels))
-            src += f"s{i} : B{i} -> Int\ns{i} c =\n  match c with\n{arms}    End c -> 0\n"
-        src += ("f : A0 -> A7\nf c = send 4 (select L7 c)\n"
-                "main : Int\nmain = let a, b = new A0 in\n"
-                "  let _ = fork (select End (f a)) in s0 b\n")
-        prog, diags = parse_program(src)
+        prog, diags = parse_program(dense_system(8))
         assert not diags
         start = time.perf_counter()
         assert check_program(prog) == []
@@ -572,6 +577,100 @@ class TestNameSystemSize:
                 "main : Int\nmain = let a, b = new A0 in let _ = f a in\n"
                 "  let x, _ = receive b in x\n")
         assert check_source(src) == []
+
+
+class TestSession:
+    """A program's queries share one `equiv.Session`: kinds are kept per
+    (type, kind env) and one grammar grows across queries."""
+
+    @staticmethod
+    def recorded_queries(monkeypatch, sources):
+        """Every `GlobalEnv.equivalent` query `check_program` makes on the
+        sources that parse: (env, t1, t2, kenv, verdict or exception type)."""
+        queries = []
+        original = GlobalEnv.equivalent
+
+        def spy(env, t1, t2, kenv):
+            try:
+                out = original(env, t1, t2, kenv)
+            except Exception as exc:
+                queries.append((env, t1, t2, kenv, type(exc)))
+                raise
+            queries.append((env, t1, t2, kenv, out))
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(GlobalEnv, "equivalent", spy)
+            for src in sources:
+                prog, diags = parse_program(src)
+                if prog is not None and not diags:
+                    check_program(prog)
+        return queries
+
+    def test_session_verdicts_equal_fresh_queries(self, monkeypatch):
+        sources = [src for name, srcs in frontend_inputs()
+                   if name.startswith(("program ", "mutants ")) for src in srcs]
+        assert len(sources) == 4 + 4 * 150
+        sources.append(dense_system(8))
+        queries = self.recorded_queries(monkeypatch, sources)
+        assert len(queries) > 1000
+        assert any(out is False for *_, out in queries)
+        for env, t1, t2, kenv, out in queries:
+            try:
+                fresh = equivalent(t1, t2, kenv, datakinds=env.datakinds, abbrevs=env.abbrevs)
+            except Exception as exc:
+                fresh = type(exc)
+            assert fresh == out, (S.pretty(t1), S.pretty(t2))
+
+    def test_a_translated_name_adds_no_nonterminals(self):
+        prog, diags = parse_program(dense_system(3))
+        assert not diags
+        session = build_global_env(prog, []).session
+        body = "+{L0: !Int;A0, L1: !Int;A1, L2: !Int;A2, End: Skip}"
+        assert session.equivalent(S.DataRef("A0"), parse_type(body), {})
+        size = len(session.grammar.productions)
+        assert size > 0
+        # new objects, the same name and parts already translated
+        assert session.equivalent(parse_type(body), S.DataRef("A0"), {})
+        assert not session.equivalent(parse_type("!Int;A1"), S.DataRef("A2"), {})
+        assert len(session.grammar.productions) == size
+
+    def test_one_kind_env_is_kinded_once_per_type(self, monkeypatch):
+        # every `+` in a let chain compares the same Int object, under the
+        # one kind env of `main`, which has no binders
+        kinded = []
+        synth_kind = K.synth_kind
+        monkeypatch.setattr(K, "synth_kind", lambda *args: kinded.append(args) or synth_kind(*args))
+        lines = ["main : Int", "main =", "  let x0 = 0 in"]
+        lines += [f"  let x{i} = x{i - 1} + 1 in" for i in range(1, 200)]
+        assert check_source("\n".join(lines + ["  x199\n"])) == []
+        assert len(kinded) < 10
+
+    def test_a_kind_error_is_raised_on_every_query(self):
+        session = Session({}, {})
+        for _ in range(3):
+            with pytest.raises(KindError):
+                session.equivalent(TVar("x"), TVar("x"), {})
+            with pytest.raises(KindError):
+                session.kind_of({}, S.Rec("x", TVar("x")))
+
+    def test_a_failed_translation_leaves_no_half_filled_nonterminal(self, monkeypatch):
+        # `head` fails on its third call, while the second nonterminal is
+        # being filled; the next query must not see that nonterminal
+        unfolded = S.subst(TREE_C.body, {TREE_C.var: TREE_C})
+        session, calls, head = Session({}, {}), [], S.head
+
+        def failing(t, names=None):
+            calls.append(t)
+            if len(calls) == 3:
+                raise RecursionError
+            return head(t, names)
+
+        monkeypatch.setattr(S, "head", failing)
+        with pytest.raises(RecursionError):
+            session.equivalent(TREE_C, unfolded, {})
+        assert session.equivalent(TREE_C, unfolded, {})
+        assert session.equivalent(unfolded, TREE_C, {})
 
 
 class TestCheckAgainst:
