@@ -19,9 +19,10 @@ Reflexivity applies to the root first: one object, or equal start words,
 answer a query before norms, pruning and search. The refutation probe skips
 reflexive pairs.
 
-Functional types compare structurally, descending into session components
-with the same machinery. A `Session` answers all the queries of one program:
-it kinds each type once per kind env and grows one grammar across queries;
+Every type is decided this way: arrows, pairs, basic types and datatype
+names are grammar nonterminals too (see `grammar`), so a functional query is
+one search. A `Session` answers all the queries of one program: it kinds
+each type once per kind env and grows one grammar across queries;
 `equivalent` is a session of one query.
 """
 
@@ -33,15 +34,12 @@ from dataclasses import dataclass
 from typing import Callable, Container, Iterable, Mapping, Optional
 
 from . import kinds as K
-from . import syntax as S
 # `build` is not called here; it stays an attribute of this module because
 # the benchmark's tracer wraps `equiv.build`
 from .grammar import (  # noqa: F401
     Grammar, Word, _Builder, build, compute_norms, prune, step, truncate, word_norm,
 )
-from .syntax import (
-    Basic, Arrow, Pair, DataRef, TVar, Kind, Type, SESSION,
-)
+from .syntax import Kind, Type
 
 WordPair = tuple[Word, Word]
 Node = frozenset[WordPair]
@@ -398,27 +396,14 @@ def search(g: Grammar, w1: Word, w2: Word, budget: int = DEFAULT_BUDGET,
 # The public decision procedure
 
 
-def _is_session(t: Type, env: K.KindEnv, datakinds: K.NameKinds) -> bool:
-    """The prekind of a part of a well-kinded type, read off its syntax: a
-    variable's from `env`, a name's from `datakinds`."""
-    match t:
-        case Basic() | Arrow() | Pair():
-            return False
-        case TVar(name):
-            return env[name].prekind == SESSION
-        case DataRef(name):
-            return datakinds[name].prekind == SESSION  # type: ignore[union-attr]
-    return True
-
-
 class Session:
     """The equivalence queries of one program, over its tables of name kinds
     (`datakinds`) and abbreviation bodies (`abbrevs`).
 
     Kinds are kept per (type object, kind env object); both objects are
     held, so their ids stay theirs. A `KindError` is raised again on every
-    query, never kept. Session components of every query are translated into
-    one grammar that grows across queries, so a name or type translated
+    query, never kept. The types of every query are translated into one
+    grammar that grows across queries, so a name or type translated
     before costs a memo lookup, and norms and pruning run only on the
     nonterminals that each search adds. Each search has its own budget."""
 
@@ -449,41 +434,13 @@ class Session:
         """`equivalent` for two types of the program, kinded under `env`."""
         self.kind_of(env, t1)
         self.kind_of(env, t2)
-        return self._descend(t1, t2, env, DEFAULT_BUDGET, None)
-
-    def _descend(self, a: Type, b: Type, env: K.KindEnv, budget: int,
-                 trace: TraceFn | None) -> bool:
-        """Equivalence of two kinded types: session types by their grammar
-        words, functional types structurally. One object is equivalent to
-        itself at every level, traced as reflexivity at the root is."""
-        if a is b:
-            if trace:
-                trace(0, 0, "empty: equivalent")
-            return True
-        on_session = _is_session(a, env, self.datakinds)
-        if on_session != _is_session(b, env, self.datakinds):
-            return False
-        if on_session:
-            return self._bisimilar(a, b, budget, trace)
-        match (a, b):
-            case (Basic(x), Basic(y)):
-                return x == y
-            case (TVar(x), TVar(y)):
-                return x == y
-            case (DataRef(x), DataRef(y)):
-                return x == y
-            case (Arrow(m1, d1, c1), Arrow(m2, d2, c2)):
-                return (m1 == m2 and self._descend(d1, d2, env, budget, trace)
-                        and self._descend(c1, c2, env, budget, trace))
-            case (Pair(f1, s1), Pair(f2, s2)):
-                return (self._descend(f1, f2, env, budget, trace)
-                        and self._descend(s1, s2, env, budget, trace))
-            case _:
-                return False
+        return self._bisimilar(t1, t2, DEFAULT_BUDGET, None)
 
     def _bisimilar(self, a: Type, b: Type, budget: int, trace: TraceFn | None) -> bool:
+        """Bisimilarity of the start words of two kinded types; one object
+        is equivalent to itself untranslated."""
         try:
-            wa, wb = self._builder.words(a, b)
+            wa, wb = ((), ()) if a is b else self._builder.words(a, b)
         except BaseException:
             self._restart()  # a nonterminal may be left half filled
             raise
@@ -500,19 +457,18 @@ class Session:
 
 
 def equivalent(t1: Type, t2: Type, env: K.KindEnv | None = None, *,
-               datakinds: dict[str, S.Kind | None] | None = None,
+               datakinds: K.NameKinds | None = None,
                abbrevs: Mapping[str, Type] | None = None,
                budget: int = DEFAULT_BUDGET,
                trace: TraceFn | None = None) -> bool:
-    """Sound-and-complete equivalence of kinded types. Session types go
-    through the grammar pipeline; functional types descend structurally,
-    comparing session components the same way. Comparing a session type
-    against a functional one is False, not an error. `datakinds` and
-    `abbrevs` are the program's tables of name kinds and abbreviation bodies.
-    This is a session of one query, kinded directly."""
+    """Sound-and-complete equivalence of kinded types, session and
+    functional alike. Comparing a session type against a functional one is
+    False, not an error. `datakinds` and `abbrevs` are the program's tables
+    of name kinds and abbreviation bodies. This is a session of one query,
+    kinded directly."""
     env = env or {}
     dk = datakinds or {}
     K.synth_kind(env, t1, dk)
     if t2 is not t1:
         K.synth_kind(env, t2, dk)
-    return Session(dk, abbrevs or {})._descend(t1, t2, env, budget, trace)
+    return Session(dk, abbrevs or {})._bisimilar(t1, t2, budget, trace)

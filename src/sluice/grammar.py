@@ -1,13 +1,18 @@
-"""Session types as deterministic grammars in Greibach normal form.
+"""Types as deterministic grammars in Greibach normal form.
 
-Every session type maps to a word of nonterminals; the empty word is the
-terminated protocol. Each nonterminal owns at most one production per
-terminal, so words form a deterministic labelled transition system and type
-equivalence becomes bisimilarity of start words.
+Every type maps to a word of nonterminals; the empty word is the terminated
+protocol. Each nonterminal owns at most one production per terminal, so
+words form a deterministic labelled transition system and type equivalence
+becomes bisimilarity of start words.
+
+Functional types are nonterminals too, as in Almeida, Mordido and
+Vasconcelos (TACAS 2020). Kinding keeps them out of `;`, `rec` and choices,
+so a functional word is one nonterminal, and two are bisimilar exactly when
+the types agree level by level and their session components are bisimilar.
 
 The pipeline is: `build` (Skip-normalize and translate any number of types
 over one shared grammar, walking a shared subterm once, and reading each
-nonterminal's productions off `syntax.head`; each
+session nonterminal's productions off `syntax.head`; each
 abbreviation name is one nonterminal, as each equation of a system is in
 Almeida, Mordido and Vasconcelos, TACAS 2020),
 `compute_norms` (least fixed point of the shortest-termination measure), and
@@ -32,7 +37,9 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from . import syntax as S
-from .syntax import DataRef, Skip, Semi, Message, Choice, Rec, TVar, Terminal, Type
+from .syntax import (
+    Basic, Arrow, Pair, DataRef, Skip, Semi, Message, Choice, Rec, TVar, Terminal, Type,
+)
 
 Word = tuple[int, ...]
 EPSILON: Word = ()
@@ -67,7 +74,7 @@ Key = object
 
 
 class _Builder:
-    """Translates closed session types (free variables are rigid) into
+    """Translates closed types (free variables are rigid) into
     productions. Every type other than Skip and `;` becomes one nonterminal
     whose productions are its head normal form, so recursion bodies are
     entered only by unfolding and head actions are always computable even
@@ -158,10 +165,30 @@ class _Builder:
                 else:
                     out = body2, k, 0
             case _:
-                raise TypeError(f"not a session type: {t!r}")
+                out = self._functional(t, bound)
         if not bound:
             self._seen[id(t)] = (t, out[0], out[1])
         return out
+
+    def _functional(self, t: Type, bound: tuple[str, ...]) -> tuple[Type, Key, int]:
+        """`normal` for a basic type, an arrow or a pair (never under a `rec`):
+        the type itself, keyed by its components' keys. An arrow or pair
+        component is walked here, not through `normal`: one frame per level."""
+        match t:
+            case Basic(name) if not bound:
+                return t, ("basic", name), 0
+            case Arrow(mult, a, b) if not bound:
+                key: list[object] = ["arrow", mult]
+            case Pair(a, b) if not bound:
+                key = ["pair"]
+            case _:
+                raise TypeError(f"not a session type: {t!r}")
+        for part in (a, b):
+            hit = self._seen.get(id(part))
+            if hit is None and isinstance(part, (Arrow, Pair)):
+                hit = self._seen[id(part)] = (part, *self._functional(part, bound)[:2])
+            key.append(hit[2] if hit else self.normal(part)[1])
+        return t, self._intern(tuple(key)), 0
 
     def word(self, t: Type) -> Word:
         match t:
@@ -174,7 +201,7 @@ class _Builder:
             return self.word(t2)
         w = self._memo.get(key)
         if w is None:
-            actions = S.head(t, self.names)
+            actions = _head(t, self.names)
             w = self._memo[key] = (len(self.productions),) if actions else EPSILON
             if w:
                 prods = self.productions[w[0]] = {}
@@ -194,8 +221,25 @@ class _Builder:
         return out
 
 
+def _head(t: Type, names: Mapping[str, Type]) -> dict[Terminal, Type]:
+    """`syntax.head`, extended to functional types: an arrow or a pair has
+    one action per component, and a basic type or a datatype name one with
+    an empty continuation. No session action carries their tags."""
+    match t:
+        case Arrow(mult, dom, cod):
+            tag = "-o" if mult == S.LINEAR else "->"
+            return {Terminal(tag, "dom"): dom, Terminal(tag, "cod"): cod}
+        case Pair(fst, snd):
+            return {Terminal("*", "fst"): fst, Terminal("*", "snd"): snd}
+        case Basic(name):
+            return {Terminal("=", name): Skip()}
+        case DataRef(name) if name not in names:
+            return {Terminal("#", name): Skip()}
+    return S.head(t, names)
+
+
 def build(*types: Type, names: Mapping[str, Type] | None = None) -> tuple:
-    """Translate session types into one shared grammar, returning
+    """Translate types into one shared grammar, returning
     `(grammar, *start_words)`. Inputs must be contractive. `names` maps each
     abbreviation the types reach to its body. Structurally identical subterms
     share nonterminals, so building the same type twice yields the same start

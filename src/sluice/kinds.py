@@ -13,7 +13,8 @@ contractivity check is read off as the walk leaves each `rec`. Outside every
 binder a composite subterm's summary depends on the subterm alone, so it is
 kept by object identity for the walk: a subterm shared along several paths
 (as `subst` leaves an unfolding) is walked once, not once per path.
-`synth_kind`, `contractive` and `unguarded` are views of this one walk.
+`synth_kind` and `contractive` are views of this one walk; the typechecker
+reads the unguarded names of a declaration off `kinding` itself.
 """
 
 from __future__ import annotations
@@ -176,8 +177,3 @@ def contractive(env: KindEnv, t: Type, datatypes: NameKinds | None = None) -> bo
     a name of kind SU in `datatypes` guards nothing. Total: an ill-kinded or
     open type gets an answer too."""
     return kinding(env, t, datatypes)[3]
-
-
-def unguarded(t: Type, names: NameKinds | None) -> Unguarded:
-    """Variables and names reachable from the head of `t` without an action."""
-    return kinding({}, t, names)[2]

@@ -48,8 +48,10 @@ _INT_MAX = 2 ** 63 - 1
 _SLICE = 1000
 
 # Continuation frames one thread may hold. Runaway non-tail recursion ends
-# here with a runtime error instead of exhausting the host's memory: a
-# pending `n + sumTo (n - 1)` holds about 250 bytes, so the cap is ~250 MB.
+# here with a runtime error instead of exhausting the host's memory. A
+# pending `n + sumTo (n - 1)` is one frame of 249 bytes (tracemalloc, Python
+# 3.11), so the cap is about 250 MB. The deepest stack of any test or example
+# program is 20,003 frames (`sumTo 20000`, `build 10000`), 50 times less.
 _MAX_FRAMES = 1_000_000
 
 

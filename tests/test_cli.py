@@ -158,6 +158,21 @@ class TestEquiv:
         out = capsys.readouterr().out
         assert "node depth=" in out and out.strip().endswith("equivalent")
 
+    def test_functional_query_is_one_search(self, capsys):
+        # arrows are grammar nonterminals, so a query traces one search
+        # however many session components it holds, and one budget bounds it
+        assert main(["equiv", "--trace", "Int -> !Int;?Bool", "Int -> !Int;?Int"]) == 1
+        assert capsys.readouterr().out == (
+            "node depth=0 pairs=1 refuted by expansion probe\nnot equivalent\n")
+        t1 = "(rec x. !Int;x) -> rec y. ?Int;y"
+        t2 = "(!Int;rec x. !Int;x) -> ?Int;rec y. ?Int;y"
+        assert main(["equiv", "--trace", t1, t2]) == 0
+        assert capsys.readouterr().out == (
+            "node depth=0 pairs=1 expanded, 1 new siblings\n"
+            "node depth=2 pairs=0 empty: equivalent\nequivalent\n")
+        assert main(["equiv", t1, t2, "--budget", "4"]) == 2
+        assert main(["equiv", t1, t2, "--budget", "5"]) == 0
+
     def test_bad_type_is_a_diagnostic(self, capsys):
         assert main(["equiv", "+{}", "!Int"]) == 1
         assert "empty choice" in capsys.readouterr().err

@@ -448,9 +448,9 @@ class TestEquivalentLaws:
         assert equivalent(TVar("f"), TVar("f"), env)
         assert not equivalent(TVar("f"), Basic("Int"), env)
 
-    def test_functional_descent_kinds_only_the_roots(self, monkeypatch):
-        # a component is a session or a functional type by its syntax: a
-        # variable by `env`, a name by `datakinds`
+    def test_functional_query_kinds_only_the_roots(self, monkeypatch):
+        # a query kinds its two roots and translates the rest into grammar
+        # nonterminals, session and functional components alike
         kinded = []
         synth_kind = K.synth_kind
         monkeypatch.setattr(K, "synth_kind", lambda *args: kinded.append(args) or synth_kind(*args))

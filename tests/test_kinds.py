@@ -5,7 +5,7 @@ import random
 import pytest
 
 from sluice import syntax as S
-from sluice.kinds import KindError, contractive, lub, subkind, synth_kind, unguarded
+from sluice.kinds import KindError, contractive, kinding, lub, subkind, synth_kind
 from sluice.parser import parse_type
 from sluice.syntax import (
     SU, SL, TU, TL, ALL_KINDS, UNRESTRICTED,
@@ -149,9 +149,9 @@ class TestContractive:
 
     def test_unguarded_names(self):
         kinds = {"U": SU, "M": SL}
-        assert unguarded(parse_type("U;M;A"), kinds) == {DataRef("U"), DataRef("M")}
-        assert unguarded(parse_type("rec x. U;x;A"), kinds) == {DataRef("U"), DataRef("A")}
-        assert unguarded(parse_type("!Int;A"), kinds) == frozenset()
+        assert kinding({}, parse_type("U;M;A"), kinds)[2] == {DataRef("U"), DataRef("M")}
+        assert kinding({}, parse_type("rec x. U;x;A"), kinds)[2] == {DataRef("U"), DataRef("A")}
+        assert kinding({}, parse_type("!Int;A"), kinds)[2] == frozenset()
 
     def test_tree_channel_contractive(self):
         assert contractive({}, TREE_C)
@@ -238,4 +238,4 @@ class TestFusedWalk:
             assert (_outcome(lambda: synth_kind(ENV, t, NAMES))
                     == _outcome(lambda: reference_kind(ENV, t, NAMES))), S.pretty(t)
             assert contractive(ENV, t, NAMES) == reference_contractive(t, NAMES)
-            assert unguarded(t, NAMES) == reference_unguarded(t, NAMES)
+            assert kinding({}, t, NAMES)[2] == reference_unguarded(t, NAMES)

@@ -383,6 +383,14 @@ class TestErrorPaths:
             (2, 1, "in f: nesting too deep"),
             (4, 5, "in g: expected type Int, found Bool")]
 
+    @pytest.mark.parametrize("arrows", [600, 900])
+    def test_deep_function_type_is_compared_whole(self, arrows):
+        # `g f` compares the type of `f` with the domain of `g`: two objects
+        # of one deep arrow type, translated one Python frame per arrow
+        spine = " -> ".join(["Int"] * (arrows + 1))
+        assert check_source(f"g : ({spine}) -> Int\ng h = 0\nf : {spine}\nf = f\n"
+                            "main : Int\nmain = g f\n") == []
+
 
 class TestTypeNames:
     # A linear field inside a pair, reached through an abbreviation, makes

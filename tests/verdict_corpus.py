@@ -13,6 +13,12 @@ lawified 1- to 5-fold unfoldings, depth-7/8 sessions against two rounds of
 `lawify`, and two perturbed 5-fold unfoldings of a three-`x` tree that
 once ran out of budget.
 
+The `functional` suite, recorded by verdict only too, holds arrows and
+pairs over basic types, the variable `f`, the datatype name `D` and session
+types, each against a copy whose session components are lawified. Half
+the copies carry one change more: a flipped multiplicity, a swapped pair,
+another basic type, or a session component lawified again or perturbed.
+
 `golden/search_traces.txt` records the shape of the search on fewer
 queries: the TreeC ladder (TreeC against its k-fold unfoldings, k = 1..8,
 and against their ?Bool variants) and every `TRACE_STRIDE`-th corpus pair.
@@ -86,6 +92,10 @@ DEEP_TREES = ("rec x. +{Leaf: Skip, Node: !Bool;x}",
 DEEP_FOLDS = 5
 DEEP_SESSIONS = 20
 DEEP_SEEDS = (3, 7)
+FUNCTIONAL = 2000
+# the functional suite's kinds of its one variable and one datatype name
+ENV = {"f": S.TU}
+DATAKINDS: dict[str, S.Kind | None] = {"D": S.TU}
 
 Pair = tuple[Type, Type]
 
@@ -148,14 +158,91 @@ def _deep(rng: random.Random) -> Iterator[Pair]:
         yield tree, perturb(random.Random(seed), unfolded)
 
 
+def rand_functional(rng: random.Random, depth: int) -> Type:
+    """An arrow or a pair, `depth` levels deep at most, whose leaves are
+    basic types, `f`, `D` and session types."""
+    parts = [_functional_part(rng, depth - 1) for _ in range(2)]
+    if rng.random() < 0.5:
+        return S.Arrow(rng.choice([S.UNRESTRICTED, S.LINEAR]), *parts)
+    return S.Pair(*parts)
+
+
+def _functional_part(rng: random.Random, depth: int) -> Type:
+    if depth > 0 and rng.random() < 0.6:
+        return rand_functional(rng, depth)
+    match rng.choice(["basic", "basic", "var", "name", "session", "session", "session"]):
+        case "basic":
+            return S.Basic(rng.choice(S.BASIC_NAMES))
+        case "var":
+            return S.TVar("f")
+        case "name":
+            return S.DataRef("D")
+    return rand_session(rng, rng.randint(0, 3))
+
+
+def _spots(t: Type, path: tuple[int, ...] = ()) -> list[tuple[int, ...]]:
+    """Paths to the arrows, pairs, basic types and session components of a
+    functional type."""
+    match t:
+        case S.Arrow(_, a, b) | S.Pair(a, b):
+            return [path, *_spots(a, path + (0,)), *_spots(b, path + (1,))]
+        case S.TVar() | S.DataRef():
+            return []
+    return [path]
+
+
+def _changed(rng: random.Random, t: Type, path: tuple[int, ...]) -> Type:
+    """`t` with the part at `path` changed: an arrow's multiplicity flipped,
+    a pair's components swapped, a basic type replaced, or a session type
+    lawified or perturbed."""
+    match t:
+        case S.Arrow(mult, dom, cod):
+            if not path:
+                return S.Arrow(S.LINEAR if mult == S.UNRESTRICTED else S.UNRESTRICTED, dom, cod)
+            if path[0] == 0:
+                return S.Arrow(mult, _changed(rng, dom, path[1:]), cod)
+            return S.Arrow(mult, dom, _changed(rng, cod, path[1:]))
+        case S.Pair(fst, snd):
+            if not path:
+                return S.Pair(snd, fst)
+            if path[0] == 0:
+                return S.Pair(_changed(rng, fst, path[1:]), snd)
+            return S.Pair(fst, _changed(rng, snd, path[1:]))
+        case S.Basic(name):
+            return S.Basic(rng.choice([b for b in S.BASIC_NAMES if b != name]))
+    return lawify(rng, t) if rng.random() < 0.5 else perturb(rng, t)
+
+
+def _lawified(rng: random.Random, t: Type) -> Type:
+    """`t` with every session component lawified."""
+    match t:
+        case S.Arrow(mult, dom, cod):
+            return S.Arrow(mult, _lawified(rng, dom), _lawified(rng, cod))
+        case S.Pair(fst, snd):
+            return S.Pair(_lawified(rng, fst), _lawified(rng, snd))
+        case S.Basic() | S.TVar() | S.DataRef():
+            return t
+    return lawify(rng, t)
+
+
+def _functional(rng: random.Random) -> Iterator[Pair]:
+    # the copy is lawified throughout, and half the time changed in one part
+    for _ in range(FUNCTIONAL):
+        t = rand_functional(rng, rng.randint(1, 4))
+        copy = _lawified(rng, t)
+        if rng.random() < 0.5:
+            copy = _changed(rng, copy, rng.choice(_spots(copy)))
+        yield t, copy
+
+
 SUITES = (("laws", _laws), ("perturbed", _perturbed), ("regular", _regular))
 # the suites of verdicts.txt; search traces and grammars cover `SUITES` only
-VERDICT_SUITES = SUITES + (("deep", _deep),)
+VERDICT_SUITES = SUITES + (("deep", _deep), ("functional", _functional))
 
 
 def verdict(t1: Type, t2: Type, trace: TraceFn | None = None) -> str:
     try:
-        return "E" if equivalent(t1, t2, trace=trace) else "N"
+        return "E" if equivalent(t1, t2, ENV, datakinds=DATAKINDS, trace=trace) else "N"
     except Inconclusive:
         return "I"
 
