@@ -56,6 +56,8 @@ def _checked(path: str):
 
 
 def _parse_cli_type(text: str):
+    """A CLI type with its kind env and its kind, or None once a diagnostic
+    is printed."""
     try:
         t = parse_type(text)
     except DiagnosticError as exc:
@@ -64,11 +66,11 @@ def _parse_cli_type(text: str):
     # free lowercase names are rigid variables at the default kind
     env = {name: SL for name in free_tvars(t)}
     try:
-        K.synth_kind(env, t)
+        kind = K.synth_kind(env, t)
     except K.KindError as exc:
         print(exc.diag.render("<type>"), file=sys.stderr)
         return None
-    return t, env
+    return t, env, kind
 
 
 def _session_type(text: str, needs: str):
@@ -78,9 +80,8 @@ def _session_type(text: str, needs: str):
     parsed = _parse_cli_type(text)
     if parsed is None:
         return None
-    t, env = parsed
-    # _parse_cli_type has kinded t already, so this cannot raise
-    if K.synth_kind(env, t).prekind != SESSION:
+    t, _, kind = parsed
+    if kind.prekind != SESSION:
         print(f"<type>:1:1: error: {needs}", file=sys.stderr)
         return None
     return t
@@ -152,8 +153,8 @@ def _command(args: argparse.Namespace) -> int:
         parsed2 = _parse_cli_type(args.type2)
         if parsed1 is None or parsed2 is None:
             return EXIT_DIAGNOSTICS
-        t1, env1 = parsed1
-        t2, env2 = parsed2
+        t1, env1, _ = parsed1
+        t2, env2, _ = parsed2
         trace = None
         if args.trace:
             def trace(depth: int, pairs: int, action: str) -> None:

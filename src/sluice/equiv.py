@@ -101,15 +101,19 @@ def expand(g: Grammar, pairs: Iterable[WordPair]) -> Optional[Node]:
 RuleIndex = dict[tuple[Word, Word], list[tuple[Word, Word, WordPair]]]
 
 
-def index_rules(rel: Iterable[WordPair]) -> RuleIndex:
-    """Both directions of every pair of `rel` other than ((), ())."""
+def index_rules(rel: Iterable[WordPair], base: RuleIndex | None = None) -> RuleIndex:
+    """Both directions of every pair of `rel` other than ((), ()), added to
+    a copy of `base` that shares none of the lists it extends: a search node
+    extends its parent's history, which its siblings share."""
     index: RuleIndex = {}
     for pair in rel:
         p, q = pair
         if p or q:
             index.setdefault((p[:1], q[:1]), []).append((p, q, pair))
             index.setdefault((q[:1], p[:1]), []).append((q, p, pair))
-    return index
+    if not base:
+        return index
+    return {**base, **{key: base.get(key, []) + rules for key, rules in index.items()}}
 
 
 def congruent(pair: WordPair, own: RuleIndex, history: RuleIndex,
@@ -122,8 +126,8 @@ def congruent(pair: WordPair, own: RuleIndex, history: RuleIndex,
     The relation is the rules of the `own` index whose source pair is in
     `live`, plus every rule of the `history` index. `_reduce` indexes a
     node's pairs once per round and deletes pairs from `live` without
-    reindexing; `simplify` indexes its history once per call. A word pair
-    (u, v) can only use rules keyed (u[:1], v[:1]), ((), v[:1]) or
+    reindexing; `search` extends the history index down the path. A word
+    pair (u, v) can only use rules keyed (u[:1], v[:1]), ((), v[:1]) or
     (u[:1], ()), so each step looks up those keys instead of scanning every
     rule. The depth-first search with its visited set answers whether a
     reflexive pair is reachable, which does not depend on the order it tries
@@ -184,7 +188,7 @@ def _b2_candidates(g: Grammar, y: int, steps: int) -> list[Word]:
     return sorted(frontier)
 
 
-def simplify(g: Grammar, pairs: Iterable[WordPair], history: Iterable[WordPair],
+def simplify(g: Grammar, pairs: Iterable[WordPair], history: RuleIndex,
              budget: Budget) -> set[Node]:
     """Shrink a node with the reflexivity (R), congruence (C), and
     decomposition (B1/B2) rules to a fixed point.
@@ -198,13 +202,13 @@ def simplify(g: Grammar, pairs: Iterable[WordPair], history: Iterable[WordPair],
     node; if it is empty, the child only turns (X, Y) into (Y, X), which the
     untouched sibling already covers.
 
-    R, C and B1 read only the node and the history, which is fixed for the
-    call, so each distinct node is reduced once and the result reused when
-    the node comes back (as the untouched B2 sibling, or as a witness child
+    `history` indexes the pairs assumed on the search path; C deletes a
+    pair of the node that is in the history through its history rule. R, C
+    and B1 read only the node and the history, which is fixed for the call,
+    so each distinct node is reduced once and the result reused when the
+    node comes back (as the untouched B2 sibling, or as a witness child
     that coincides with a node already seen). Each work item popped draws on
     the query's `budget`."""
-    hist = frozenset(history)
-    hist_rules = index_rules(hist)
     reduced: dict[Node, Node] = {}
     results: set[Node] = set()
     work: list[tuple[Node, frozenset[WordPair]]] = [(_canon_pairs(g, pairs), frozenset())]
@@ -217,7 +221,7 @@ def simplify(g: Grammar, pairs: Iterable[WordPair], history: Iterable[WordPair],
         seen.add((P, b2done))
         node = reduced.get(P)
         if node is None:
-            node = reduced[P] = _reduce(g, P, hist, hist_rules)
+            node = reduced[P] = _reduce(g, P, history)
         changed = node != P
 
         # (B2) decompose one pair with distinct normed heads whose
@@ -254,7 +258,7 @@ def simplify(g: Grammar, pairs: Iterable[WordPair], history: Iterable[WordPair],
     return results
 
 
-def _reduce(g: Grammar, P: Node, hist: frozenset[WordPair], hist_rules: RuleIndex) -> Node:
+def _reduce(g: Grammar, P: Node, history: RuleIndex) -> Node:
     """The R, C and B1 rules, applied once to a node."""
     # (R) drop reflexive pairs
     P1 = frozenset(p for p in P if p[0] != p[1])
@@ -264,10 +268,10 @@ def _reduce(g: Grammar, P: Node, hist: frozenset[WordPair], hist_rules: RuleInde
     # A pair leaves `kept` while it is tested and for good once deleted,
     # which takes its rules out of `own`.
     kept = set(P1)
-    own = index_rules(P1 - hist)
+    own = index_rules(P1)
     for p in sorted(P1):
         kept.discard(p)
-        if not congruent(p, own, hist_rules, kept):
+        if not congruent(p, own, history, kept):
             kept.add(p)
 
     # (B1) cancel equal normed head symbols
@@ -287,7 +291,7 @@ def _reduce(g: Grammar, P: Node, hist: frozenset[WordPair], hist_rules: RuleInde
 @dataclass
 class _Entry:
     pairs: Node
-    history: frozenset[WordPair]
+    history: RuleIndex  # every node above this one on its path, and its expansion
     depth: int
 
 
@@ -352,7 +356,7 @@ def search(g: Grammar, w1: Word, w2: Word, budget: int = DEFAULT_BUDGET,
     root = frozenset({(truncate(g, w1), truncate(g, w2))})
     frontier: list[_Queued] = []
     pushes = itertools.count()
-    _push(frontier, _Entry(root, frozenset(), 0), next(pushes))
+    _push(frontier, _Entry(root, {}, 0), next(pushes))
     visited = {root}
     probe_cache: dict[WordPair, bool] = {}
     quota = Budget(budget)
@@ -371,9 +375,9 @@ def search(g: Grammar, w1: Word, w2: Word, budget: int = DEFAULT_BUDGET,
                 trace(entry.depth, len(entry.pairs), "refuted by expansion probe")
             continue
 
-        assumed = entry.history | entry.pairs
+        assumed = index_rules(entry.pairs, entry.history)
         siblings = simplify(g, expanded, assumed, quota)
-        child_history = assumed | expanded
+        child_history = index_rules(expanded, assumed)
 
         pushed = 0
         for sib in siblings:

@@ -10,11 +10,12 @@ Vasconcelos (TACAS 2020). Kinding keeps them out of `;`, `rec` and choices,
 so a functional word is one nonterminal, and two are bisimilar exactly when
 the types agree level by level and their session components are bisimilar.
 
-The pipeline is: `build` (Skip-normalize and translate any number of types
-over one shared grammar, walking a shared subterm once, and reading each
-session nonterminal's productions off `syntax.head`; each
-abbreviation name is one nonterminal, as each equation of a system is in
-Almeida, Mordido and Vasconcelos, TACAS 2020),
+The pipeline is: `build` (translate any number of types over one shared
+grammar, keying each subterm up to the Skip laws and renaming of binders
+without building a normal copy, walking a shared subterm once, and reading
+each session nonterminal's productions off `syntax.head`; each abbreviation
+name is one nonterminal, as each equation of a system is in Almeida,
+Mordido and Vasconcelos, TACAS 2020),
 `compute_norms` (least fixed point of the shortest-termination measure), and
 `prune` (truncate production tails that sit behind an unnormed symbol and can
 never be reached).
@@ -71,29 +72,31 @@ def step(g: Grammar, w: Word) -> dict[Terminal, Word]:
 # A key identifies a type up to alpha-equivalence: a short tuple for a leaf,
 # an interned int for a composite type.
 Key = object
+_SKIP: Key = ("skip",)
 
 
 class _Builder:
     """Translates closed types (free variables are rigid) into
     productions. Every type other than Skip and `;` becomes one nonterminal
-    whose productions are its head normal form, so recursion bodies are
-    entered only by unfolding and head actions are always computable even
-    when an inner recursion starts by running an outer one. A name is keyed
-    by itself, so it is one nonterminal however often it occurs. `word`
-    queues each new nonterminal with its head actions on `pending`, for
-    `words` to fill in, so only a `;` spine costs Python stack. A type with
-    an empty head (a name for Skip) is the empty word. One builder can
-    translate any number of batches of types: what an earlier batch
-    translated is reused, and each batch only adds nonterminals."""
+    per key (see `normal`), whose productions are the head normal form of
+    the type as given, so recursion bodies are entered only by unfolding
+    and head actions are always computable even when an inner recursion
+    starts by running an outer one. A name is keyed by itself, so it is one
+    nonterminal however often it occurs. `word` queues each new nonterminal
+    with its head actions on `pending`, for `words` to fill in, so only a
+    `;` spine costs Python stack. A type with an empty head (a name for
+    Skip) is the empty word. One builder can translate any number of
+    batches of types: what an earlier batch translated is reused, and each
+    batch only adds nonterminals."""
 
     def __init__(self, names: Mapping[str, Type]) -> None:
         self.names = names
         self.productions: dict[int, dict[Terminal, Word]] = {}
         self._memo: dict[Key, Word] = {}
         self.pending: list[tuple[dict[Terminal, Word], dict[Terminal, Type]]] = []
-        # id of a composite subterm outside every binder -> (the subterm, its
-        # normal form, the key of that). The subterm is held so its id is not
-        # reused during the build.
+        # id of a composite subterm outside every binder -> (the subterm, the
+        # subterm to translate in its place, its key). The subterm is held so
+        # its id is not reused during the build.
         self._seen: dict[int, tuple[Type, Type, Key]] = {}
         # composite key -> a small int, so hashing a key costs its arity
         self._interned: dict[tuple, int] = {}
@@ -105,19 +108,22 @@ class _Builder:
         return n
 
     def normal(self, t: Type, bound: tuple[str, ...] = ()) -> tuple[Type, Key, int]:
-        """The Skip-normal form of `t` under the `rec` binders `bound`
-        (outermost first), its key, and the bit set of the levels of `bound`
-        that its free variables refer to. A bound variable is keyed by its
-        de Bruijn index and a free one by its name. A `rec` is vacuous when
-        its body does not refer to its level; it is dropped, and its body is
-        keyed again without the binder only when the body refers to outer
-        ones. Outside every binder the result depends on the subterm alone,
-        so it is computed once per object: a subterm shared along several
-        paths (as `subst` leaves an unfolding) is walked once, not once per
-        path."""
+        """The subterm to translate in place of `t`, the key of `t` under the
+        `rec` binders `bound` (outermost first), and the bit set of the levels
+        of `bound` that its free variables refer to. Keys are taken up to the
+        Skip laws (`;` drops an operand keyed as Skip) and renaming: a bound
+        variable is keyed by its de Bruijn index and a free one by its name.
+        A `rec` is vacuous when its body does not refer to its level; it keys
+        as its body, keyed again without the binder only when the body refers
+        to outer ones, and its body is translated in its place. Any other
+        subterm is translated as itself, so this walk builds no type. Outside
+        every binder the result depends on the subterm alone, so it is
+        computed once per object: a subterm shared along several paths (as
+        `subst` leaves an unfolding) is walked once, not once per path. An
+        arrow or pair level costs one Python frame."""
         match t:
             case Skip():
-                return t, ("skip",), 0
+                return t, _SKIP, 0
             case Message(polarity, payload):
                 return t, ("msg", polarity, payload), 0
             case TVar(name):
@@ -127,6 +133,8 @@ class _Builder:
                 return t, ("rigid", name), 0
             case DataRef(name):
                 return t, ("name", name), 0
+            case Basic(name):
+                return t, ("basic", name), 0
         if not bound:
             hit = self._seen.get(id(t))
             if hit is not None:
@@ -134,61 +142,42 @@ class _Builder:
         out: tuple[Type, Key, int]
         match t:
             case Semi(lhs, rhs):
-                lhs2, k1, r1 = self.normal(lhs, bound)
-                rhs2, k2, r2 = self.normal(rhs, bound)
-                if isinstance(lhs2, Skip):
-                    out = rhs2, k2, r2
-                elif isinstance(rhs2, Skip):
-                    out = lhs2, k1, r1
+                _, k1, r1 = self.normal(lhs, bound)
+                _, k2, r2 = self.normal(rhs, bound)
+                if k1 == _SKIP:
+                    out = t, k2, r2
+                elif k2 == _SKIP:
+                    out = t, k1, r1
                 else:
-                    same = lhs2 is lhs and rhs2 is rhs
-                    out = (t if same else Semi(lhs2, rhs2)), self._intern(("semi", k1, k2)), r1 | r2
+                    out = t, self._intern(("semi", k1, k2)), r1 | r2
             case Choice(view, branches):
                 key: list[object] = ["choice", view]
-                branches2 = []
-                refs, same = 0, True
+                refs = 0
                 for lab, ty in branches:
-                    ty2, k, r = self.normal(ty, bound)
-                    branches2.append((lab, ty2))
+                    _, k, r = self.normal(ty, bound)
                     key += (lab, k)
                     refs |= r
-                    same = same and ty2 is ty
-                out = (t if same else Choice(view, tuple(branches2))), self._intern(tuple(key)), refs
+                out = t, self._intern(tuple(key)), refs
             case Rec(var, body):
                 level = len(bound)
-                body2, k, refs = self.normal(body, bound + (var,))
+                sub, k, refs = self.normal(body, bound + (var,))
                 if refs >> level & 1:
-                    rec = t if body2 is body else Rec(var, body2)
-                    out = rec, self._intern(("rec", k)), refs & ~(1 << level)
+                    out = t, self._intern(("rec", k)), refs & ~(1 << level)
                 elif refs:
-                    out = self.normal(body2, bound)
+                    out = self.normal(sub, bound)
                 else:
-                    out = body2, k, 0
+                    out = sub, k, 0
+            case Arrow(mult, a, b):
+                (_, ka, ra), (_, kb, rb) = self.normal(a, bound), self.normal(b, bound)
+                out = t, self._intern(("arrow", mult, ka, kb)), ra | rb
+            case Pair(a, b):
+                (_, ka, ra), (_, kb, rb) = self.normal(a, bound), self.normal(b, bound)
+                out = t, self._intern(("pair", ka, kb)), ra | rb
             case _:
-                out = self._functional(t, bound)
+                raise TypeError(f"not a type: {t!r}")
         if not bound:
             self._seen[id(t)] = (t, out[0], out[1])
         return out
-
-    def _functional(self, t: Type, bound: tuple[str, ...]) -> tuple[Type, Key, int]:
-        """`normal` for a basic type, an arrow or a pair (never under a `rec`):
-        the type itself, keyed by its components' keys. An arrow or pair
-        component is walked here, not through `normal`: one frame per level."""
-        match t:
-            case Basic(name) if not bound:
-                return t, ("basic", name), 0
-            case Arrow(mult, a, b) if not bound:
-                key: list[object] = ["arrow", mult]
-            case Pair(a, b) if not bound:
-                key = ["pair"]
-            case _:
-                raise TypeError(f"not a session type: {t!r}")
-        for part in (a, b):
-            hit = self._seen.get(id(part))
-            if hit is None and isinstance(part, (Arrow, Pair)):
-                hit = self._seen[id(part)] = (part, *self._functional(part, bound)[:2])
-            key.append(hit[2] if hit else self.normal(part)[1])
-        return t, self._intern(tuple(key)), 0
 
     def word(self, t: Type) -> Word:
         match t:
@@ -196,9 +185,9 @@ class _Builder:
                 return EPSILON
             case Semi(lhs, rhs):
                 return self.word(lhs) + self.word(rhs)
-        t2, key, _ = self.normal(t)
-        if t2 is not t:  # an input, or part of a name's body, not yet normal
-            return self.word(t2)
+        sub, key, _ = self.normal(t)
+        if sub is not t:  # a vacuous `rec`: translate its body
+            return self.word(sub)
         w = self._memo.get(key)
         if w is None:
             actions = _head(t, self.names)

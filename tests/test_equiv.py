@@ -36,8 +36,9 @@ def congruent_in(pair, rel):
 
 
 def simplify_alone(g, pairs, history):
-    """`simplify` outside a search, with a fresh default budget."""
-    return simplify(g, pairs, history, Budget())
+    """`simplify` outside a search, with the history indexed and a fresh
+    default budget."""
+    return simplify(g, pairs, index_rules(history), Budget())
 
 
 def tree_grammar():

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from sluice import equiv as E
 from sluice import kinds as K
 from sluice import syntax as S
 from sluice.equiv import Session, equivalent
@@ -390,6 +391,26 @@ class TestErrorPaths:
         spine = " -> ".join(["Int"] * (arrows + 1))
         assert check_source(f"g : ({spine}) -> Int\ng h = 0\nf : {spine}\nf = f\n"
                             "main : Int\nmain = g f\n") == []
+
+    def test_a_deep_function_mismatch_indexes_each_pair_once(self, monkeypatch):
+        # the types differ only at the innermost arrow, so the search is as
+        # deep as the type; its history is carried down the path, not
+        # indexed again at every node
+        arrows = 600
+        indexed = []
+        index_rules = E.index_rules
+
+        def counting(rel, *base):
+            rel = list(rel)
+            indexed.append(len(rel))
+            return index_rules(rel, *base)
+
+        monkeypatch.setattr(E, "index_rules", counting)
+        spine = " -> ".join(["Int"] * arrows)
+        diags = check_source(f"g : ({spine} -> Bool) -> Int\ng h = 0\nf : {spine} -> Int\n"
+                             "f = f\nmain : Int\nmain = g f\n")
+        assert [d.message.split(":")[0] for d in diags] == ["in main"]
+        assert sum(indexed) < 10 * arrows
 
 
 class TestTypeNames:
