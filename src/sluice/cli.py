@@ -55,32 +55,32 @@ def _checked(path: str):
     return prog if not diags else None
 
 
-def _parse_cli_type(text: str):
-    """A CLI type with its kind env and its kind, or None once a diagnostic
-    is printed."""
+def _parse_cli_type(text: str, session: E.Session, env: K.KindEnv):
+    """A CLI type with its kind, or None once a diagnostic is printed. Its
+    free lowercase names join `env` as rigid variables at the default kind,
+    and it is kinded under `env` through `session`."""
     try:
         t = parse_type(text)
     except DiagnosticError as exc:
         print(exc.diag.render("<type>"), file=sys.stderr)
         return None
-    # free lowercase names are rigid variables at the default kind
-    env = {name: SL for name in free_tvars(t)}
+    env.update(dict.fromkeys(free_tvars(t), SL))
     try:
-        kind = K.synth_kind(env, t)
+        kind = session.kind_of(env, t)
     except K.KindError as exc:
         print(exc.diag.render("<type>"), file=sys.stderr)
         return None
-    return t, env, kind
+    return t, kind
 
 
 def _session_type(text: str, needs: str):
     """A CLI type that must be a session type, or None once the reason is
     printed; `needs` is the message when the type is well kinded but not a
     session type."""
-    parsed = _parse_cli_type(text)
+    parsed = _parse_cli_type(text, E.Session({}, {}), {})
     if parsed is None:
         return None
-    t, _, kind = parsed
+    t, kind = parsed
     if kind.prekind != SESSION:
         print(f"<type>:1:1: error: {needs}", file=sys.stderr)
         return None
@@ -149,24 +149,22 @@ def _command(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "equiv":
-        parsed1 = _parse_cli_type(args.type1)
-        parsed2 = _parse_cli_type(args.type2)
+        # one session kinds both types, and the query reads those kinds
+        session, env = E.Session({}, {}), {}
+        parsed1 = _parse_cli_type(args.type1, session, env)
+        parsed2 = _parse_cli_type(args.type2, session, env)
         if parsed1 is None or parsed2 is None:
             return EXIT_DIAGNOSTICS
-        t1, env1, _ = parsed1
-        t2, env2, _ = parsed2
         trace = None
         if args.trace:
             def trace(depth: int, pairs: int, action: str) -> None:
                 print(f"node depth={depth} pairs={pairs} {action}")
         try:
-            verdict = E.equivalent(t1, t2, {**env1, **env2}, budget=args.budget, trace=trace)
+            verdict = session.equivalent(parsed1[0], parsed2[0], env,
+                                         budget=args.budget, trace=trace)
         except E.Inconclusive:
             print("inconclusive")
             return EXIT_INCONCLUSIVE
-        except K.KindError as exc:
-            print(exc.diag.render("<type>"), file=sys.stderr)
-            return EXIT_DIAGNOSTICS
         print("equivalent" if verdict else "not equivalent")
         return EXIT_OK if verdict else EXIT_DIAGNOSTICS
 

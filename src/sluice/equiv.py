@@ -16,8 +16,10 @@ work items draw on alike, is reported as inconclusive rather than silently as
 a verdict.
 
 Reflexivity applies to the root first: one object, or equal start words,
-answer a query before norms, pruning and search. The refutation probe skips
-reflexive pairs.
+answer a query before any production is written, and before norms, pruning
+and search. Only a query that searches fills the grammar (`_Builder.fill`),
+including what earlier queries of its session left unfilled. The refutation
+probe skips reflexive pairs.
 
 Every type is decided this way: arrows, pairs, basic types and datatype
 names are grammar nonterminals too (see `grammar`), so a functional query is
@@ -408,8 +410,9 @@ class Session:
     held, so their ids stay theirs. A `KindError` is raised again on every
     query, never kept. The types of every query are translated into one
     grammar that grows across queries, so a name or type translated
-    before costs a memo lookup, and norms and pruning run only on the
-    nonterminals that each search adds. Each search has its own budget."""
+    before costs a memo lookup. Productions are written, and norms and
+    pruning run, only when a query searches, and only for the nonterminals
+    added since the last search. Each search has its own budget."""
 
     __slots__ = ("datakinds", "abbrevs", "grammar", "_kinds", "_builder", "_done")
 
@@ -421,7 +424,8 @@ class Session:
 
     def _restart(self) -> None:
         self._builder = _Builder(self.abbrevs)
-        # the grammar grown so far, normed and pruned up to the last search
+        # the grammar grown so far; filled, normed and pruned up to the last
+        # search, and holding unfilled nonterminals of root-equal queries since
         self.grammar = Grammar(self._builder.productions)
         self._done = 0  # nonterminals whose norms and pruned tails are final
 
@@ -434,17 +438,22 @@ class Session:
         self._kinds[key] = (t, env, kind)
         return kind
 
-    def equivalent(self, t1: Type, t2: Type, env: K.KindEnv) -> bool:
+    def equivalent(self, t1: Type, t2: Type, env: K.KindEnv, *,
+                   budget: int = DEFAULT_BUDGET, trace: TraceFn | None = None) -> bool:
         """`equivalent` for two types of the program, kinded under `env`."""
         self.kind_of(env, t1)
         self.kind_of(env, t2)
-        return self._bisimilar(t1, t2, DEFAULT_BUDGET, None)
+        return self._bisimilar(t1, t2, budget, trace)
 
     def _bisimilar(self, a: Type, b: Type, budget: int, trace: TraceFn | None) -> bool:
         """Bisimilarity of the start words of two kinded types; one object
-        is equivalent to itself untranslated."""
+        is equivalent to itself untranslated, and equal start words are
+        equivalent unfilled."""
+        builder = self._builder
         try:
-            wa, wb = ((), ()) if a is b else self._builder.words(a, b)
+            wa, wb = ((), ()) if a is b else (builder.word(a), builder.word(b))
+            if wa != wb:
+                builder.fill()
         except BaseException:
             self._restart()  # a nonterminal may be left half filled
             raise

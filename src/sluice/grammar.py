@@ -12,23 +12,27 @@ the types agree level by level and their session components are bisimilar.
 
 The pipeline is: `build` (translate any number of types over one shared
 grammar, keying each subterm up to the Skip laws and renaming of binders
-without building a normal copy, walking a shared subterm once, and reading
-each session nonterminal's productions off `syntax.head`; each abbreviation
-name is one nonterminal, as each equation of a system is in Almeida,
-Mordido and Vasconcelos, TACAS 2020),
+without building a normal copy, and walking a shared subterm once; each
+abbreviation name is one nonterminal, as each equation of a system is in
+Almeida, Mordido and Vasconcelos, TACAS 2020),
 `compute_norms` (least fixed point of the shortest-termination measure), and
 `prune` (truncate production tails that sit behind an unnormed symbol and can
-never be reached).
+never be reached). Translation is two steps: `_Builder.word` gives a type's
+start word, allocating a nonterminal for each key it meets first, and
+`_Builder.fill` writes the productions of every nonterminal allocated since,
+reading only a `rec`'s and a name's off `syntax.head`. `build` takes both.
 
 An equivalence session (`equiv.Session`) keeps one `_Builder` for a whole
 program and translates each query's types into the grammar it has grown so
-far, so a name or type translated before costs a memo lookup. Norms and
-pruning then run on the nonterminals added since the last search only:
-`compute_norms` and `prune` take the count of nonterminals already done. A
-nonterminal added by a finished translation reaches only nonterminals that
-existed when that translation ended, so its norm and its truncated tails are
-final. Within one translation an earlier nonterminal does refer to later
-ones, which is why the new ones are normed together.
+far, so a name or type translated before costs a memo lookup. A query whose
+two start words are equal is answered before the fill, and leaves its new
+nonterminals unfilled until a later query searches. Before a search the
+session fills every nonterminal, then norms and prunes the ones added since
+the last search only: `compute_norms` and `prune` take the count of
+nonterminals already done. After a fill every nonterminal reaches only
+nonterminals that existed when it ended, so the norm and truncated tails of
+one normed then are final. Within one fill an earlier nonterminal does refer
+to later ones, which is why the new ones are normed together.
 """
 
 from __future__ import annotations
@@ -83,17 +87,20 @@ class _Builder:
     and head actions are always computable even when an inner recursion
     starts by running an outer one. A name is keyed by itself, so it is one
     nonterminal however often it occurs. `word` queues each new nonterminal
-    with its head actions on `pending`, for `words` to fill in, so only a
-    `;` spine costs Python stack. A type with an empty head (a name for
-    Skip) is the empty word. One builder can translate any number of
-    batches of types: what an earlier batch translated is reused, and each
-    batch only adds nonterminals."""
+    on `pending` with the type it stands for, and `fill` writes its
+    productions, so only a `;` spine costs Python stack. A type with an
+    empty head (a name for Skip) is the empty word. One builder can
+    translate any number of batches of types: what an earlier batch
+    translated is reused, and each batch only adds nonterminals. Once `fill`
+    returns, every nonterminal has its productions."""
 
     def __init__(self, names: Mapping[str, Type]) -> None:
         self.names = names
         self.productions: dict[int, dict[Terminal, Word]] = {}
         self._memo: dict[Key, Word] = {}
-        self.pending: list[tuple[dict[Terminal, Word], dict[Terminal, Type]]] = []
+        # nonterminals allocated but not filled yet, each with its (empty)
+        # productions and what to fill them from: a type, or a name's head
+        self.pending: list[tuple[dict[Terminal, Word], Type | dict[Terminal, Type]]] = []
         # id of a composite subterm outside every binder -> (the subterm, the
         # subterm to translate in its place, its key). The subterm is held so
         # its id is not reused during the build.
@@ -180,6 +187,10 @@ class _Builder:
         return out
 
     def word(self, t: Type) -> Word:
+        """The start word of `t`. A nonterminal met for the first time is
+        allocated and queued with the type to fill it from, for `fill`; only
+        an abbreviation name has its head read at once, since a name for Skip
+        is the empty word."""
         match t:
             case Skip():
                 return EPSILON
@@ -190,41 +201,56 @@ class _Builder:
             return self.word(sub)
         w = self._memo.get(key)
         if w is None:
-            actions = _head(t, self.names)
-            w = self._memo[key] = (len(self.productions),) if actions else EPSILON
+            todo: Type | dict[Terminal, Type] = t
+            if isinstance(t, DataRef) and t.name in self.names:
+                todo = S.head(t, self.names)  # empty for a name for Skip
+            w = self._memo[key] = (len(self.productions),) if todo else EPSILON
             if w:
                 prods = self.productions[w[0]] = {}
-                self.pending.append((prods, actions))
+                self.pending.append((prods, todo))
         return w
+
+    def fill(self) -> None:
+        """Write the productions of every queued nonterminal, last queued
+        first. A message, a choice, a free variable, a functional type and a
+        datatype name give theirs directly; a `rec` reads its head normal
+        form off `syntax.head`. No session action carries a functional tag:
+        an arrow or a pair has one action per component, and a basic type or
+        a datatype name one with an empty continuation. This one worklist
+        loop fills in every nonterminal's productions."""
+        word, pending = self.word, self.pending
+        while pending:  # filling one nonterminal may queue more
+            prods, t = pending.pop()
+            match t:
+                case Message(polarity, payload):
+                    prods[Terminal(polarity, payload)] = EPSILON
+                case Choice(view, branches):
+                    for lab, ty in branches:
+                        prods[Terminal(view, lab)] = word(ty)
+                case TVar(name):
+                    prods[Terminal(S.VAR, name)] = EPSILON
+                case Arrow(mult, dom, cod):
+                    tag = "-o" if mult == S.LINEAR else "->"
+                    prods[Terminal(tag, "dom")] = word(dom)
+                    prods[Terminal(tag, "cod")] = word(cod)
+                case Pair(fst, snd):
+                    prods[Terminal("*", "fst")] = word(fst)
+                    prods[Terminal("*", "snd")] = word(snd)
+                case Basic(name):
+                    prods[Terminal("=", name)] = EPSILON
+                case DataRef(name):  # a datatype: names are queued as their heads
+                    prods[Terminal("#", name)] = EPSILON
+                case _:  # a `rec`, or the head of an abbreviation name
+                    actions = S.head(t, self.names) if isinstance(t, Rec) else t
+                    for a, k in actions.items():
+                        prods[a] = word(k)
 
     def words(self, *types: Type) -> list[Word]:
         """The start words of `types`, with every nonterminal they reach
-        filled in. This one worklist loop fills in every nonterminal's
-        productions."""
-        word, pending = self.word, self.pending
-        out = [word(t) for t in types]
-        while pending:  # filling one nonterminal may queue more
-            prods, actions = pending.pop()
-            for a, k in actions.items():
-                prods[a] = word(k)
+        filled in."""
+        out = [self.word(t) for t in types]
+        self.fill()
         return out
-
-
-def _head(t: Type, names: Mapping[str, Type]) -> dict[Terminal, Type]:
-    """`syntax.head`, extended to functional types: an arrow or a pair has
-    one action per component, and a basic type or a datatype name one with
-    an empty continuation. No session action carries their tags."""
-    match t:
-        case Arrow(mult, dom, cod):
-            tag = "-o" if mult == S.LINEAR else "->"
-            return {Terminal(tag, "dom"): dom, Terminal(tag, "cod"): cod}
-        case Pair(fst, snd):
-            return {Terminal("*", "fst"): fst, Terminal("*", "snd"): snd}
-        case Basic(name):
-            return {Terminal("=", name): Skip()}
-        case DataRef(name) if name not in names:
-            return {Terminal("#", name): Skip()}
-    return S.head(t, names)
 
 
 def build(*types: Type, names: Mapping[str, Type] | None = None) -> tuple:

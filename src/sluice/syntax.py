@@ -177,9 +177,15 @@ def fresh_name(base: str) -> str:
 
 
 def subst(t: Type, mapping: dict[str, Type]) -> Type:
-    """Capture-avoiding substitution of type variables."""
-    if not mapping:
-        return t
+    """Capture-avoiding substitution of type variables. The free variables of
+    each type in `mapping` are worked out at most once per call, when a
+    binder first needs them, not once per binder."""
+    return _subst(t, mapping, {}) if mapping else t
+
+
+def _subst(t: Type, mapping: dict[str, Type], free: dict[str, frozenset[str]]) -> Type:
+    # every mapping of one call is a restriction of its first, so `free`
+    # (name -> free variables of its type) serves them all
     match t:
         case TVar(name):
             return mapping.get(name, t)
@@ -187,19 +193,24 @@ def subst(t: Type, mapping: dict[str, Type]) -> Type:
             inner = {k: v for k, v in mapping.items() if k != var}
             if not inner:
                 return t
-            if any(var in free_tvars(v) for v in inner.values()):
-                renamed = fresh_name(var)
-                body = subst(body, {var: TVar(renamed)})
-                var = renamed
-            return Rec(var, subst(body, inner))
+            for k, v in inner.items():
+                fv = free.get(k)
+                if fv is None:
+                    fv = free[k] = free_tvars(v)
+                if var in fv:
+                    renamed = fresh_name(var)
+                    body = subst(body, {var: TVar(renamed)})
+                    var = renamed
+                    break
+            return Rec(var, _subst(body, inner, free))
         case Semi(lhs, rhs):
-            return Semi(subst(lhs, mapping), subst(rhs, mapping))
+            return Semi(_subst(lhs, mapping, free), _subst(rhs, mapping, free))
         case Arrow(mult, dom, cod):
-            return Arrow(mult, subst(dom, mapping), subst(cod, mapping))
+            return Arrow(mult, _subst(dom, mapping, free), _subst(cod, mapping, free))
         case Pair(fst, snd):
-            return Pair(subst(fst, mapping), subst(snd, mapping))
+            return Pair(_subst(fst, mapping, free), _subst(snd, mapping, free))
         case Choice(view, branches):
-            return Choice(view, tuple((lab, subst(ty, mapping)) for lab, ty in branches))
+            return Choice(view, tuple((lab, _subst(ty, mapping, free)) for lab, ty in branches))
         case _:
             return t
 

@@ -201,6 +201,23 @@ class TestBuild:
             2: {Terminal("?", "Int"): EPSILON},
         }
 
+    def test_functional_nonterminals(self):
+        # an arrow has one production per component, tagged with its
+        # multiplicity, a pair one per component, and a basic type or a
+        # datatype name (a name that abbreviates nothing) one with an empty
+        # tail; each nonterminal is filled last queued first
+        g, w = build(parse_type("(Int, D) -> Bool -o !Int"), names={"E": parse_type("?Int")})
+        assert w == (0,)
+        assert g.productions == {
+            0: {Terminal("->", "dom"): (1,), Terminal("->", "cod"): (2,)},
+            1: {Terminal("*", "fst"): (5,), Terminal("*", "snd"): (6,)},
+            2: {Terminal("-o", "dom"): (3,), Terminal("-o", "cod"): (4,)},
+            3: {Terminal("=", "Bool"): EPSILON},
+            4: {Terminal("!", "Int"): EPSILON},
+            5: {Terminal("=", "Int"): EPSILON},
+            6: {Terminal("#", "D"): EPSILON},
+        }
+
     def test_a_long_chain_of_names_costs_no_stack(self):
         n = 5000
         names = {f"A{i}": parse_type(f"!Int;A{i + 1}") for i in range(n)}

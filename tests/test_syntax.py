@@ -1,4 +1,4 @@
-"""Parsing and pretty-printing."""
+"""Parsing, pretty-printing and substitution."""
 
 import random
 
@@ -305,6 +305,29 @@ def test_program_files_parse(tree_source, cross_source, cross_doubled_source):
     for src in (tree_source, cross_source, cross_doubled_source):
         _, diags = parse_program(src)
         assert diags == []
+
+
+class TestSubst:
+    def test_a_binder_that_would_capture_is_renamed(self):
+        out = S.subst(parse_type("rec y. rec z. !Int;x;y;z"), {"x": TVar("z")})
+        assert out.var == "y" and out.body.var != "z"
+        assert S.free_tvars(out) == {"z"}
+        assert S.subst(parse_type("rec z. x;z"), {"x": Message(S.OUT, "Int")}).var == "z"
+
+    def test_free_variables_are_worked_out_once_per_call(self, monkeypatch):
+        # twenty binders on the path to `x`, each asking whether it would
+        # capture a free variable of the substituted type
+        t = parse_type(" ".join(f"rec y{i}." for i in range(20)) + " !Int;x")
+        into = parse_type("+{A: ?Int;z, B: !Bool}")
+        calls = []
+        free_tvars = S.free_tvars
+        monkeypatch.setattr(S, "free_tvars", lambda u: calls.append(u) or free_tvars(u))
+        S.free_tvars(into)
+        once = len(calls)
+        out = S.subst(t, {"x": into})
+        assert len(calls) == 2 * once
+        monkeypatch.undo()
+        assert S.free_tvars(out) == {"z"}
 
 
 class TestRobustness:

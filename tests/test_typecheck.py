@@ -11,7 +11,7 @@ from sluice import syntax as S
 from sluice.equiv import Session, equivalent
 from sluice.kinds import KindError
 from sluice.parser import parse_expr, parse_program, parse_type
-from sluice.syntax import SL, Scheme, TVar, Basic, Pair
+from sluice.syntax import SL, Scheme, TVar, Basic, Pair, Terminal
 from sluice.typecheck import (
     BUILTINS, CheckError, Ctx, GlobalEnv, build_global_env, check_against,
     check_program, dump_types, synth,
@@ -684,22 +684,65 @@ class TestSession:
                 session.kind_of({}, S.Rec("x", TVar("x")))
 
     def test_a_failed_translation_leaves_no_half_filled_nonterminal(self, monkeypatch):
-        # `head` fails on its third call, while the second nonterminal is
-        # being filled; the next query must not see that nonterminal
+        # filling TreeC's nonterminal fails once its first production, for
+        # Leaf, is written; the next query must not see that nonterminal
         unfolded = S.subst(TREE_C.body, {TREE_C.var: TREE_C})
-        session, calls, head = Session({}, {}), [], S.head
+        session, head, half_filled = Session({}, {}), S.head, []
 
-        def failing(t, names=None):
-            calls.append(t)
-            if len(calls) == 3:
+        class Failing(dict):
+            def items(self):
+                yield next(iter(super().items()))
+                half_filled.extend(p for p in session.grammar.productions.values()
+                                   if list(p) == [Terminal("+", "Leaf")])
                 raise RecursionError
-            return head(t, names)
 
-        monkeypatch.setattr(S, "head", failing)
+        monkeypatch.setattr(S, "head", lambda t, names=None: Failing(head(t, names)))
         with pytest.raises(RecursionError):
             session.equivalent(TREE_C, unfolded, {})
+        assert half_filled
+        monkeypatch.undo()
         assert session.equivalent(TREE_C, unfolded, {})
         assert session.equivalent(unfolded, TREE_C, {})
+
+    def test_a_root_equal_query_fills_nothing(self, monkeypatch):
+        # two objects with one key are one start word: the query is answered
+        # before any nonterminal is filled, so no head is read
+        heads = []
+        head = S.head
+        monkeypatch.setattr(S, "head", lambda t, names=None: heads.append(t) or head(t, names))
+        session = Session({}, {})
+        assert session.equivalent(TREE_C, parse_type("rec y. +{Leaf: Skip, Node: !Int;y;y;?Int}"), {})
+        assert session.equivalent(parse_type("!Int;Skip;?Bool"), parse_type("!Int;?Bool"), {})
+        assert heads == []
+        assert session.grammar.productions
+        assert not any(session.grammar.productions.values())
+        assert session.grammar.norms == {}
+
+    def test_a_search_fills_what_earlier_queries_left(self, monkeypatch):
+        # root-equal queries leave their nonterminals unfilled; the next
+        # search reaches them, and must see each filled and normed
+        unfolded = S.subst(TREE_C.body, {TREE_C.var: TREE_C})
+        flipped = parse_type("+{Leaf: Skip, Node: !Int;x;x;?Bool}")
+        flipped = S.subst(flipped, {"x": TREE_C})
+        loop = parse_type("rec x. &{More: ?Int;x, Done: !Bool}")
+        searched = []
+        search = E.search
+
+        def complete(g, w1, w2, budget, trace):
+            assert all(g.productions.values())
+            assert g.norms.keys() == g.productions.keys()
+            searched.append((w1, w2))
+            return search(g, w1, w2, budget, trace)
+
+        monkeypatch.setattr(E, "search", complete)
+        session = Session({}, {})
+        for t in (TREE_C, loop):
+            assert session.equivalent(t, parse_type(S.pretty(t)), {})
+        assert not any(session.grammar.productions.values())
+        queries = [(unfolded, TREE_C), (TREE_C, flipped), (S.subst(loop.body, {"x": loop}), loop)]
+        verdicts = [session.equivalent(t1, t2, {}) for t1, t2 in queries]
+        assert verdicts == [equivalent(t1, t2) for t1, t2 in queries] == [True, False, True]
+        assert len(searched) == 2 * len(queries)
 
 
 class TestCheckAgainst:
