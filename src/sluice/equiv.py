@@ -23,9 +23,10 @@ probe skips reflexive pairs.
 
 Every type is decided this way: arrows, pairs, basic types and datatype
 names are grammar nonterminals too (see `grammar`), so a functional query is
-one search. A `Session` answers all the queries of one program: it kinds
-each type once per kind env and grows one grammar across queries;
-`equivalent` is a session of one query.
+one search. A `Session` answers all the queries of one program: one walk
+(`kinds.Walk`) kinds each type once per kind env and gives translation its
+keys, and one grammar grows across queries; `equivalent` is a session of
+one query.
 """
 
 from __future__ import annotations
@@ -406,58 +407,50 @@ class Session:
     """The equivalence queries of one program, over its tables of name kinds
     (`datakinds`) and abbreviation bodies (`abbrevs`).
 
-    Kinds are kept per (type object, kind env object); both objects are
-    held, so their ids stay theirs. A `KindError` is raised again on every
-    query, never kept. The types of every query are translated into one
-    grammar that grows across queries, so a name or type translated
-    before costs a memo lookup. Productions are written, and norms and
-    pruning run, only when a query searches, and only for the nonterminals
-    added since the last search. Each search has its own budget."""
+    One walk (`kinds.Walk`) kinds each type and keys it for translation, and
+    keeps the facts of every subterm per (type object, kind env object), so
+    a query translates its kinded types without walking them again. A
+    `KindError` is raised again on every query of an ill-kinded type. The
+    types of every query are translated into one grammar that grows across
+    queries, so a name or type translated before costs a memo lookup.
+    Productions are written, and norms and pruning run, only when a query
+    searches, and only for the nonterminals added since the last search.
+    Each search has its own budget."""
 
-    __slots__ = ("datakinds", "abbrevs", "grammar", "_kinds", "_builder", "_done")
+    __slots__ = ("abbrevs", "walk", "grammar", "_builder", "_done")
 
     def __init__(self, datakinds: K.NameKinds, abbrevs: Mapping[str, Type]) -> None:
-        self.datakinds = datakinds
         self.abbrevs = abbrevs
-        self._kinds: dict[tuple[int, int], tuple[Type, K.KindEnv, Kind]] = {}
+        self.walk = K.Walk(datakinds)
         self._restart()
 
     def _restart(self) -> None:
-        self._builder = _Builder(self.abbrevs)
+        self._builder = _Builder(self.abbrevs, self.walk)
         # the grammar grown so far; filled, normed and pruned up to the last
         # search, and holding unfilled nonterminals of root-equal queries since
         self.grammar = Grammar(self._builder.productions)
         self._done = 0  # nonterminals whose norms and pruned tails are final
 
     def kind_of(self, env: K.KindEnv, t: Type) -> Kind:
-        key = (id(t), id(env))
-        hit = self._kinds.get(key)
-        if hit is not None:
-            return hit[2]
-        kind = K.synth_kind(env, t, self.datakinds)
-        self._kinds[key] = (t, env, kind)
-        return kind
+        return self.walk.kind(env, t)
 
     def equivalent(self, t1: Type, t2: Type, env: K.KindEnv, *,
                    budget: int = DEFAULT_BUDGET, trace: TraceFn | None = None) -> bool:
-        """`equivalent` for two types of the program, kinded under `env`."""
-        self.kind_of(env, t1)
-        self.kind_of(env, t2)
-        return self._bisimilar(t1, t2, budget, trace)
-
-    def _bisimilar(self, a: Type, b: Type, budget: int, trace: TraceFn | None) -> bool:
-        """Bisimilarity of the start words of two kinded types; one object
-        is equivalent to itself untranslated, and equal start words are
-        equivalent unfilled."""
-        builder = self._builder
+        """`equivalent` for two types of the program, kinded under `env`. One
+        object is equivalent to itself untranslated, and equal start words
+        are equivalent unfilled."""
+        walk, builder = self.walk, self._builder
+        walk.kind(env, t1)
+        if t2 is not t1:
+            walk.kind(env, t2)
         try:
-            wa, wb = ((), ()) if a is b else (builder.word(a), builder.word(b))
-            if wa != wb:
+            w1, w2 = ((), ()) if t1 is t2 else (builder.word(t1, env), builder.word(t2, env))
+            if w1 != w2:
                 builder.fill()
         except BaseException:
             self._restart()  # a nonterminal may be left half filled
             raise
-        if wa == wb:
+        if w1 == w2:
             # (R) at the root: equal words of one grammar are bisimilar
             if trace:
                 trace(0, 0, "empty: equivalent")
@@ -466,7 +459,7 @@ class Session:
         compute_norms(g, self._done)
         prune(g, self._done)
         self._done = len(g.productions)
-        return search(g, wa, wb, budget, trace)
+        return search(g, w1, w2, budget, trace)
 
 
 def equivalent(t1: Type, t2: Type, env: K.KindEnv | None = None, *,
@@ -477,11 +470,6 @@ def equivalent(t1: Type, t2: Type, env: K.KindEnv | None = None, *,
     """Sound-and-complete equivalence of kinded types, session and
     functional alike. Comparing a session type against a functional one is
     False, not an error. `datakinds` and `abbrevs` are the program's tables
-    of name kinds and abbreviation bodies. This is a session of one query,
-    kinded directly."""
-    env = env or {}
-    dk = datakinds or {}
-    K.synth_kind(env, t1, dk)
-    if t2 is not t1:
-        K.synth_kind(env, t2, dk)
-    return Session(dk, abbrevs or {})._bisimilar(t1, t2, budget, trace)
+    of name kinds and abbreviation bodies. This is a session of one query."""
+    return Session(datakinds or {}, abbrevs or {}).equivalent(
+        t1, t2, env or {}, budget=budget, trace=trace)

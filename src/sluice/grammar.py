@@ -12,19 +12,23 @@ the types agree level by level and their session components are bisimilar.
 
 The pipeline is: `build` (translate any number of types over one shared
 grammar, keying each subterm up to the Skip laws and renaming of binders
-without building a normal copy, and walking a shared subterm once; each
-abbreviation name is one nonterminal, as each equation of a system is in
-Almeida, Mordido and Vasconcelos, TACAS 2020),
+without building a normal copy; each abbreviation name is one nonterminal,
+as each equation of a system is in Almeida, Mordido and Vasconcelos, TACAS
+2020),
 `compute_norms` (least fixed point of the shortest-termination measure), and
 `prune` (truncate production tails that sit behind an unnormed symbol and can
 never be reached). Translation is two steps: `_Builder.word` gives a type's
 start word, allocating a nonterminal for each key it meets first, and
 `_Builder.fill` writes the productions of every nonterminal allocated since,
 reading only a `rec`'s and a name's off `syntax.head`. `build` takes both.
+The keys come from the walk that kinds types (`kinds.Walk`), which visits a
+shared subterm once.
 
 An equivalence session (`equiv.Session`) keeps one `_Builder` for a whole
 program and translates each query's types into the grammar it has grown so
-far, so a name or type translated before costs a memo lookup. A query whose
+far, so a name or type translated before costs a memo lookup. The builder
+reads the session's walk, under the kind env of the query, so a type the
+session has kinded is keyed without a second walk. A query whose
 two start words are equal is answered before the fill, and leaves its new
 nonterminals unfilled until a later query searches. Before a search the
 session fills every nonterminal, then norms and prunes the ones added since
@@ -41,6 +45,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from . import kinds as K
 from . import syntax as S
 from .syntax import (
     Basic, Arrow, Pair, DataRef, Skip, Semi, Message, Choice, Rec, TVar, Terminal, Type,
@@ -73,132 +78,46 @@ def step(g: Grammar, w: Word) -> dict[Terminal, Word]:
 # Translation
 
 
-# A key identifies a type up to alpha-equivalence: a short tuple for a leaf,
-# an interned int for a composite type.
-Key = object
-_SKIP: Key = ("skip",)
-
-
 class _Builder:
     """Translates closed types (free variables are rigid) into
     productions. Every type other than Skip and `;` becomes one nonterminal
-    per key (see `normal`), whose productions are the head normal form of
-    the type as given, so recursion bodies are entered only by unfolding
-    and head actions are always computable even when an inner recursion
-    starts by running an outer one. A name is keyed by itself, so it is one
-    nonterminal however often it occurs. `word` queues each new nonterminal
-    on `pending` with the type it stands for, and `fill` writes its
-    productions, so only a `;` spine costs Python stack. A type with an
-    empty head (a name for Skip) is the empty word. One builder can
+    per key, which the builder's `walk` gives (see `kinds.Walk.facts`), and
+    its productions are the head normal form of the type as given, so
+    recursion bodies are entered only by unfolding and head actions are
+    always computable even when an inner recursion starts by running an
+    outer one. A name is keyed by itself, so it is one nonterminal however
+    often it occurs. `word` queues each new nonterminal on `pending` with
+    the type it stands for and the kind env it was reached under, and `fill`
+    writes its productions, so only a `;` spine costs Python stack. A type
+    with an empty head (a name for Skip) is the empty word. One builder can
     translate any number of batches of types: what an earlier batch
     translated is reused, and each batch only adds nonterminals. Once `fill`
     returns, every nonterminal has its productions."""
 
-    def __init__(self, names: Mapping[str, Type]) -> None:
+    def __init__(self, names: Mapping[str, Type], walk: K.Walk) -> None:
         self.names = names
+        self.walk = walk
         self.productions: dict[int, dict[Terminal, Word]] = {}
-        self._memo: dict[Key, Word] = {}
+        self._memo: dict[K.Key, Word] = {}
         # nonterminals allocated but not filled yet, each with its (empty)
-        # productions and what to fill them from: a type, or a name's head
-        self.pending: list[tuple[dict[Terminal, Word], Type | dict[Terminal, Type]]] = []
-        # id of a composite subterm outside every binder -> (the subterm, the
-        # subterm to translate in its place, its key). The subterm is held so
-        # its id is not reused during the build.
-        self._seen: dict[int, tuple[Type, Type, Key]] = {}
-        # composite key -> a small int, so hashing a key costs its arity
-        self._interned: dict[tuple, int] = {}
+        # productions, what to fill them from (a type, or a name's head) and
+        # the kind env of the query, under which the walk has seen its parts
+        self.pending: list[tuple[dict[Terminal, Word], Type | dict[Terminal, Type],
+                                 K.KindEnv]] = []
 
-    def _intern(self, key: tuple) -> int:
-        n = self._interned.get(key)
-        if n is None:
-            n = self._interned[key] = len(self._interned)
-        return n
-
-    def normal(self, t: Type, bound: tuple[str, ...] = ()) -> tuple[Type, Key, int]:
-        """The subterm to translate in place of `t`, the key of `t` under the
-        `rec` binders `bound` (outermost first), and the bit set of the levels
-        of `bound` that its free variables refer to. Keys are taken up to the
-        Skip laws (`;` drops an operand keyed as Skip) and renaming: a bound
-        variable is keyed by its de Bruijn index and a free one by its name.
-        A `rec` is vacuous when its body does not refer to its level; it keys
-        as its body, keyed again without the binder only when the body refers
-        to outer ones, and its body is translated in its place. Any other
-        subterm is translated as itself, so this walk builds no type. Outside
-        every binder the result depends on the subterm alone, so it is
-        computed once per object: a subterm shared along several paths (as
-        `subst` leaves an unfolding) is walked once, not once per path. An
-        arrow or pair level costs one Python frame."""
-        match t:
-            case Skip():
-                return t, _SKIP, 0
-            case Message(polarity, payload):
-                return t, ("msg", polarity, payload), 0
-            case TVar(name):
-                for level in range(len(bound) - 1, -1, -1):
-                    if bound[level] == name:
-                        return t, ("bvar", len(bound) - 1 - level), 1 << level
-                return t, ("rigid", name), 0
-            case DataRef(name):
-                return t, ("name", name), 0
-            case Basic(name):
-                return t, ("basic", name), 0
-        if not bound:
-            hit = self._seen.get(id(t))
-            if hit is not None:
-                return hit[1], hit[2], 0
-        out: tuple[Type, Key, int]
-        match t:
-            case Semi(lhs, rhs):
-                _, k1, r1 = self.normal(lhs, bound)
-                _, k2, r2 = self.normal(rhs, bound)
-                if k1 == _SKIP:
-                    out = t, k2, r2
-                elif k2 == _SKIP:
-                    out = t, k1, r1
-                else:
-                    out = t, self._intern(("semi", k1, k2)), r1 | r2
-            case Choice(view, branches):
-                key: list[object] = ["choice", view]
-                refs = 0
-                for lab, ty in branches:
-                    _, k, r = self.normal(ty, bound)
-                    key += (lab, k)
-                    refs |= r
-                out = t, self._intern(tuple(key)), refs
-            case Rec(var, body):
-                level = len(bound)
-                sub, k, refs = self.normal(body, bound + (var,))
-                if refs >> level & 1:
-                    out = t, self._intern(("rec", k)), refs & ~(1 << level)
-                elif refs:
-                    out = self.normal(sub, bound)
-                else:
-                    out = sub, k, 0
-            case Arrow(mult, a, b):
-                (_, ka, ra), (_, kb, rb) = self.normal(a, bound), self.normal(b, bound)
-                out = t, self._intern(("arrow", mult, ka, kb)), ra | rb
-            case Pair(a, b):
-                (_, ka, ra), (_, kb, rb) = self.normal(a, bound), self.normal(b, bound)
-                out = t, self._intern(("pair", ka, kb)), ra | rb
-            case _:
-                raise TypeError(f"not a type: {t!r}")
-        if not bound:
-            self._seen[id(t)] = (t, out[0], out[1])
-        return out
-
-    def word(self, t: Type) -> Word:
-        """The start word of `t`. A nonterminal met for the first time is
-        allocated and queued with the type to fill it from, for `fill`; only
-        an abbreviation name has its head read at once, since a name for Skip
-        is the empty word."""
+    def word(self, t: Type, env: K.KindEnv) -> Word:
+        """The start word of `t`, keyed under the kind env `env`. A
+        nonterminal met for the first time is allocated and queued with the
+        type to fill it from, for `fill`; only an abbreviation name has its
+        head read at once, since a name for Skip is the empty word."""
         match t:
             case Skip():
                 return EPSILON
             case Semi(lhs, rhs):
-                return self.word(lhs) + self.word(rhs)
-        sub, key, _ = self.normal(t)
+                return self.word(lhs, env) + self.word(rhs, env)
+        _, _, _, _, _, sub, key, _ = self.walk.facts(t, env)
         if sub is not t:  # a vacuous `rec`: translate its body
-            return self.word(sub)
+            return self.word(sub, env)
         w = self._memo.get(key)
         if w is None:
             todo: Type | dict[Terminal, Type] = t
@@ -207,7 +126,7 @@ class _Builder:
             w = self._memo[key] = (len(self.productions),) if todo else EPSILON
             if w:
                 prods = self.productions[w[0]] = {}
-                self.pending.append((prods, todo))
+                self.pending.append((prods, todo, env))
         return w
 
     def fill(self) -> None:
@@ -220,22 +139,22 @@ class _Builder:
         loop fills in every nonterminal's productions."""
         word, pending = self.word, self.pending
         while pending:  # filling one nonterminal may queue more
-            prods, t = pending.pop()
+            prods, t, env = pending.pop()
             match t:
                 case Message(polarity, payload):
                     prods[Terminal(polarity, payload)] = EPSILON
                 case Choice(view, branches):
                     for lab, ty in branches:
-                        prods[Terminal(view, lab)] = word(ty)
+                        prods[Terminal(view, lab)] = word(ty, env)
                 case TVar(name):
                     prods[Terminal(S.VAR, name)] = EPSILON
                 case Arrow(mult, dom, cod):
                     tag = "-o" if mult == S.LINEAR else "->"
-                    prods[Terminal(tag, "dom")] = word(dom)
-                    prods[Terminal(tag, "cod")] = word(cod)
+                    prods[Terminal(tag, "dom")] = word(dom, env)
+                    prods[Terminal(tag, "cod")] = word(cod, env)
                 case Pair(fst, snd):
-                    prods[Terminal("*", "fst")] = word(fst)
-                    prods[Terminal("*", "snd")] = word(snd)
+                    prods[Terminal("*", "fst")] = word(fst, env)
+                    prods[Terminal("*", "snd")] = word(snd, env)
                 case Basic(name):
                     prods[Terminal("=", name)] = EPSILON
                 case DataRef(name):  # a datatype: names are queued as their heads
@@ -243,14 +162,7 @@ class _Builder:
                 case _:  # a `rec`, or the head of an abbreviation name
                     actions = S.head(t, self.names) if isinstance(t, Rec) else t
                     for a, k in actions.items():
-                        prods[a] = word(k)
-
-    def words(self, *types: Type) -> list[Word]:
-        """The start words of `types`, with every nonterminal they reach
-        filled in."""
-        out = [self.word(t) for t in types]
-        self.fill()
-        return out
+                        prods[a] = word(k, env)
 
 
 def build(*types: Type, names: Mapping[str, Type] | None = None) -> tuple:
@@ -259,8 +171,9 @@ def build(*types: Type, names: Mapping[str, Type] | None = None) -> tuple:
     abbreviation the types reach to its body. Structurally identical subterms
     share nonterminals, so building the same type twice yields the same start
     word."""
-    b = _Builder(names or {})
-    words = b.words(*types)
+    b, env = _Builder(names or {}, K.Walk({})), {}  # no name is kinded here
+    words = [b.word(t, env) for t in types]
+    b.fill()
     return (Grammar(b.productions), *words)
 
 

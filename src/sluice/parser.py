@@ -520,6 +520,3 @@ def parse_type(source: str) -> S.Type:
 def parse_scheme(source: str) -> S.Scheme:
     return _parse_all(source, _P.scheme)
 
-
-def parse_expr(source: str) -> S.Expr:
-    return _parse_all(source, _P.expr)

@@ -28,6 +28,13 @@ def cross_doubled_source() -> str:
     return program_source("cross_doubled.fst")
 
 
+def parse_expr(source: str):
+    """Parse a standalone expression, as `parser.parse_type` parses a type."""
+    from sluice.parser import _P, _parse_all
+
+    return _parse_all(source, _P.expr)
+
+
 def checked_program(source: str):
     from sluice.parser import parse_program
     from sluice.typecheck import check_program
@@ -37,3 +44,21 @@ def checked_program(source: str):
     cd = check_program(prog)
     assert not cd, [d.render() for d in cd]
     return prog
+
+
+@pytest.fixture
+def root_walks(monkeypatch):
+    """The (type, kind env) of every walk `kinds.Walk.facts` starts that its
+    memo does not answer, in order: a pair listed twice was walked twice."""
+    from sluice.kinds import Walk
+
+    walks, facts = [], Walk.facts
+
+    def counting(self, t, env):
+        scope = self._scopes.get(id(env))
+        if scope is None or id(t) not in scope[1]:
+            walks.append((t, env))
+        return facts(self, t, env)
+
+    monkeypatch.setattr(Walk, "facts", counting)
+    return walks

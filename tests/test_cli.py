@@ -8,7 +8,6 @@ import sys
 import pytest
 
 import sluice
-from sluice import kinds as K
 from sluice import syntax as S
 from sluice.cli import main
 
@@ -175,15 +174,12 @@ class TestEquiv:
         assert main(["equiv", t1, t2, "--budget", "4"]) == 2
         assert main(["equiv", t1, t2, "--budget", "5"]) == 0
 
-    def test_each_type_is_kinded_once(self, capsys, monkeypatch):
-        kinded = []
-        synth_kind = K.synth_kind
-        monkeypatch.setattr(K, "synth_kind", lambda *args: kinded.append(args) or synth_kind(*args))
+    def test_each_type_is_kinded_once(self, capsys, root_walks):
         assert main(["equiv", "!Int;?Bool", "!Int;Skip;?Bool"]) == 0
-        assert [S.pretty(args[1]) for args in kinded] == ["!Int;?Bool", "!Int;Skip;?Bool"]
-        kinded.clear()
+        assert [S.pretty(t) for t, _ in root_walks] == ["!Int;?Bool", "!Int;Skip;?Bool"]
+        root_walks.clear()
         assert main(["equiv", "--trace", "!Int;x", "?Int;y"]) == 1
-        assert len(kinded) == 2
+        assert len(root_walks) == 2
         assert capsys.readouterr().out.endswith("not equivalent\n")
 
     def test_bad_type_is_a_diagnostic(self, capsys):

@@ -7,7 +7,6 @@ import time
 import pytest
 
 from sluice import equiv as E
-from sluice import kinds as K
 from sluice import syntax as S
 from sluice.kinds import KindError
 from sluice.equiv import (
@@ -23,7 +22,7 @@ from oracles import (
     congruence_closure, k_bisimilar_types, pairwise_congruence_closure,
     regular_equivalent, scanning_congruent,
 )
-from verdict_corpus import SEED, SUITES, ladder_queries, search_line, unfoldings
+from verdict_corpus import SUITES, drawn, ladder_queries, search_line, unfoldings
 
 TREE_C = parse_type("rec x. +{Leaf: Skip, Node: !Int;x;x;?Int}")
 TREE_CHANNEL = parse_type("rec x. +{Leaf: Skip, Node: !Int;x;x}")
@@ -278,8 +277,8 @@ class TestRootReflexivity:
     def test_search_agrees_on_corpus_pairs_with_equal_start_words(self):
         rng = random.Random(61)
         coinciding = 0
-        for name, draw in SUITES:
-            for t1, t2 in draw(random.Random(f"{SEED}:{name}")):
+        for name, _ in SUITES:
+            for t1, t2 in drawn(name):
                 if rng.random() >= 0.1:
                     continue
                 g, w1, w2 = build(t1, t2)
@@ -331,7 +330,7 @@ class TestProbeDepth:
 
         monkeypatch.setattr(E, "_pair_refuted", record)
         queries = [pair for _, pair in ladder_queries()]
-        queries += dict(SUITES)["perturbed"](random.Random(f"{SEED}:perturbed"))
+        queries += drawn("perturbed")
         for t1, t2 in queries:
             equivalent(t1, t2)
         monkeypatch.undo()
@@ -449,32 +448,31 @@ class TestEquivalentLaws:
         assert equivalent(TVar("f"), TVar("f"), env)
         assert not equivalent(TVar("f"), Basic("Int"), env)
 
-    def test_functional_query_kinds_only_the_roots(self, monkeypatch):
-        # a query kinds its two roots and translates the rest into grammar
-        # nonterminals, session and functional components alike
-        kinded = []
-        synth_kind = K.synth_kind
-        monkeypatch.setattr(K, "synth_kind", lambda *args: kinded.append(args) or synth_kind(*args))
+    def test_functional_query_kinds_only_the_roots(self, root_walks):
+        # a query walks its two roots once, and translates their parts into
+        # grammar nonterminals off that walk, session and functional alike
         env, names, bodies = {"s": SL, "f": TU}, {"D": TU, "A": SL}, {"A": parse_type("!Int")}
 
-        def chain():
-            out = parse_type("!Int;?Bool")
+        def chain(last="!Int;?Bool"):
+            out = parse_type(last)
             for _ in range(50):
                 out = S.Arrow(S.UNRESTRICTED, Pair(TVar("s"), DataRef("D")), out)
             return out
 
-        # only root objects are kinded, and one object once
-        c1, c2 = chain(), chain()
+        # only root objects are walked, and one object once
+        c1, c2, c3 = chain(), chain(), chain("!Int;?Int")
         assert equivalent(c1, c2, env, datakinds=names)
         assert equivalent(c1, c1, env, datakinds=names)
-        assert len(kinded) == 3 and all(a[1] is b for a, b in zip(kinded, (c1, c2, c1)))
-        # a session kinds each (object, env) pair once over all its queries
-        kinded.clear()
+        assert not equivalent(c1, c3, env, datakinds=names)  # fills every arrow
+        assert len(root_walks) == 5 and all(
+            a[0] is b for a, b in zip(root_walks, (c1, c2, c1, c1, c3)))
+        # a session walks each (object, env) pair once over all its queries
+        root_walks.clear()
         session = E.Session(names, {})
         for _ in range(3):
             assert session.equivalent(c1, c2, env)
             assert session.equivalent(c2, c1, env)
-        assert len(kinded) == 2 and kinded[0][1] is c1 and kinded[1][1] is c2
+        assert len(root_walks) == 2 and root_walks[0][0] is c1 and root_walks[1][0] is c2
         assert not equivalent(Pair(TVar("s"), TVar("f")), Pair(TVar("f"), TVar("f")), env)
         assert not equivalent(Pair(DataRef("A"), DataRef("D")), Pair(DataRef("D"), DataRef("D")),
                               datakinds=names, abbrevs=bodies)
@@ -521,8 +519,7 @@ class TestSession:
     def test_one_growing_grammar_decides_as_fresh_queries(self):
         # the corpus pairs and the ladder, in turn, through one session: each
         # search norms and prunes only the nonterminals its query added
-        pairs = [pair for name, draw in SUITES
-                 for pair in list(draw(random.Random(f"{SEED}:{name}")))[:150]]
+        pairs = [pair for name, _ in SUITES for pair in drawn(name)[:150]]
         pairs += [pair for _, pair in ladder_queries()]
         session = E.Session({}, {})
         verdicts = [session.equivalent(t1, t2, {}) for t1, t2 in pairs]

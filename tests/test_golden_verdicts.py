@@ -2,15 +2,13 @@
 and the front end every recorded token stream, program and diagnostic (see
 verdict_corpus.py)."""
 
-import random
-
 from sluice import syntax as S
 from sluice.grammar import build
 
 from oracles import k_bisimilar_words
 from verdict_corpus import (
-    LADDER, SEED, SUITES, VERDICT_SUITES, compute, compute_frontend,
-    compute_grammars, compute_traces, read_frontend, read_golden,
+    LADDER, SUITES, VERDICT_SUITES, compute, compute_frontend,
+    compute_grammars, compute_traces, drawn, read_frontend, read_golden,
     read_grammars, read_traces,
 )
 
@@ -20,10 +18,10 @@ def test_every_recorded_verdict_is_reproduced():
     assert sum(map(len, golden.values())) >= 10_000
     current = compute()
     assert list(current) == list(golden)
-    for name, draw in VERDICT_SUITES:
+    for name, _ in VERDICT_SUITES:
         if current[name] == golden[name]:
             continue
-        pairs = list(draw(random.Random(f"{SEED}:{name}")))
+        pairs = drawn(name)
         flips = [f"#{i}: {S.pretty(pairs[i][0])}  vs  {S.pretty(pairs[i][1])}: "
                  f"{golden[name][i]} -> {now}"
                  for i, now in enumerate(current[name]) if now != golden[name][i]]
@@ -35,7 +33,7 @@ def test_the_deep_suite_agrees_with_a_product_walk():
     # N of the deep suite and finds no mismatch on any recorded E.
     letters = read_golden()["deep"]
     assert "I" not in letters
-    pairs = list(dict(VERDICT_SUITES)["deep"](random.Random(f"{SEED}:deep")))
+    pairs = drawn("deep")
     assert len(pairs) == len(letters)
     for (t1, t2), letter in zip(pairs, letters):
         g, w1, w2 = build(t1, t2)

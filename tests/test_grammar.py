@@ -4,10 +4,12 @@ import random
 from collections import deque
 
 from sluice import syntax as S
+from sluice.equiv import equivalent
 from sluice.grammar import (
     Grammar, Terminal, _Builder, build, compute_norms, dump, prune, step,
     truncate, word_norm, EPSILON,
 )
+from sluice.kinds import Walk
 from sluice.parser import parse_type
 from sluice.syntax import Choice, Message, Rec, Semi, Skip, TVar
 
@@ -19,10 +21,10 @@ LOOP = parse_type("rec x. !Int;x")
 
 
 def keyed_alike(*types):
-    """Whether one builder gives the types one key: equal up to the Skip
-    laws, vacuous recursion and renaming of binders."""
-    b = _Builder({})
-    return len({b.normal(t)[1] for t in types}) == 1
+    """Whether one walk gives the types one key: equal up to the Skip laws,
+    vacuous recursion and renaming of binders."""
+    walk, env = Walk({}), {}
+    return len({walk.facts(t, env)[6] for t in types}) == 1
 
 
 def canonical_shape(g: Grammar, start):
@@ -165,7 +167,7 @@ class TestBuild:
         for _ in range(4):
             unfolded = S.subst(TREE_C.body, {TREE_C.var: unfolded})
         for t in (TREE_C, unfolded, parse_type("!Int;x"), parse_type("!Int;Skip")):
-            assert _Builder({}).normal(t)[0] is t
+            assert Walk({}).facts(t, {})[5] is t
         assert keyed_alike(parse_type("!Int;Skip"), parse_type("!Int"))
 
     def test_translation_builds_no_type(self):
@@ -173,12 +175,15 @@ class TestBuild:
         # not Skip-normal makes no normal copy of it: every subterm kept by
         # identity belongs to the type itself
         t = parse_type("+{A: Skip;!Int, B: rec y. ?Int}")
-        b = _Builder({})
-        b.words(t)
+        walk, env = Walk({}), {}
+        b = _Builder({}, walk)
+        b.word(t, env)
+        b.fill()
         mine = objects(t)
-        assert b._seen
-        for sub, into, _ in b._seen.values():
-            assert mine.get(id(sub)) is sub and mine.get(id(into)) is into
+        (_, memo), = walk._scopes.values()
+        assert memo
+        for key, facts in memo.items():
+            assert mine.get(key) is facts[5]
 
     def test_vacuous_rec_keys_as_its_body(self):
         # `rec y` binds nothing; once it is dropped, `x` is one binder out
@@ -235,6 +240,8 @@ class TestBuild:
         compute_norms(g)
         assert len(g.productions) == n + 1
         assert word_norm(g, w) == n + 1
+        # deciding it kinds the nest as well as translating it
+        assert equivalent(t, Semi(t, Skip()))
 
     def test_gnf_and_determinism_by_construction(self):
         rng = random.Random(13)

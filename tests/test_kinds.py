@@ -98,6 +98,12 @@ class TestSynth:
 
     def test_skips_sequence_to_SU(self):
         assert synth_kind({}, parse_type("Skip;Skip")) == SU
+        # a left `;` spine costs one Python frame per level
+        spine = Skip()
+        for _ in range(900):
+            spine = Semi(spine, Skip())
+        assert synth_kind({}, spine) == SU
+        assert synth_kind({}, Semi(spine, Message(S.OUT, "Int"))) == SL
 
     def test_pair_kinds(self):
         assert synth_kind({}, Pair(Basic("Int"), Basic("Bool"))) == TU

@@ -6,12 +6,13 @@ import pytest
 
 from sluice import syntax as S
 from sluice.diagnostics import DiagnosticError
-from sluice.parser import parse_expr, parse_program, parse_scheme, parse_type
+from sluice.parser import parse_program, parse_scheme, parse_type
 from sluice.syntax import (
     Skip, Semi, Message, Choice, Rec, TVar, Basic, Arrow, Pair, DataRef,
     pretty,
 )
 
+from conftest import parse_expr
 from gen import rand_session
 
 
@@ -246,8 +247,6 @@ class TestParseProgram:
         assert [b[0] for b in prog.definitions["g"].body.body.body.branches] == ["A", "B"]
 
     def test_lambda_forms(self):
-        from sluice.parser import parse_expr
-
         e = parse_expr(r"\x -> \y -o x")
         assert (e.mult, e.param) == (S.UNRESTRICTED, "x")
         assert (e.body.mult, e.body.param) == (S.LINEAR, "y")

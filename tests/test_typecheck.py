@@ -6,17 +6,17 @@ import time
 import pytest
 
 from sluice import equiv as E
-from sluice import kinds as K
 from sluice import syntax as S
 from sluice.equiv import Session, equivalent
 from sluice.kinds import KindError
-from sluice.parser import parse_expr, parse_program, parse_type
+from sluice.parser import parse_program, parse_type
 from sluice.syntax import SL, Scheme, TVar, Basic, Pair, Terminal
 from sluice.typecheck import (
     BUILTINS, CheckError, Ctx, GlobalEnv, build_global_env, check_against,
     check_program, dump_types, synth,
 )
 
+from conftest import parse_expr
 from gen import rand_session
 from verdict_corpus import frontend_inputs
 
@@ -664,16 +664,13 @@ class TestSession:
         assert not session.equivalent(parse_type("!Int;A1"), S.DataRef("A2"), {})
         assert len(session.grammar.productions) == size
 
-    def test_one_kind_env_is_kinded_once_per_type(self, monkeypatch):
+    def test_one_kind_env_is_kinded_once_per_type(self, root_walks):
         # every `+` in a let chain compares the same Int object, under the
         # one kind env of `main`, which has no binders
-        kinded = []
-        synth_kind = K.synth_kind
-        monkeypatch.setattr(K, "synth_kind", lambda *args: kinded.append(args) or synth_kind(*args))
         lines = ["main : Int", "main =", "  let x0 = 0 in"]
         lines += [f"  let x{i} = x{i - 1} + 1 in" for i in range(1, 200)]
         assert check_source("\n".join(lines + ["  x199\n"])) == []
-        assert len(kinded) < 10
+        assert len(root_walks) < 10
 
     def test_a_kind_error_is_raised_on_every_query(self):
         session = Session({}, {})

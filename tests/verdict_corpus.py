@@ -53,6 +53,7 @@ verdict, a node count or a hash), then their total.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import random
@@ -240,6 +241,13 @@ SUITES = (("laws", _laws), ("perturbed", _perturbed), ("regular", _regular))
 VERDICT_SUITES = SUITES + (("deep", _deep), ("functional", _functional))
 
 
+@functools.cache
+def drawn(name: str) -> tuple[Pair, ...]:
+    """The pairs of the suite `name`, in drawing order. Each suite draws from
+    its own seed, so one draw per process serves every reader."""
+    return tuple(dict(VERDICT_SUITES)[name](random.Random(f"{SEED}:{name}")))
+
+
 def verdict(t1: Type, t2: Type, trace: TraceFn | None = None) -> str:
     try:
         return "E" if equivalent(t1, t2, ENV, datakinds=DATAKINDS, trace=trace) else "N"
@@ -249,11 +257,8 @@ def verdict(t1: Type, t2: Type, trace: TraceFn | None = None) -> str:
 
 def compute() -> dict[str, str]:
     """Each suite's verdicts, one letter per pair, in drawing order."""
-    out = {}
-    for name, draw in VERDICT_SUITES:
-        rng = random.Random(f"{SEED}:{name}")
-        out[name] = "".join(verdict(t1, t2) for t1, t2 in draw(rng))
-    return out
+    return {name: "".join(verdict(t1, t2) for t1, t2 in drawn(name))
+            for name, _ in VERDICT_SUITES}
 
 
 def read_golden() -> dict[str, str]:
@@ -299,8 +304,8 @@ def traced_queries() -> Iterator[tuple[str, Pair]]:
     """The ladder rungs, then every `TRACE_STRIDE`-th pair of each suite,
     each named `<suite> <index>`."""
     yield from ladder_queries()
-    for name, draw in SUITES:
-        for i, pair in enumerate(draw(random.Random(f"{SEED}:{name}"))):
+    for name, _ in SUITES:
+        for i, pair in enumerate(drawn(name)):
             if i % TRACE_STRIDE == 0:
                 yield f"{name} {i}", pair
 
@@ -358,13 +363,11 @@ def compute_grammars() -> list[str]:
     `<suite> <pairs> <sha256>` per suite over its pairs' dumps in order."""
     lines = [f"{name} {hashlib.sha256(grammar_dump(t1, t2).encode()).hexdigest()}"
              for name, (t1, t2) in ladder_queries()]
-    for name, draw in SUITES:
+    for name, _ in SUITES:
         digest = hashlib.sha256()
-        pairs = 0
-        for t1, t2 in draw(random.Random(f"{SEED}:{name}")):
+        for t1, t2 in drawn(name):
             digest.update(grammar_dump(t1, t2).encode() + b"\n\n")
-            pairs += 1
-        lines.append(f"{name} {pairs} {digest.hexdigest()}")
+        lines.append(f"{name} {len(drawn(name))} {digest.hexdigest()}")
     return lines
 
 
