@@ -169,12 +169,6 @@ def congruent(pair: WordPair, own: RuleIndex, history: RuleIndex,
 # Simplification
 
 
-def _canon_pairs(g: Grammar, pairs: Iterable[WordPair]) -> Node:
-    # Words are cut behind their first unnormed symbol (unreachable suffixes);
-    # pairs that become identical dissolve by reflexivity later.
-    return frozenset((truncate(g, a), truncate(g, b)) for a, b in pairs)
-
-
 def _b2_candidates(g: Grammar, y: int, steps: int) -> list[Word]:
     """Words reachable from Y by norm-reducing transition sequences of the
     given length, sorted; every witness of a decomposition must be among
@@ -214,7 +208,10 @@ def simplify(g: Grammar, pairs: Iterable[WordPair], history: RuleIndex,
     the query's `budget`."""
     reduced: dict[Node, Node] = {}
     results: set[Node] = set()
-    work: list[tuple[Node, frozenset[WordPair]]] = [(_canon_pairs(g, pairs), frozenset())]
+    # Words are cut behind their first unnormed symbol (unreachable
+    # suffixes); pairs that become identical dissolve by reflexivity later.
+    start = frozenset((truncate(g, a), truncate(g, b)) for a, b in pairs)
+    work: list[tuple[Node, frozenset[WordPair]]] = [(start, frozenset())]
     seen: set[tuple[Node, frozenset[WordPair]]] = set()
     while work:
         P, b2done = work.pop()
@@ -248,9 +245,12 @@ def simplify(g: Grammar, pairs: Iterable[WordPair], history: RuleIndex,
             y, delta = v[0], v[1:]
             base = node - {target}
             done = b2done | {target}
+            # A child's words are truncated already: `base` comes from a
+            # reduced node, `(y,)` is one symbol, `x` is normed and every
+            # candidate `beta` is normed (it is reached by norm-reducing
+            # steps), and `gamma` and `delta` are suffixes of truncated words.
             for beta in _b2_candidates(g, y, g.norms[x]):  # type: ignore[arg-type]
-                child = base | {((y,), (x,) + beta), (gamma, beta + delta)}
-                work.append((_canon_pairs(g, child), done))
+                work.append((base | {((y,), (x,) + beta), (gamma, beta + delta)}, done))
             work.append((node, done))
             continue
 
@@ -289,13 +289,6 @@ def _reduce(g: Grammar, P: Node, history: RuleIndex) -> Node:
 
 # ---------------------------------------------------------------------------
 # Search
-
-
-@dataclass
-class _Entry:
-    pairs: Node
-    history: RuleIndex  # every node above this one on its path, and its expansion
-    depth: int
 
 
 # Refutation probe: a bounded chain of pure expansions from a single pair. An
@@ -339,46 +332,43 @@ def _pair_refuted(g: Grammar, pair: WordPair, cache: dict[WordPair, bool]) -> bo
     return refuted
 
 
-def _node_size(pairs: Node) -> int:
-    return sum(len(a) + len(b) for a, b in pairs)
-
-
-_Queued = tuple[int, int, _Entry]
-
-
-def _push(frontier: list[_Queued], entry: _Entry, order: int) -> None:
-    """Queue `entry` keyed (node size, `order`), where the size is the total
-    length of its words. Orders are distinct, so equal sizes come out first
-    in, first out and entries are never compared."""
-    heapq.heappush(frontier, (_node_size(entry.pairs), order, entry))
+def _push(frontier: list, pairs: Node, history: RuleIndex, depth: int,
+          order: int) -> None:
+    """Queue a node as `(size, order, pairs, history, depth)`, where the
+    size is the total length of its words and `history` indexes every node
+    above it on its path, and its expansion. Orders are distinct, so equal
+    sizes come out first in, first out and nothing after `order` is ever
+    compared."""
+    size = sum(len(a) + len(b) for a, b in pairs)
+    heapq.heappush(frontier, (size, order, pairs, history, depth))
 
 
 def search(g: Grammar, w1: Word, w2: Word, budget: int = DEFAULT_BUDGET,
            trace: TraceFn | None = None) -> bool:
     """Decide bisimilarity of two start words over a pruned grammar."""
     root = frozenset({(truncate(g, w1), truncate(g, w2))})
-    frontier: list[_Queued] = []
+    frontier: list = []
     pushes = itertools.count()
-    _push(frontier, _Entry(root, {}, 0), next(pushes))
+    _push(frontier, root, {}, 0, next(pushes))
     visited = {root}
     probe_cache: dict[WordPair, bool] = {}
     quota = Budget(budget)
 
     while frontier:
-        entry = heapq.heappop(frontier)[-1]
+        _, _, pairs, history, depth = heapq.heappop(frontier)
         quota.draw("search")
 
-        expanded = expand(g, entry.pairs)
+        expanded = expand(g, pairs)
         if expanded is None:
             if trace:
-                trace(entry.depth, len(entry.pairs), "expansion failed")
+                trace(depth, len(pairs), "expansion failed")
             continue
         if any(p[0] != p[1] and _pair_refuted(g, p, probe_cache) for p in expanded):
             if trace:
-                trace(entry.depth, len(entry.pairs), "refuted by expansion probe")
+                trace(depth, len(pairs), "refuted by expansion probe")
             continue
 
-        assumed = index_rules(entry.pairs, entry.history)
+        assumed = index_rules(pairs, history)
         siblings = simplify(g, expanded, assumed, quota)
         child_history = index_rules(expanded, assumed)
 
@@ -386,15 +376,15 @@ def search(g: Grammar, w1: Word, w2: Word, budget: int = DEFAULT_BUDGET,
         for sib in siblings:
             if not sib:
                 if trace:
-                    trace(entry.depth + 1, 0, "empty: equivalent")
+                    trace(depth + 1, 0, "empty: equivalent")
                 return True
             if sib in visited:
                 continue
             visited.add(sib)
-            _push(frontier, _Entry(sib, child_history, entry.depth + 1), next(pushes))
+            _push(frontier, sib, child_history, depth + 1, next(pushes))
             pushed += 1
         if trace:
-            trace(entry.depth, len(entry.pairs), f"expanded, {pushed} new siblings")
+            trace(depth, len(pairs), f"expanded, {pushed} new siblings")
 
     return False
 

@@ -10,10 +10,12 @@ from sluice import equiv as E
 from sluice import syntax as S
 from sluice.kinds import KindError
 from sluice.equiv import (
-    Budget, Inconclusive, _Entry, _push, congruent, equivalent,
+    Budget, Inconclusive, _push, congruent, equivalent,
     expand, index_rules, search, simplify,
 )
-from sluice.grammar import Grammar, Terminal, build, compute_norms, prune, step, word_norm
+from sluice.grammar import (
+    Grammar, Terminal, build, compute_norms, prune, step, truncate, word_norm,
+)
 from sluice.parser import parse_type
 from sluice.syntax import Basic, DataRef, Pair, Rec, Semi, TVar, SL, TU
 
@@ -372,12 +374,53 @@ class TestProbeWidth:
         assert calls < 5_000
 
 
+class TestTruncatedNodes:
+    """`simplify` truncates the expanded node once and queues B2 witness
+    children as built, because their words are truncated already."""
+
+    def test_every_simplified_word_is_truncated(self, monkeypatch):
+        simplify_, candidates = E.simplify, E._b2_candidates
+        nodes = unnormed = children = 0
+
+        def checked(g, pairs, history, budget):
+            nonlocal nodes, unnormed
+            result = simplify_(g, pairs, history, budget)
+            for node in result:
+                words = [word for pair in node for word in pair]
+                for word in words:
+                    assert word == truncate(g, word), (node, word)
+                unnormed += any(g.norms.get(nt) is None for word in words for nt in word)
+            nodes += len(result)
+            return result
+
+        def counted(g, y, steps):
+            nonlocal children
+            found = candidates(g, y, steps)
+            children += len(found)
+            return found
+
+        monkeypatch.setattr(E, "simplify", checked)
+        monkeypatch.setattr(E, "_b2_candidates", counted)
+        # the ladder; the deep pair of seed 3, which makes most of the B2
+        # children on record; and a perturbed TreeC unfolding followed by an
+        # unnormed stream, whose B2 children hold unnormed symbols
+        queries = [pair for _, pair in ladder_queries()] + [drawn("deep")[-2]]
+        stream = parse_type("rec y. !Bool;y")
+        *_, unfolded = unfoldings(TREE_C, 5)
+        queries.append((Semi(TREE_C, stream), Semi(perturb(random.Random(3), unfolded), stream)))
+        for t1, t2 in queries:
+            equivalent(t1, t2)
+        assert nodes > 1000
+        assert unnormed > 100
+        assert children > 2000
+
+
 class TestFrontierOrder:
     def drain(self, nodes):
         frontier = []
         for order, pairs in enumerate(nodes):
-            _push(frontier, _Entry(frozenset(pairs), frozenset(), 1), order)
-        return [heapq.heappop(frontier)[-1].pairs for _ in nodes]
+            _push(frontier, frozenset(pairs), {}, 1, order)
+        return [heapq.heappop(frontier)[2] for _ in nodes]
 
     def test_smaller_nodes_first_whatever_their_pair_count(self):
         long_pair = {((1, 2, 3), (4, 5, 6))}

@@ -178,6 +178,29 @@ class TestConcurrency:
         # each blocked thread reports its site
         assert exc.value.report == ["receive at line 14", "send at line 8"]
 
+    def test_deadlock_parked_at_a_match(self, tmp_path, capsys):
+        # main waits to branch on `a` before it sends on `c`, and the forked
+        # thread waits to receive on `d` before it selects on `b`
+        src = ("g : ?Int -o +{L: Skip} -o Skip\n"
+               "g d b = let x, d = receive d in select L b\n"
+               "\n"
+               "main : Int\n"
+               "main =\n"
+               "  let a, b = new &{L: Skip} in\n"
+               "  let c, d = new !Int in\n"
+               "  let _ = fork (g d b) in\n"
+               "  match a with\n"
+               "    L a -> let _ = send 1 c in 1\n")
+        prog = checked_program(src)
+        for seed in range(20):
+            with pytest.raises(WatchdogAbort) as exc:
+                run(prog, seed=seed)
+            assert exc.value.report == ["match at line 9", "receive at line 2"]
+        path = tmp_path / "parked.fst"
+        path.write_text(src)
+        assert cli_main(["run", str(path)]) == 3
+        assert "match at line 9" in capsys.readouterr().err
+
     def test_starved_receive_hits_watchdog(self):
         src = ("main : Int\n"
                "main = let w, r = new !Int in let x, r = receive r in let _ = fork (send x w) in x")

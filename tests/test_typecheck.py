@@ -384,6 +384,37 @@ class TestErrorPaths:
             (2, 1, "in f: nesting too deep"),
             (4, 5, "in g: expected type Int, found Bool")]
 
+    @pytest.mark.parametrize("src, want", [
+        ("f : Int -> Int\nf x = x [Int]", (2, 7, "in f: x is not polymorphic")),
+        ("g : Int\ng = 1\nmain : Int\nmain = g [Int]",
+         (4, 8, "in main: g is not polymorphic")),
+        ("main : Int\nmain = (\\x -> x) 1",
+         (2, 9, "in main: cannot synthesize the type of an unannotated function")),
+        ("f : !Int -> Skip\nf c = select L c",
+         (2, 7, "in f: channel of type !Int offers no internal choice")),
+        ("data P = P Int Int\nf : P -> Int\nf p = case p of P x x -> x",
+         (3, 7, "in f: duplicate binder x")),
+        ("main : Int\nmain = if 1 then 2 else 3",
+         (2, 8, "in main: if condition must be Bool, got Int")),
+        ("main : Int\nmain = let x, y = 1 in x",
+         (2, 8, "in main: let x, y = ... needs a pair, got Int")),
+        ("main : Int\nmain = let x, x = (1, 2) in x", (2, 8, "in main: duplicate binder x")),
+    ])
+    def test_diagnostic_is_positioned(self, src, want):
+        if "main" not in src:
+            src += "\nmain : Int\nmain = 1"
+        assert [(d.line, d.col, d.message) for d in check_source(src)] == [want]
+
+    def test_inconclusive_equivalence_is_a_diagnostic(self, monkeypatch):
+        def give_up(*args, **kwargs):
+            raise E.Inconclusive("node budget exhausted")
+
+        monkeypatch.setattr(E, "search", give_up)
+        diags = check_source("f : (rec x. !Int;x) -> !Int;(rec x. !Int;x)\nf c = c\n"
+                             "main : Int\nmain = 1")
+        assert [(d.line, d.col, d.message) for d in diags] == [
+            (2, 1, "in f: type equivalence check was inconclusive")]
+
     @pytest.mark.parametrize("arrows", [600, 900])
     def test_deep_function_type_is_compared_whole(self, arrows):
         # `g f` compares the type of `f` with the domain of `g`: two objects
