@@ -42,6 +42,7 @@ to later ones, which is why the new ones are normed together.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -77,6 +78,9 @@ def step(g: Grammar, w: Word) -> dict[Terminal, Word]:
 # ---------------------------------------------------------------------------
 # Translation
 
+# Terminal((tag, arg)) without NamedTuple.__new__'s Python frame
+_terminal = partial(tuple.__new__, Terminal)
+
 
 class _Builder:
     """Translates closed types (free variables are rigid) into
@@ -110,18 +114,18 @@ class _Builder:
         nonterminal met for the first time is allocated and queued with the
         type to fill it from, for `fill`; only an abbreviation name has its
         head read at once, since a name for Skip is the empty word."""
-        match t:
-            case Skip():
-                return EPSILON
-            case Semi(lhs, rhs):
-                return self.word(lhs, env) + self.word(rhs, env)
+        cls = t.__class__
+        if cls is Semi:
+            return self.word(t.lhs, env) + self.word(t.rhs, env)
+        if cls is Skip:
+            return EPSILON
         _, _, _, _, _, sub, key, _ = self.walk.facts(t, env)
         if sub is not t:  # a vacuous `rec`: translate its body
             return self.word(sub, env)
         w = self._memo.get(key)
         if w is None:
             todo: Type | dict[Terminal, Type] = t
-            if isinstance(t, DataRef) and t.name in self.names:
+            if cls is DataRef and t.name in self.names:
                 todo = S.head(t, self.names)  # empty for a name for Skip
             w = self._memo[key] = (len(self.productions),) if todo else EPSILON
             if w:
@@ -137,32 +141,33 @@ class _Builder:
         an arrow or a pair has one action per component, and a basic type or
         a datatype name one with an empty continuation. This one worklist
         loop fills in every nonterminal's productions."""
-        word, pending = self.word, self.pending
+        word, pending, terminal = self.word, self.pending, _terminal
         while pending:  # filling one nonterminal may queue more
             prods, t, env = pending.pop()
-            match t:
-                case Message(polarity, payload):
-                    prods[Terminal(polarity, payload)] = EPSILON
-                case Choice(view, branches):
-                    for lab, ty in branches:
-                        prods[Terminal(view, lab)] = word(ty, env)
-                case TVar(name):
-                    prods[Terminal(S.VAR, name)] = EPSILON
-                case Arrow(mult, dom, cod):
-                    tag = "-o" if mult == S.LINEAR else "->"
-                    prods[Terminal(tag, "dom")] = word(dom, env)
-                    prods[Terminal(tag, "cod")] = word(cod, env)
-                case Pair(fst, snd):
-                    prods[Terminal("*", "fst")] = word(fst, env)
-                    prods[Terminal("*", "snd")] = word(snd, env)
-                case Basic(name):
-                    prods[Terminal("=", name)] = EPSILON
-                case DataRef(name):  # a datatype: names are queued as their heads
-                    prods[Terminal("#", name)] = EPSILON
-                case _:  # a `rec`, or the head of an abbreviation name
-                    actions = S.head(t, self.names) if isinstance(t, Rec) else t
-                    for a, k in actions.items():
-                        prods[a] = word(k, env)
+            cls = t.__class__
+            if cls is Message:
+                prods[terminal((t.polarity, t.payload))] = EPSILON
+            elif cls is Choice:
+                view = t.view
+                for lab, ty in t.branches:
+                    prods[terminal((view, lab))] = word(ty, env)
+            elif cls is TVar:
+                prods[terminal((S.VAR, t.name))] = EPSILON
+            elif cls is DataRef:  # a datatype: names are queued as their heads
+                prods[terminal(("#", t.name))] = EPSILON
+            elif cls is Basic:
+                prods[terminal(("=", t.name))] = EPSILON
+            elif cls is Arrow:
+                tag = "-o" if t.mult == S.LINEAR else "->"
+                prods[terminal((tag, "dom"))] = word(t.dom, env)
+                prods[terminal((tag, "cod"))] = word(t.cod, env)
+            elif cls is Pair:
+                prods[terminal(("*", "fst"))] = word(t.fst, env)
+                prods[terminal(("*", "snd"))] = word(t.snd, env)
+            else:  # a `rec`, or the head of an abbreviation name
+                actions = S.head(t, self.names) if cls is Rec else t
+                for a, k in actions.items():
+                    prods[a] = word(k, env)
 
 
 def build(*types: Type, names: Mapping[str, Type] | None = None) -> tuple:

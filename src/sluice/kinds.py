@@ -123,91 +123,94 @@ class Walk:
                 return hit
         out: Facts
         interned = self._interned
-        match t:
-            case Message(polarity, payload):
-                out = SL, None, _NOTHING, False, False, t, ("msg", polarity, payload), 0
-            case Semi(lhs, rhs):
-                k1, e1, u1, n1, l1, _, y1, r1 = self._walk(lhs, env, memo, bound)
-                k2, e2, u2, n2, l2, _, y2, r2 = self._walk(rhs, env, memo, bound)
-                error = e1 or e2
+        cls = t.__class__
+        if cls is Message:
+            out = SL, None, _NOTHING, False, False, t, ("msg", t.polarity, t.payload), 0
+        elif cls is Semi:
+            lhs, rhs = t.lhs, t.rhs
+            k1, e1, u1, n1, l1, _, y1, r1 = self._walk(lhs, env, memo, bound)
+            k2, e2, u2, n2, l2, _, y2, r2 = self._walk(rhs, env, memo, bound)
+            error = e1 or e2
+            if error is None:
+                if k1 is not None and k1.prekind != SESSION:
+                    error = (f"sequential composition requires session types; "
+                             f"left operand {S.pretty(lhs)} has kind {k1}")
+                elif k2 is not None and k2.prekind != SESSION:
+                    error = (f"sequential composition requires session types; "
+                             f"right operand {S.pretty(rhs)} has kind {k2}")
+            if n1 and u2:
+                u1 = u1 | u2 if u1 else u2
+            kind = None
+            if k1 is not None and k2 is not None:
+                kind = SU if k1.mult == UNRESTRICTED and k2.mult == UNRESTRICTED else SL
+            if y1 == _SKIP:
+                y1, r1 = y2, r2
+            elif y2 != _SKIP:
+                y1, r1 = interned.setdefault(("semi", y1, y2), len(interned)), r1 | r2
+            out = kind, error, u1, n1 and n2, l1 or l2, t, y1, r1
+        elif cls is Skip:
+            out = SU, None, _NOTHING, True, False, t, _SKIP, 0
+        elif cls is Choice:
+            error, loops, refs = None, False, 0
+            key: list[object] = ["choice", t.view]
+            for lab, ty in t.branches:
+                k, e, _, _, l, _, y, r = self._walk(ty, env, memo, bound)
                 if error is None:
-                    if k1 is not None and k1.prekind != SESSION:
-                        error = (f"sequential composition requires session types; "
-                                 f"left operand {S.pretty(lhs)} has kind {k1}")
-                    elif k2 is not None and k2.prekind != SESSION:
-                        error = (f"sequential composition requires session types; "
-                                 f"right operand {S.pretty(rhs)} has kind {k2}")
-                if n1 and u2:
-                    u1 = u1 | u2 if u1 else u2
-                kind = None
-                if k1 is not None and k2 is not None:
-                    kind = SU if k1.mult == UNRESTRICTED and k2.mult == UNRESTRICTED else SL
-                if y1 == _SKIP:
-                    y1, r1 = y2, r2
-                elif y2 != _SKIP:
-                    y1, r1 = interned.setdefault(("semi", y1, y2), len(interned)), r1 | r2
-                out = kind, error, u1, n1 and n2, l1 or l2, t, y1, r1
-            case Choice(view, branches):
-                error, loops, refs = None, False, 0
-                key: list[object] = ["choice", view]
-                for lab, ty in branches:
-                    k, e, _, _, l, _, y, r = self._walk(ty, env, memo, bound)
-                    if error is None:
-                        error = e
-                        if e is None and k is not None and k.prekind != SESSION:
-                            error = f"choice branch {lab} must be a session type, got kind {k}"
-                    loops = loops or l
-                    key += (lab, y)
-                    refs |= r
-                y = interned.setdefault(tuple(key), len(interned))
-                out = SL, error, _NOTHING, False, loops, t, y, refs
-            case Skip():
-                out = SU, None, _NOTHING, True, False, t, _SKIP, 0
-            case TVar(name):
-                for level in range(len(bound) - 1, -1, -1):
-                    if bound[level] == name:  # recursion variables are session atoms
-                        out = (SU, None, frozenset((name,)), True, False, t,
-                               ("bvar", len(bound) - 1 - level), 1 << level)
-                        break
-                else:
-                    k = env.get(name)
-                    out = (k, None if k is not None else f"unbound type variable {name}",
-                           frozenset((name,)), True, False, t, ("rigid", name), 0)
-            case Rec(var, body):
-                level = len(bound)
-                k, error, u, n, loops, sub, y, refs = self._walk(body, env, memo, bound + (var,))
-                if error is None and k is not None and k.prekind != SESSION:
-                    error = "only session types can be recursive"
-                if var in u:
-                    loops, u = True, u - {var}
-                if refs >> level & 1:
-                    y = interned.setdefault(("rec", y), len(interned))
-                    sub, refs = t, refs & ~(1 << level)
-                elif refs:
-                    sub, y, refs = self._walk(sub, env, memo, bound)[5:]
-                out = k, error, u, n, loops, sub, y, refs
-            case Basic(name):
-                out = TU, None, _NOTHING, False, False, t, ("basic", name), 0
-            case Arrow(mult, dom, cod):
-                _, e1, _, _, l1, _, y1, r1 = self._walk(dom, env, memo, bound)
-                _, e2, _, _, l2, _, y2, r2 = self._walk(cod, env, memo, bound)
-                out = (_PLAIN[mult], e1 or e2, _NOTHING, False, l1 or l2, t,
-                       interned.setdefault(("arrow", mult, y1, y2), len(interned)), r1 | r2)
-            case Pair(fst, snd):
-                k1, e1, _, _, l1, _, y1, r1 = self._walk(fst, env, memo, bound)
-                k2, e2, _, _, l2, _, y2, r2 = self._walk(snd, env, memo, bound)
-                linear = k1 is not None and k2 is not None and LINEAR in (k1.mult, k2.mult)
-                out = (TL if linear else TU, e1 or e2, _NOTHING, False, l1 or l2, t,
-                       interned.setdefault(("pair", y1, y2), len(interned)), r1 | r2)
-            case DataRef(name):
-                k = self.names.get(name)
-                error = None
-                if k is None:
-                    error = (f"type {name} is ill-formed" if name in self.names
-                             else f"unknown type name {name}")
-                out = k, error, frozenset((t,)), k == SU, False, t, ("name", name), 0
-            case _:
-                raise TypeError(f"not a type: {t!r}")
+                    error = e
+                    if e is None and k is not None and k.prekind != SESSION:
+                        error = f"choice branch {lab} must be a session type, got kind {k}"
+                loops = loops or l
+                key += (lab, y)
+                refs |= r
+            y = interned.setdefault(tuple(key), len(interned))
+            out = SL, error, _NOTHING, False, loops, t, y, refs
+        elif cls is Rec:
+            var, level = t.var, len(bound)
+            k, error, u, n, loops, sub, y, refs = self._walk(t.body, env, memo, bound + (var,))
+            if error is None and k is not None and k.prekind != SESSION:
+                error = "only session types can be recursive"
+            if var in u:
+                loops, u = True, u - {var}
+            if refs >> level & 1:
+                y = interned.setdefault(("rec", y), len(interned))
+                sub, refs = t, refs & ~(1 << level)
+            elif refs:
+                sub, y, refs = self._walk(sub, env, memo, bound)[5:]
+            out = k, error, u, n, loops, sub, y, refs
+        elif cls is TVar:
+            name = t.name
+            for level in range(len(bound) - 1, -1, -1):
+                if bound[level] == name:  # recursion variables are session atoms
+                    out = (SU, None, frozenset((name,)), True, False, t,
+                           ("bvar", len(bound) - 1 - level), 1 << level)
+                    break
+            else:
+                k = env.get(name)
+                out = (k, None if k is not None else f"unbound type variable {name}",
+                       frozenset((name,)), True, False, t, ("rigid", name), 0)
+        elif cls is Basic:
+            out = TU, None, _NOTHING, False, False, t, ("basic", t.name), 0
+        elif cls is DataRef:
+            name = t.name
+            k = self.names.get(name)
+            error = None
+            if k is None:
+                error = (f"type {name} is ill-formed" if name in self.names
+                         else f"unknown type name {name}")
+            out = k, error, frozenset((t,)), k == SU, False, t, ("name", name), 0
+        elif cls is Arrow:
+            _, e1, _, _, l1, _, y1, r1 = self._walk(t.dom, env, memo, bound)
+            _, e2, _, _, l2, _, y2, r2 = self._walk(t.cod, env, memo, bound)
+            out = (_PLAIN[t.mult], e1 or e2, _NOTHING, False, l1 or l2, t,
+                   interned.setdefault(("arrow", t.mult, y1, y2), len(interned)), r1 | r2)
+        elif cls is Pair:
+            k1, e1, _, _, l1, _, y1, r1 = self._walk(t.fst, env, memo, bound)
+            k2, e2, _, _, l2, _, y2, r2 = self._walk(t.snd, env, memo, bound)
+            linear = k1 is not None and k2 is not None and LINEAR in (k1.mult, k2.mult)
+            out = (TL if linear else TU, e1 or e2, _NOTHING, False, l1 or l2, t,
+                   interned.setdefault(("pair", y1, y2), len(interned)), r1 | r2)
+        else:
+            raise TypeError(f"not a type: {t!r}")
         if not bound and out[5] is t:
             memo[id(t)] = out
         return out
@@ -241,8 +244,12 @@ def synth_kind(env: KindEnv, t: Type, datatypes: NameKinds | None = None) -> Kin
     or unbound variable a depth-first walk meets, else on non-contractive
     recursion. `datatypes` maps declared type names (datatypes and
     abbreviations) to their kinds; without it any DataRef is rejected as
-    unknown."""
-    return Walk(datatypes or {}).kind(env, t)
+    unknown. A type nested deeper than the walk can follow on the Python
+    stack raises KindError("nesting too deep")."""
+    try:
+        return Walk(datatypes or {}).kind(env, t)
+    except RecursionError:
+        raise _fail("nesting too deep") from None
 
 
 def contractive(env: KindEnv, t: Type, datatypes: NameKinds | None = None) -> bool:

@@ -3,6 +3,17 @@
 Types are immutable and hashable so later stages can memoize on structure.
 Expressions carry source positions for diagnostics; positions never take part
 in equality.
+
+A routine that visits every node of a type or an expression on a hot path
+(`kinds.Walk`, `grammar._Builder.word` and `fill`, `subst`, `head`,
+`free_tvars`, `typecheck.synth`) picks its case with one `x.__class__ is C`
+chain, most frequent class first, not with a `match` on class patterns.
+Over the kinding walk's mix of six classes on the benchmark corpus, a
+class-pattern `match` cost 580-760 ns a node more than an empty call, and the
+chain 64-103 ns (CPython 3.11.7, x86-64). An `is` test matches no subclass,
+so no node class has one (`tests/test_syntax.py` checks). Routines that run
+once per diagnostic or declaration (`pretty`, `type_names`, `dual`) keep
+`match`.
 """
 
 from __future__ import annotations
@@ -135,24 +146,23 @@ class Scheme:
 
 
 def free_tvars(t: Type) -> frozenset[str]:
-    match t:
-        case TVar(name):
-            return frozenset({name})
-        case Rec(var, body):
-            return free_tvars(body) - {var}
-        case Semi(lhs, rhs):
-            return free_tvars(lhs) | free_tvars(rhs)
-        case Arrow(_, dom, cod):
-            return free_tvars(dom) | free_tvars(cod)
-        case Pair(fst, snd):
-            return free_tvars(fst) | free_tvars(snd)
-        case Choice(_, branches):
-            out: frozenset[str] = frozenset()
-            for _, ty in branches:
-                out |= free_tvars(ty)
-            return out
-        case _:
-            return frozenset()
+    cls = t.__class__
+    if cls is TVar:
+        return frozenset((t.name,))
+    if cls is Semi:
+        return free_tvars(t.lhs) | free_tvars(t.rhs)
+    if cls is Choice:
+        out: frozenset[str] = frozenset()
+        for _, ty in t.branches:
+            out |= free_tvars(ty)
+        return out
+    if cls is Rec:
+        return free_tvars(t.body) - {t.var}
+    if cls is Arrow:
+        return free_tvars(t.dom) | free_tvars(t.cod)
+    if cls is Pair:
+        return free_tvars(t.fst) | free_tvars(t.snd)
+    return frozenset()
 
 
 def type_names(t: Type) -> set[str]:
@@ -186,33 +196,33 @@ def subst(t: Type, mapping: dict[str, Type]) -> Type:
 def _subst(t: Type, mapping: dict[str, Type], free: dict[str, frozenset[str]]) -> Type:
     # every mapping of one call is a restriction of its first, so `free`
     # (name -> free variables of its type) serves them all
-    match t:
-        case TVar(name):
-            return mapping.get(name, t)
-        case Rec(var, body):
-            inner = {k: v for k, v in mapping.items() if k != var}
-            if not inner:
-                return t
-            for k, v in inner.items():
-                fv = free.get(k)
-                if fv is None:
-                    fv = free[k] = free_tvars(v)
-                if var in fv:
-                    renamed = fresh_name(var)
-                    body = subst(body, {var: TVar(renamed)})
-                    var = renamed
-                    break
-            return Rec(var, _subst(body, inner, free))
-        case Semi(lhs, rhs):
-            return Semi(_subst(lhs, mapping, free), _subst(rhs, mapping, free))
-        case Arrow(mult, dom, cod):
-            return Arrow(mult, _subst(dom, mapping, free), _subst(cod, mapping, free))
-        case Pair(fst, snd):
-            return Pair(_subst(fst, mapping, free), _subst(snd, mapping, free))
-        case Choice(view, branches):
-            return Choice(view, tuple((lab, _subst(ty, mapping, free)) for lab, ty in branches))
-        case _:
+    cls = t.__class__
+    if cls is Semi:
+        return Semi(_subst(t.lhs, mapping, free), _subst(t.rhs, mapping, free))
+    if cls is Choice:
+        return Choice(t.view, tuple((lab, _subst(ty, mapping, free)) for lab, ty in t.branches))
+    if cls is TVar:
+        return mapping.get(t.name, t)
+    if cls is Rec:
+        var, body = t.var, t.body
+        inner = {k: v for k, v in mapping.items() if k != var}
+        if not inner:
             return t
+        for k, v in inner.items():
+            fv = free.get(k)
+            if fv is None:
+                fv = free[k] = free_tvars(v)
+            if var in fv:
+                renamed = fresh_name(var)
+                body = subst(body, {var: TVar(renamed)})
+                var = renamed
+                break
+        return Rec(var, _subst(body, inner, free))
+    if cls is Arrow:
+        return Arrow(t.mult, _subst(t.dom, mapping, free), _subst(t.cod, mapping, free))
+    if cls is Pair:
+        return Pair(_subst(t.fst, mapping, free), _subst(t.snd, mapping, free))
+    return t
 
 
 def seq(a: Type, b: Type) -> Type:
@@ -269,36 +279,37 @@ def head(t: Type, names: Mapping[str, Type] | None = None) -> dict[Terminal, Typ
     pending: list[Type] = []
     fuel = MAX_UNFOLDINGS
     while True:
-        match t:
-            case Semi(lhs, rhs):
-                pending.append(rhs)
-                t = lhs
-                continue
-            case Skip():
-                if not pending:
-                    return {}
-                t = pending.pop()
-                continue
-            case Rec(var, body):
-                if fuel == 0:
-                    raise NoHead(f"recursion does not reach an action: {pretty(t)}")
-                fuel -= 1
-                t = subst(body, {var: t})
-                continue
-            case Message(polarity, payload):
-                actions = ((Terminal(polarity, payload), Skip()),)
-            case Choice(view, branches):
-                actions = ((Terminal(view, lab), ty) for lab, ty in branches)
-            case TVar(name):
-                actions = ((Terminal(VAR, name), Skip()),)
-            case DataRef(name) if names and name in names:
-                if fuel == 0:
-                    raise NoHead(f"names do not reach an action: {name}")
-                fuel -= 1
-                t = names[name]
-                continue
-            case _:
-                raise NoHead(f"not a session type: {t!r}")
+        cls = t.__class__
+        if cls is Semi:
+            pending.append(t.rhs)
+            t = t.lhs
+            continue
+        if cls is Skip:
+            if not pending:
+                return {}
+            t = pending.pop()
+            continue
+        if cls is Rec:
+            if fuel == 0:
+                raise NoHead(f"recursion does not reach an action: {pretty(t)}")
+            fuel -= 1
+            t = subst(t.body, {t.var: t})
+            continue
+        if cls is Message:
+            actions = ((Terminal(t.polarity, t.payload), Skip()),)
+        elif cls is Choice:
+            view = t.view
+            actions = ((Terminal(view, lab), ty) for lab, ty in t.branches)
+        elif cls is TVar:
+            actions = ((Terminal(VAR, t.name), Skip()),)
+        elif cls is DataRef and names and t.name in names:
+            if fuel == 0:
+                raise NoHead(f"names do not reach an action: {t.name}")
+            fuel -= 1
+            t = names[t.name]
+            continue
+        else:
+            raise NoHead(f"not a session type: {t!r}")
         rest: Type = Skip()
         for r in reversed(pending):
             rest = seq(rest, r)

@@ -155,163 +155,171 @@ class Ctx:
 
 
 def synth(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr) -> tuple[Type, Ctx]:
-    match e:
-        case Lit(value):
-            if isinstance(value, bool):
-                return BOOL, ctx
-            if isinstance(value, int):
-                return INT, ctx
-            if isinstance(value, str):
-                return S.CHAR, ctx
-            return UNIT, ctx
-
-        case Var(name):
-            try:
-                return ctx.use(name, e.pos), ctx
-            except KeyError:
-                pass
-            if name in env.schemes:
-                scheme = env.schemes[name]
-                if scheme.binders:
-                    raise _fail(f"{name} is polymorphic and needs a type application", e.pos)
-                return scheme.body, ctx
-            raise _fail(f"unbound variable {name}", e.pos)
-
-        case TypeApp(name, args):
-            if name in ctx.bindings:
-                raise _fail(f"{name} is not polymorphic", e.pos)
-            if name not in env.schemes:
-                raise _fail(f"unbound variable {name}", e.pos)
+    cls = e.__class__
+    if cls is Var:
+        name = e.name
+        try:
+            return ctx.use(name, e.pos), ctx
+        except KeyError:
+            pass
+        if name in env.schemes:
             scheme = env.schemes[name]
-            if not scheme.binders:
-                raise _fail(f"{name} is not polymorphic", e.pos)
-            if len(args) != len(scheme.binders):
-                raise _fail(f"{name} expects {len(scheme.binders)} type arguments, got {len(args)}", e.pos)
-            mapping: dict[str, Type] = {}
-            for (bname, bkind), arg in zip(scheme.binders, args):
-                try:
-                    akind = env.kind_of(kenv, arg)
-                except K.KindError as err:
-                    raise _fail(f"bad type argument for {bname}: {err.diag.message}", e.pos)
-                if not K.subkind(akind, bkind):
-                    raise _fail(
-                        f"type argument {S.pretty(arg)} has kind {akind}, not a subkind of {bkind}", e.pos)
-                mapping[bname] = arg
-            return S.subst(scheme.body, mapping), ctx
+            if scheme.binders:
+                raise _fail(f"{name} is polymorphic and needs a type application", e.pos)
+            return scheme.body, ctx
+        raise _fail(f"unbound variable {name}", e.pos)
 
-        case Lam(_, _, _):
-            raise _fail("cannot synthesize the type of an unannotated function", e.pos)
-
-        case App(fun, arg):
-            if isinstance(fun, Send):
-                tv, ctx1 = synth(ctx, env, kenv, fun.expr)
-                if not isinstance(tv, Basic):
-                    raise _fail(f"send carries basic values only, got {S.pretty(tv)}", e.pos)
-                tc, ctx2 = synth(ctx1, env, kenv, arg)
-                msg = _actions(env, tc, S.OUT, e.pos)
-                if not msg:
-                    raise _fail(f"channel of type {S.pretty(tc)} has no output action", e.pos)
-                (payload, cont), = msg.items()
-                if payload != tv.name:
-                    raise _fail(f"channel expects !{payload}, got {tv.name}", e.pos)
-                return cont, ctx2
-            tf, ctx1 = synth(ctx, env, kenv, fun)
-            if not isinstance(tf, Arrow):
-                raise _fail(f"applying a non-function of type {S.pretty(tf)}", e.pos)
-            ta, ctx2 = synth(ctx1, env, kenv, arg)
-            if not env.equivalent(ta, tf.dom, kenv):
-                raise _fail(
-                    f"argument type {S.pretty(ta)} does not match parameter type {S.pretty(tf.dom)}",
-                    e.pos)
-            return tf.cod, ctx2
-
-        case Send(_):
-            raise _fail("send must be applied to a value and then a channel", e.pos)
-
-        case Receive(chan):
-            tc, ctx1 = synth(ctx, env, kenv, chan)
-            msg = _actions(env, tc, S.IN, e.pos)
+    if cls is App:
+        fun, arg = e.fun, e.arg
+        if isinstance(fun, Send):
+            tv, ctx1 = synth(ctx, env, kenv, fun.expr)
+            if not isinstance(tv, Basic):
+                raise _fail(f"send carries basic values only, got {S.pretty(tv)}", e.pos)
+            tc, ctx2 = synth(ctx1, env, kenv, arg)
+            msg = _actions(env, tc, S.OUT, e.pos)
             if not msg:
-                raise _fail(f"channel of type {S.pretty(tc)} has no input action", e.pos)
+                raise _fail(f"channel of type {S.pretty(tc)} has no output action", e.pos)
             (payload, cont), = msg.items()
-            return Pair(Basic(payload), cont), ctx1
+            if payload != tv.name:
+                raise _fail(f"channel expects !{payload}, got {tv.name}", e.pos)
+            return cont, ctx2
+        tf, ctx1 = synth(ctx, env, kenv, fun)
+        if not isinstance(tf, Arrow):
+            raise _fail(f"applying a non-function of type {S.pretty(tf)}", e.pos)
+        ta, ctx2 = synth(ctx1, env, kenv, arg)
+        if not env.equivalent(ta, tf.dom, kenv):
+            raise _fail(
+                f"argument type {S.pretty(ta)} does not match parameter type {S.pretty(tf.dom)}",
+                e.pos)
+        return tf.cod, ctx2
 
-        case New(session):
+    if cls is Lit:
+        value = e.value
+        if isinstance(value, bool):
+            return BOOL, ctx
+        if isinstance(value, int):
+            return INT, ctx
+        if isinstance(value, str):
+            return S.CHAR, ctx
+        return UNIT, ctx
+
+    if cls is Receive:
+        tc, ctx1 = synth(ctx, env, kenv, e.expr)
+        msg = _actions(env, tc, S.IN, e.pos)
+        if not msg:
+            raise _fail(f"channel of type {S.pretty(tc)} has no input action", e.pos)
+        (payload, cont), = msg.items()
+        return Pair(Basic(payload), cont), ctx1
+
+    if cls is Let or cls is LetPair:
+        return _let_spine(ctx, env, kenv, e)
+
+    if cls is Select:
+        label = e.label
+        tc, ctx1 = synth(ctx, env, kenv, e.expr)
+        offered = _actions(env, tc, S.INTERNAL, e.pos)
+        if not offered:
+            raise _fail(f"channel of type {S.pretty(tc)} offers no internal choice", e.pos)
+        if label not in offered:
+            raise _fail(f"label {label} is not offered by {S.pretty(tc)}", e.pos)
+        return offered[label], ctx1
+
+    if cls is TypeApp:
+        name, args = e.name, e.args
+        if name in ctx.bindings:
+            raise _fail(f"{name} is not polymorphic", e.pos)
+        if name not in env.schemes:
+            raise _fail(f"unbound variable {name}", e.pos)
+        scheme = env.schemes[name]
+        if not scheme.binders:
+            raise _fail(f"{name} is not polymorphic", e.pos)
+        if len(args) != len(scheme.binders):
+            raise _fail(f"{name} expects {len(scheme.binders)} type arguments, got {len(args)}", e.pos)
+        mapping: dict[str, Type] = {}
+        for (bname, bkind), arg in zip(scheme.binders, args):
             try:
-                kind = env.kind_of(kenv, session)
+                akind = env.kind_of(kenv, arg)
             except K.KindError as err:
-                raise _fail(err.diag.message, e.pos)
-            if kind.prekind != SESSION:
-                raise _fail(f"new requires a session type, got {S.pretty(session)} : {kind}", e.pos)
-            free = sorted(S.free_tvars(session))
-            if free:
-                raise _fail(f"new cannot take the dual of type variable {free[0]}", e.pos)
-            return Pair(session, dual(session)), ctx
-
-        case Select(label, chan):
-            tc, ctx1 = synth(ctx, env, kenv, chan)
-            offered = _actions(env, tc, S.INTERNAL, e.pos)
-            if not offered:
-                raise _fail(f"channel of type {S.pretty(tc)} offers no internal choice", e.pos)
-            if label not in offered:
-                raise _fail(f"label {label} is not offered by {S.pretty(tc)}", e.pos)
-            return offered[label], ctx1
-
-        case Match(scrutinee, branches):
-            tc, ctx1 = synth(ctx, env, kenv, scrutinee)
-            offered = _actions(env, tc, S.EXTERNAL, e.pos)
-            if not offered:
-                raise _fail(f"channel of type {S.pretty(tc)} offers no external choice", e.pos)
-            _check_coverage({lab for lab, _, _ in branches}, set(offered),
-                            "match branches do not cover the choice", e.pos)
-            outs = []
-            for lab, binder, body in branches:
-                outs.append(_branch(ctx1, env, kenv, [(binder, offered[lab])], body, e.pos))
-            return _join_branches(ctx1, env, kenv, outs, e.pos)
-
-        case Fork(inner):
-            ti, ctx1 = synth(ctx, env, kenv, inner)
-            kind = env.kind_of(kenv, ti)
-            if kind.mult != UNRESTRICTED:
+                raise _fail(f"bad type argument for {bname}: {err.diag.message}", e.pos)
+            if not K.subkind(akind, bkind):
                 raise _fail(
-                    f"forked expression has linear type {S.pretty(ti)}; its value would be lost",
-                    e.pos)
-            return UNIT, ctx1
+                    f"type argument {S.pretty(arg)} has kind {akind}, not a subkind of {bkind}", e.pos)
+            mapping[bname] = arg
+        return S.subst(scheme.body, mapping), ctx
 
-        case PairE(fst, snd):
-            t1, ctx1 = synth(ctx, env, kenv, fst)
-            t2, ctx2 = synth(ctx1, env, kenv, snd)
-            return Pair(t1, t2), ctx2
+    if cls is New:
+        session = e.session
+        try:
+            kind = env.kind_of(kenv, session)
+        except K.KindError as err:
+            raise _fail(err.diag.message, e.pos)
+        if kind.prekind != SESSION:
+            raise _fail(f"new requires a session type, got {S.pretty(session)} : {kind}", e.pos)
+        free = sorted(S.free_tvars(session))
+        if free:
+            raise _fail(f"new cannot take the dual of type variable {free[0]}", e.pos)
+        return Pair(session, dual(session)), ctx
 
-        case Let() | LetPair():
-            return _let_spine(ctx, env, kenv, e)
+    if cls is Fork:
+        ti, ctx1 = synth(ctx, env, kenv, e.expr)
+        kind = env.kind_of(kenv, ti)
+        if kind.mult != UNRESTRICTED:
+            raise _fail(
+                f"forked expression has linear type {S.pretty(ti)}; its value would be lost",
+                e.pos)
+        return UNIT, ctx1
 
-        case Case(scrutinee, branches):
-            ts, ctx1 = synth(ctx, env, kenv, scrutinee)
-            if not isinstance(ts, DataRef) or ts.name in env.abbrevs:
-                raise _fail(f"case needs a datatype value, got {S.pretty(ts)}", e.pos)
-            all_ctors = {c: fields for c, (d, fields) in env.ctors.items() if d == ts.name}
-            _check_coverage({c for c, _, _ in branches}, set(all_ctors),
-                            f"case branches do not cover {ts.name}", e.pos)
-            outs = []
-            for ctor, params, body in branches:
-                fields = all_ctors[ctor]
-                if len(params) != len(fields):
-                    raise _fail(f"constructor {ctor} has {len(fields)} fields, pattern binds {len(params)}",
-                                e.pos)
-                dup = [p for p in params if p != "_" and params.count(p) > 1]
-                if dup:
-                    raise _fail(f"duplicate binder {dup[0]}", e.pos)
-                outs.append(_branch(ctx1, env, kenv, list(zip(params, fields)), body, e.pos))
-            return _join_branches(ctx1, env, kenv, outs, e.pos)
+    if cls is PairE:
+        t1, ctx1 = synth(ctx, env, kenv, e.fst)
+        t2, ctx2 = synth(ctx1, env, kenv, e.snd)
+        return Pair(t1, t2), ctx2
 
-        case IfE(cond, then, els):
-            tc, ctx1 = synth(ctx, env, kenv, cond)
-            if not env.equivalent(tc, BOOL, kenv):
-                raise _fail(f"if condition must be Bool, got {S.pretty(tc)}", e.pos)
-            outs = [_branch(ctx1, env, kenv, [], then, e.pos),
-                    _branch(ctx1, env, kenv, [], els, e.pos)]
-            return _join_branches(ctx1, env, kenv, outs, e.pos)
+    if cls is Match:
+        branches = e.branches
+        tc, ctx1 = synth(ctx, env, kenv, e.scrutinee)
+        offered = _actions(env, tc, S.EXTERNAL, e.pos)
+        if not offered:
+            raise _fail(f"channel of type {S.pretty(tc)} offers no external choice", e.pos)
+        _check_coverage({lab for lab, _, _ in branches}, set(offered),
+                        "match branches do not cover the choice", e.pos)
+        outs = []
+        for lab, binder, body in branches:
+            outs.append(_branch(ctx1, env, kenv, [(binder, offered[lab])], body, e.pos))
+        return _join_branches(ctx1, env, kenv, outs, e.pos)
+
+    if cls is IfE:
+        tc, ctx1 = synth(ctx, env, kenv, e.cond)
+        if not env.equivalent(tc, BOOL, kenv):
+            raise _fail(f"if condition must be Bool, got {S.pretty(tc)}", e.pos)
+        outs = [_branch(ctx1, env, kenv, [], e.then, e.pos),
+                _branch(ctx1, env, kenv, [], e.els, e.pos)]
+        return _join_branches(ctx1, env, kenv, outs, e.pos)
+
+    if cls is Case:
+        branches = e.branches
+        ts, ctx1 = synth(ctx, env, kenv, e.scrutinee)
+        if not isinstance(ts, DataRef) or ts.name in env.abbrevs:
+            raise _fail(f"case needs a datatype value, got {S.pretty(ts)}", e.pos)
+        all_ctors = {c: fields for c, (d, fields) in env.ctors.items() if d == ts.name}
+        _check_coverage({c for c, _, _ in branches}, set(all_ctors),
+                        f"case branches do not cover {ts.name}", e.pos)
+        outs = []
+        for ctor, params, body in branches:
+            fields = all_ctors[ctor]
+            if len(params) != len(fields):
+                raise _fail(f"constructor {ctor} has {len(fields)} fields, pattern binds {len(params)}",
+                            e.pos)
+            dup = [p for p in params if p != "_" and params.count(p) > 1]
+            if dup:
+                raise _fail(f"duplicate binder {dup[0]}", e.pos)
+            outs.append(_branch(ctx1, env, kenv, list(zip(params, fields)), body, e.pos))
+        return _join_branches(ctx1, env, kenv, outs, e.pos)
+
+    if cls is Lam:
+        raise _fail("cannot synthesize the type of an unannotated function", e.pos)
+
+    if cls is Send:
+        raise _fail("send must be applied to a value and then a channel", e.pos)
 
     raise _fail(f"cannot type expression {e!r}", getattr(e, "pos", None))
 

@@ -8,6 +8,7 @@ import pytest
 
 from sluice import equiv as E
 from sluice import syntax as S
+from sluice.diagnostics import DiagnosticError
 from sluice.kinds import KindError
 from sluice.equiv import (
     Budget, Inconclusive, _push, congruent, equivalent,
@@ -478,6 +479,13 @@ class TestEquivalentLaws:
     def test_kind_mismatch_is_false_not_an_error(self):
         assert not equivalent(parse_type("!Int"), parse_type("Int -> Bool"))
         assert not equivalent(parse_type("Skip"), parse_type("Int"))
+
+    def test_too_deep_a_nest_is_a_diagnostic(self):
+        t = S.Message(S.OUT, "Int")
+        for _ in range(3000):
+            t = S.Choice(S.INTERNAL, (("A", t),))
+        with pytest.raises(DiagnosticError, match="^nesting too deep$"):
+            equivalent(t, Semi(t, S.Skip()))
 
     def test_open_types_compare_rigidly(self):
         env = {"a": SL, "b": SL}

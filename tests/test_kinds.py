@@ -5,7 +5,7 @@ import random
 import pytest
 
 from sluice import syntax as S
-from sluice.kinds import KindError, contractive, kinding, lub, subkind, synth_kind
+from sluice.kinds import KindError, Walk, contractive, kinding, lub, subkind, synth_kind
 from sluice.parser import parse_type
 from sluice.syntax import (
     SU, SL, TU, TL, ALL_KINDS, UNRESTRICTED,
@@ -104,6 +104,20 @@ class TestSynth:
             spine = Semi(spine, Skip())
         assert synth_kind({}, spine) == SU
         assert synth_kind({}, Semi(spine, Message(S.OUT, "Int"))) == SL
+
+    def test_too_deep_a_spine_is_a_kind_error(self):
+        spine = Skip()
+        for _ in range(3000):
+            spine = Semi(spine, Skip())
+        with pytest.raises(KindError, match="^nesting too deep$"):
+            synth_kind({}, spine)
+
+    def test_a_non_type_is_a_type_error(self):
+        # the walk dispatches on the exact class of a node; anything else
+        # is not a type
+        for bad in (42, "Int", (Skip(),), Semi(Skip(), 42)):
+            with pytest.raises(TypeError, match="^not a type: "):
+                Walk({}).facts(bad, {})
 
     def test_pair_kinds(self):
         assert synth_kind({}, Pair(Basic("Int"), Basic("Bool"))) == TU

@@ -1,6 +1,7 @@
 """Parsing, pretty-printing and substitution."""
 
 import random
+import typing
 
 import pytest
 
@@ -78,6 +79,22 @@ main =
   let t,_ = transform[Skip] aTree w in
   t
 """
+
+
+class TestNodeClasses:
+    def test_no_node_class_has_a_subclass(self):
+        # the per-node routines (kinding, translation, `subst`, `head`,
+        # `free_tvars`, `synth`) dispatch on `x.__class__ is C`, which,
+        # unlike a class pattern, would not match a subclass of C
+        types = typing.get_args(S.Type)
+        assert {c.__name__ for c in types} == {
+            "Basic", "Arrow", "Pair", "DataRef", "Skip", "Semi", "Message", "Choice", "Rec", "TVar"}
+        exprs = S.Expr.__subclasses__()
+        assert {c.__name__ for c in exprs} >= {
+            "Lit", "Var", "Lam", "App", "PairE", "LetPair", "Let", "Case", "If", "TypeApp",
+            "Fork", "New", "Send", "Receive", "Select", "Match"}
+        for cls in (*types, *exprs):
+            assert cls.__subclasses__() == [], cls
 
 
 class TestParseType:
