@@ -289,7 +289,11 @@ class _P:
         pos = (t.line, t.col)
         if t.kind == "int":
             self.next()
-            return S.Lit(int(t.text), pos=pos)
+            # the length goes first: `int` refuses a string of over 4,300 digits
+            digits = t.text.lstrip("0") or "0"
+            if len(digits) > len(str(S.INT_MAX)) or int(digits) > S.INT_MAX:
+                raise _error_at(t, "integer literal out of range")
+            return S.Lit(int(digits), pos=pos)
         if t.kind == "char":
             self.next()
             return S.Lit(t.text, pos=pos)

@@ -34,8 +34,7 @@ from .syntax import (
     Fork, New, Send, Receive, Select, Match,
 )
 
-_INT_MIN = -(2 ** 63)
-_INT_MAX = 2 ** 63 - 1
+_INT_MIN = -S.INT_MAX - 1
 
 # Machine steps a thread takes before the scheduler picks again, so that a
 # thread which never communicates cannot starve the others.
@@ -156,7 +155,7 @@ def _builtin_apply(b: Builtin, args: tuple) -> object:
     if y == 0 and b.name in ("div", "mod"):
         raise RuntimeAbort("division by zero")
     r = _ARITH[b.name](x, y)
-    if not (_INT_MIN <= r <= _INT_MAX):
+    if not (_INT_MIN <= r <= S.INT_MAX):
         raise RuntimeAbort("integer overflow")
     return r
 

@@ -255,8 +255,17 @@ class Terminal(NamedTuple):
 
 
 class NoHead(Exception):
-    """The type is not a session type, or its recursion never reaches an
-    action (it is not contractive)."""
+    """The type is not a session type, or it unfolds too often (`Unfolding`)."""
+
+
+class Unfolding(NoHead):
+    """`head` unfolded `rec`s and names `MAX_UNFOLDINGS` times without
+    meeting an action: the type is not contractive, or its first action lies
+    deeper still. `start` is the type `head` was given."""
+
+    def __init__(self, message: str, start: Type) -> None:
+        super().__init__(message)
+        self.start = start
 
 
 # Contractive types reach an action after a few unfoldings of `rec` and of
@@ -266,7 +275,9 @@ class NoHead(Exception):
 # cannot key one either, as `(rec x. Skip);(rec x. !Int;x)` meets `x` twice
 # and is contractive. The longest chain on record is a 1,000-name alias chain
 # (`TestNameSystemSize::test_thousand_name_alias_chain`): it fails with a
-# count of 998 and passes with 1,000, so 10,000 leaves tenfold room.
+# count of 998 and passes with 1,000, so 10,000 leaves tenfold room. A
+# contractive type that needs more raises `Unfolding`, which the typechecker
+# reports as a diagnostic.
 MAX_UNFOLDINGS = 10_000
 
 
@@ -277,7 +288,7 @@ def head(t: Type, names: Mapping[str, Type] | None = None) -> dict[Terminal, Typ
     walked with an explicit stack of pending right operands, so a deep spine
     costs heap, not Python stack."""
     pending: list[Type] = []
-    fuel = MAX_UNFOLDINGS
+    start, fuel = t, MAX_UNFOLDINGS
     while True:
         cls = t.__class__
         if cls is Semi:
@@ -291,7 +302,7 @@ def head(t: Type, names: Mapping[str, Type] | None = None) -> dict[Terminal, Typ
             continue
         if cls is Rec:
             if fuel == 0:
-                raise NoHead(f"recursion does not reach an action: {pretty(t)}")
+                raise Unfolding(f"recursion does not reach an action: {pretty(t)}", start)
             fuel -= 1
             t = subst(t.body, {t.var: t})
             continue
@@ -304,7 +315,7 @@ def head(t: Type, names: Mapping[str, Type] | None = None) -> dict[Terminal, Typ
             actions = ((Terminal(VAR, t.name), Skip()),)
         elif cls is DataRef and names and t.name in names:
             if fuel == 0:
-                raise NoHead(f"names do not reach an action: {t.name}")
+                raise Unfolding(f"names do not reach an action: {t.name}", start)
             fuel -= 1
             t = names[t.name]
             continue
@@ -372,6 +383,11 @@ Pos = tuple[int, int]
 @dataclass
 class Expr:
     pos: Optional[Pos] = field(default=None, compare=False, kw_only=True)
+
+
+# Int is a signed 64-bit integer: the parser rejects a larger literal, and
+# the runtime reports an overflow when arithmetic leaves the range.
+INT_MAX = 2 ** 63 - 1
 
 
 @dataclass

@@ -76,8 +76,12 @@ class GlobalEnv:
     def __post_init__(self) -> None:
         self.session = equiv.Session(self.datakinds, self.abbrevs)
 
-    def kind_of(self, kenv: K.KindEnv, t: Type) -> Kind:
-        return self.session.kind_of(kenv, t)
+    def kind_of(self, kenv: K.KindEnv, t: Type, pos: S.Pos | None = None) -> Kind:
+        """The kind of `t`; a kind error is a `CheckError` at `pos`."""
+        try:
+            return self.session.kind_of(kenv, t)
+        except K.KindError as err:
+            raise _fail(err.diag.message, pos)
 
     def equivalent(self, t1: Type, t2: Type, kenv: K.KindEnv) -> bool:
         return self.session.equivalent(t1, t2, kenv)
@@ -121,12 +125,14 @@ class Ctx:
         self.consumed.discard(name)
         return hidden
 
-    def use(self, name: str, pos: S.Pos | None) -> Type:
+    def use(self, name: str, pos: S.Pos | None) -> Type | None:
+        """The type of `name`, used up if it is linear; None if `name` is
+        not bound here."""
         entry = self.bindings.get(name)
         if entry is None:
             if name in self.consumed:
                 raise _fail(f"linear variable {name} is used more than once", pos)
-            raise KeyError(name)
+            return None
         ty, kind = entry
         if kind.mult == LINEAR:
             del self.bindings[name]
@@ -158,16 +164,15 @@ def synth(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr) -> tuple[Type, Ctx
     cls = e.__class__
     if cls is Var:
         name = e.name
-        try:
-            return ctx.use(name, e.pos), ctx
-        except KeyError:
-            pass
-        if name in env.schemes:
-            scheme = env.schemes[name]
-            if scheme.binders:
-                raise _fail(f"{name} is polymorphic and needs a type application", e.pos)
-            return scheme.body, ctx
-        raise _fail(f"unbound variable {name}", e.pos)
+        ty = ctx.use(name, e.pos)
+        if ty is not None:
+            return ty, ctx
+        scheme = env.schemes.get(name)
+        if scheme is None:
+            raise _fail(f"unbound variable {name}", e.pos)
+        if scheme.binders:
+            raise _fail(f"{name} is polymorphic and needs a type application", e.pos)
+        return scheme.body, ctx
 
     if cls is App:
         fun, arg = e.fun, e.arg
@@ -176,10 +181,7 @@ def synth(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr) -> tuple[Type, Ctx
             if not isinstance(tv, Basic):
                 raise _fail(f"send carries basic values only, got {S.pretty(tv)}", e.pos)
             tc, ctx2 = synth(ctx1, env, kenv, arg)
-            msg = _actions(env, tc, S.OUT, e.pos)
-            if not msg:
-                raise _fail(f"channel of type {S.pretty(tc)} has no output action", e.pos)
-            (payload, cont), = msg.items()
+            (payload, cont), = _actions(env, tc, S.OUT, e.pos).items()
             if payload != tv.name:
                 raise _fail(f"channel expects !{payload}, got {tv.name}", e.pos)
             return cont, ctx2
@@ -205,10 +207,7 @@ def synth(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr) -> tuple[Type, Ctx
 
     if cls is Receive:
         tc, ctx1 = synth(ctx, env, kenv, e.expr)
-        msg = _actions(env, tc, S.IN, e.pos)
-        if not msg:
-            raise _fail(f"channel of type {S.pretty(tc)} has no input action", e.pos)
-        (payload, cont), = msg.items()
+        (payload, cont), = _actions(env, tc, S.IN, e.pos).items()
         return Pair(Basic(payload), cont), ctx1
 
     if cls is Let or cls is LetPair:
@@ -218,8 +217,6 @@ def synth(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr) -> tuple[Type, Ctx
         label = e.label
         tc, ctx1 = synth(ctx, env, kenv, e.expr)
         offered = _actions(env, tc, S.INTERNAL, e.pos)
-        if not offered:
-            raise _fail(f"channel of type {S.pretty(tc)} offers no internal choice", e.pos)
         if label not in offered:
             raise _fail(f"label {label} is not offered by {S.pretty(tc)}", e.pos)
         return offered[label], ctx1
@@ -239,7 +236,7 @@ def synth(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr) -> tuple[Type, Ctx
         for (bname, bkind), arg in zip(scheme.binders, args):
             try:
                 akind = env.kind_of(kenv, arg)
-            except K.KindError as err:
+            except CheckError as err:
                 raise _fail(f"bad type argument for {bname}: {err.diag.message}", e.pos)
             if not K.subkind(akind, bkind):
                 raise _fail(
@@ -249,10 +246,7 @@ def synth(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr) -> tuple[Type, Ctx
 
     if cls is New:
         session = e.session
-        try:
-            kind = env.kind_of(kenv, session)
-        except K.KindError as err:
-            raise _fail(err.diag.message, e.pos)
+        kind = env.kind_of(kenv, session, e.pos)
         if kind.prekind != SESSION:
             raise _fail(f"new requires a session type, got {S.pretty(session)} : {kind}", e.pos)
         free = sorted(S.free_tvars(session))
@@ -262,7 +256,7 @@ def synth(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr) -> tuple[Type, Ctx
 
     if cls is Fork:
         ti, ctx1 = synth(ctx, env, kenv, e.expr)
-        kind = env.kind_of(kenv, ti)
+        kind = env.kind_of(kenv, ti, e.pos)
         if kind.mult != UNRESTRICTED:
             raise _fail(
                 f"forked expression has linear type {S.pretty(ti)}; its value would be lost",
@@ -278,8 +272,6 @@ def synth(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr) -> tuple[Type, Ctx
         branches = e.branches
         tc, ctx1 = synth(ctx, env, kenv, e.scrutinee)
         offered = _actions(env, tc, S.EXTERNAL, e.pos)
-        if not offered:
-            raise _fail(f"channel of type {S.pretty(tc)} offers no external choice", e.pos)
         _check_coverage({lab for lab, _, _ in branches}, set(offered),
                         "match branches do not cover the choice", e.pos)
         outs = []
@@ -309,9 +301,6 @@ def synth(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr) -> tuple[Type, Ctx
             if len(params) != len(fields):
                 raise _fail(f"constructor {ctor} has {len(fields)} fields, pattern binds {len(params)}",
                             e.pos)
-            dup = [p for p in params if p != "_" and params.count(p) > 1]
-            if dup:
-                raise _fail(f"duplicate binder {dup[0]}", e.pos)
             outs.append(_branch(ctx1, env, kenv, list(zip(params, fields)), body, e.pos))
         return _join_branches(ctx1, env, kenv, outs, e.pos)
 
@@ -324,10 +313,11 @@ def synth(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr) -> tuple[Type, Ctx
     raise _fail(f"cannot type expression {e!r}", getattr(e, "pos", None))
 
 
-def _let_spine(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr) -> tuple[Type, Ctx]:
+def _let_spine(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr,
+               expected: Type | None = None) -> tuple[Type, Ctx]:
     """A chain of `let`s, walked in a loop: each bound expression in the
-    context its predecessors built, then the final body, then the scopes
-    dropped innermost first."""
+    context its predecessors built, then the final body, synthesized or
+    checked against `expected`, then the scopes dropped innermost first."""
     scopes: list[tuple[list[Shadowed], S.Pos | None]] = []
     while True:
         if isinstance(e, Let):
@@ -337,40 +327,50 @@ def _let_spine(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr) -> tuple[Type
             tb, ctx = synth(ctx, env, kenv, e.bound)
             if not isinstance(tb, Pair):
                 raise _fail(f"let x, y = ... needs a pair, got {S.pretty(tb)}", e.pos)
-            if e.x == e.y and e.x != "_":
-                raise _fail(f"duplicate binder {e.x}", e.pos)
             binders = [(e.x, tb.fst), (e.y, tb.snd)]
         else:
             break
         scopes.append((_bind_all(ctx, env, kenv, binders, e.pos), e.pos))
         e = e.body
-    ty, ctx = synth(ctx, env, kenv, e)
+    if expected is None:
+        ty, ctx = synth(ctx, env, kenv, e)
+    else:
+        ty, ctx = expected, check_against(ctx, env, kenv, e, expected)
     for scope, pos in reversed(scopes):
         ctx.drop(scope, pos)
     return ty, ctx
 
 
+_NO_ACTION = {S.OUT: "has no output action", S.IN: "has no input action",
+              S.INTERNAL: "offers no internal choice", S.EXTERNAL: "offers no external choice"}
+
+
 def _actions(env: GlobalEnv, t: Type, tag: str, pos: S.Pos | None) -> dict[str, Type]:
     """The first actions of a channel type that carry `tag` (a polarity or a
-    choice view), each argument mapped to its continuation; empty when the
-    type starts with anything else."""
+    choice view), each argument mapped to its continuation; a diagnostic
+    when the type starts with anything else."""
     try:
         head = S.head(t, env.abbrevs)
+    except S.Unfolding:
+        raise  # a channel type, reported by `check_program`
     except S.NoHead:
         raise _fail(f"expected a channel, got {S.pretty(t)}", pos)
-    return {a.arg: cont for a, cont in head.items() if a.tag == tag}
+    actions = {a.arg: cont for a, cont in head.items() if a.tag == tag}
+    if not actions:
+        raise _fail(f"channel of type {S.pretty(t)} {_NO_ACTION[tag]}", pos)
+    return actions
 
 
 def _bind_all(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv,
               pairs: list[tuple[str, Type]], pos: S.Pos | None) -> list[Shadowed]:
-    """Bind pattern names in `ctx`, returning the scope for `Ctx.drop`; a
-    wildcard must be droppable on the spot."""
+    """Bind pattern names in `ctx`, returning the scope for `Ctx.drop`. A
+    name may be bound once, and a wildcard must be droppable on the spot."""
+    names = [name for name, _ in pairs if name != "_"]
+    if len(set(names)) < len(names):
+        raise _fail(f"duplicate binder {next(n for n in names if names.count(n) > 1)}", pos)
     scope: list[Shadowed] = []
     for name, ty in pairs:
-        try:
-            kind = env.kind_of(kenv, ty)
-        except K.KindError as err:
-            raise _fail(err.diag.message, pos)
+        kind = env.kind_of(kenv, ty, pos)
         if name == "_":
             if kind.mult != UNRESTRICTED:
                 raise _fail(f"cannot discard a value of linear type {S.pretty(ty)} : {kind}", pos)
@@ -421,7 +421,10 @@ def check_against(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr, t: Type) -
     """Synthesize and compare by equivalence. Functions cannot be synthesized
     without an annotation, so a function (a lambda, or a definition's
     parameters) checked against an arrow pushes the arrow inward instead;
-    under `->` it must not consume a linear variable from outside."""
+    under `->` it must not consume a linear variable from outside. A `let`
+    chain checks its body against the type."""
+    if isinstance(e, (Let, LetPair)):
+        return _let_spine(ctx, env, kenv, e, t)[1]
     if isinstance(e, Lam):
         if not isinstance(t, Arrow):
             raise _fail(f"expected type {S.pretty(t)}, found a function", e.pos)
@@ -456,7 +459,8 @@ def _declare_names(env: GlobalEnv, p: S.Program) -> dict[str, str]:
     and a name is kinded again when a name it refers to changes. Kinds only
     rise and kind errors persist as they do, so a failing abbreviation is
     rejected for good (kind None), and so is each one that refers to it.
-    Contractivity needs the final kinds, so it comes last."""
+    Contractivity needs the final kinds, so it comes last; each name's last
+    walk already saw them, since a kind change walks its users again."""
     kinds = env.datakinds
     bodies = {name: decl.body for name, decl in p.abbrevs.items()}
     types: dict[str, Type] = {
@@ -469,13 +473,14 @@ def _declare_names(env: GlobalEnv, p: S.Program) -> dict[str, str]:
             users.setdefault(ref, []).append(name)
     kinds.update(dict.fromkeys(p.datatypes, S.TU) | dict.fromkeys(bodies, S.SU))
     errors: dict[str, str] = {}
+    walked: dict[str, K.Kinding] = {}  # each name's last walk
 
     def settle(work: list[str]) -> None:
         while work:
             name = work.pop()
             if kinds[name] is None:
                 continue
-            new, error, _, _ = K.kinding({}, types[name], kinds)
+            new, error, _, _ = walked[name] = K.kinding({}, types[name], kinds)
             if error is None and name in bodies and new.prekind != SESSION:
                 error = f"type abbreviation {name} must be a session type"
             if error is not None:
@@ -492,8 +497,8 @@ def _declare_names(env: GlobalEnv, p: S.Program) -> dict[str, str]:
     # names whose bodies refer, before any action, only to marked names
     refs: dict[str, set[str]] = {}
     loops: set[str] = set()  # bodies with an unguarded rec
-    for name, body in bodies.items():
-        _, _, unguarded, contractive = K.kinding({}, body, kinds)
+    for name in bodies:
+        _, _, unguarded, contractive = walked[name]
         refs[name] = {r.name for r in unguarded if isinstance(r, DataRef)}
         if not contractive:
             loops.add(name)
@@ -532,7 +537,7 @@ def build_global_env(p: S.Program, diags: list[Diagnostic]) -> GlobalEnv:
                 continue
             try:
                 mults = [env.kind_of({}, f).mult for f in fields]
-            except K.KindError as err:
+            except CheckError as err:
                 diags.append(Diagnostic(decl.pos[0], decl.pos[1], err.diag.message))
                 continue
             ty: Type = DataRef(dname)
@@ -545,7 +550,7 @@ def build_global_env(p: S.Program, diags: list[Diagnostic]) -> GlobalEnv:
     for name, sig in p.signatures.items():
         try:
             env.kind_of(dict(sig.scheme.binders), sig.scheme.body)
-        except K.KindError as err:
+        except CheckError as err:
             diags.append(Diagnostic(sig.pos[0], sig.pos[1], err.diag.message))
             continue
         env.schemes[name] = sig.scheme
@@ -580,6 +585,10 @@ def check_program(p: S.Program) -> list[Diagnostic]:
         except equiv.Inconclusive:
             diags.append(Diagnostic(d.pos[0], d.pos[1],
                                     f"in {name}: type equivalence check was inconclusive"))
+        except S.Unfolding as err:
+            diags.append(Diagnostic(d.pos[0], d.pos[1], (
+                f"in {name}: type {S.pretty(err.start)} unfolds more than "
+                f"{S.MAX_UNFOLDINGS} times before its first action")))
         except RecursionError:
             # `synth` recurses once per application, as in a long operator chain
             diags.append(Diagnostic(d.pos[0], d.pos[1], f"in {name}: nesting too deep"))

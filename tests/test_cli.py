@@ -94,6 +94,15 @@ class TestCheck:
             assert done.stderr == (
                 f"{src}:2:{col}: error: unexpected character {digit[-1]!r}\n"), command
 
+    def test_a_literal_too_long_for_int_is_a_diagnostic(self, tmp_path):
+        # `int` refuses a string of over 4,300 digits; the parser's range
+        # check reads the literal's length first
+        src = tmp_path / "big.fst"
+        src.write_text("main : Int\nmain = " + "1" * 5000 + "\n")
+        done = run_cli("check", str(src))
+        assert done.returncode == 1 and "Traceback" not in done.stderr
+        assert done.stderr.splitlines()[0] == f"{src}:2:8: error: integer literal out of range"
+
     @pytest.mark.parametrize("pairs", [False, True])
     def test_thousand_let_chain_checks_and_runs(self, tmp_path, pairs):
         deep = tmp_path / "chain.fst"

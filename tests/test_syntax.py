@@ -215,10 +215,16 @@ class TestParseProgram:
         pytest.param("f : Int\nf : Int\nf = 1", 2, 1, "duplicate signature for f",
                      id="duplicate-signature"),
         pytest.param("f : Char\nf = '\\q'", 2, 5, "unknown escape \\q", id="unknown-escape"),
+        pytest.param("main : Int\nmain = 9223372036854775808", 2, 8,
+                     "integer literal out of range", id="integer-range"),
     ])
     def test_diagnostic_points_at_the_offending_token(self, src, line, col, message):
         _, diags = parse_program(src)
         assert (line, col, message) in [(d.line, d.col, d.message) for d in diags], diags
+
+    def test_the_largest_integer_literal_parses(self):
+        prog, diags = parse_program("main : Int\nmain = 9223372036854775807")
+        assert diags == [] and prog.definitions["main"].body == S.Lit(2 ** 63 - 1)
 
     def test_definition_without_signature(self):
         _, diags = parse_program("f = 1\nmain : Int\nmain = f")

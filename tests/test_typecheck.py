@@ -6,6 +6,7 @@ import time
 import pytest
 
 from sluice import equiv as E
+from sluice import kinds as K
 from sluice import syntax as S
 from sluice.equiv import Session, equivalent
 from sluice.kinds import KindError
@@ -399,6 +400,25 @@ class TestErrorPaths:
         ("main : Int\nmain = let x, y = 1 in x",
          (2, 8, "in main: let x, y = ... needs a pair, got Int")),
         ("main : Int\nmain = let x, x = (1, 2) in x", (2, 8, "in main: duplicate binder x")),
+        ("f : ?Int -> Skip\nf c = send 1 c",
+         (2, 14, "in f: channel of type ?Int has no output action")),
+        ("f : !Int -> Int\nf c = let x, c = receive c in x",
+         (2, 18, "in f: channel of type !Int has no input action")),
+        ("f : !Int -> Int\nf c = match c with L c -> 1",
+         (2, 7, "in f: channel of type !Int offers no external choice")),
+        ("f : Int -> Int\nf c = let x, c = receive c in x",
+         (2, 18, "in f: expected a channel, got Int")),
+        ("main : Int\nmain = let a, b = new Int in 1",
+         (2, 19, "in main: new requires a session type, got Int : TU")),
+        ("main : Int\nmain = let a, b = new Foo in 1", (2, 19, "in main: unknown type name Foo")),
+        ("f : !Int -> Int\nf c = let _ = c in 1",
+         (2, 7, "in f: cannot discard a value of linear type !Int : SL")),
+        ("main : Int\nmain = y", (2, 8, "in main: unbound variable y")),
+        ("f : forall a => Int\nf = 1\nmain : Int\nmain = f [Foo]",
+         (4, 8, "in main: bad type argument for a: unknown type name Foo")),
+        # a `let` body is checked against the expected type, where it stands
+        ("main : Int\nmain = let x = 1 in True",
+         (2, 21, "in main: expected type Int, found Bool")),
     ])
     def test_diagnostic_is_positioned(self, src, want):
         if "main" not in src:
@@ -629,6 +649,30 @@ class TestNameSystemSize:
         assert [(d.line, d.message) for d in diags] == [
             (i + 1, f"type abbreviation A{i} is not contractive") for i in range(n)] + [
             (n + 1, "type A0 is ill-formed")]
+
+    def test_each_abbreviation_is_walked_once(self, monkeypatch):
+        # a name's unguarded names and contractivity are read off the walk
+        # that settled its kind
+        n, walks = 20, []
+        kinding = K.kinding
+        monkeypatch.setattr(K, "kinding", lambda *args: walks.append(args) or kinding(*args))
+        src = "".join(f"type A{i} = !Int\n" for i in range(n)) + "main : Int\nmain = 1\n"
+        prog, diags = parse_program(src)
+        assert not diags
+        build_global_env(prog, [])
+        assert len(walks) == n
+
+    @pytest.mark.parametrize("body", ["f c = c", "f c = send 1 c"])
+    def test_a_chain_longer_than_the_unfolding_limit_is_a_diagnostic(self, monkeypatch, body):
+        # `A0` is a channel type whose first action lies behind 60 names;
+        # `syntax.head` stops after `MAX_UNFOLDINGS` of them, in the
+        # equivalence query of `f c = c` and in the `send`
+        monkeypatch.setattr(S, "MAX_UNFOLDINGS", 50)
+        src = "".join(f"type A{i} = A{i + 1}\n" for i in range(59)) + "type A59 = !Int\n"
+        src += f"f : A0 -> !Int\n{body}\ng : Int\ng = True\nmain : Int\nmain = 1\n"
+        assert positioned(check_source(src)) == [
+            (62, 1, "in f: type A0 unfolds more than 50 times before its first action"),
+            (64, 5, "in g: expected type Int, found Bool")]
 
     def test_thousand_name_alias_chain(self):
         n = 1000
@@ -868,6 +912,14 @@ class TestDefinitionsAreLambdas:
             "main = let _ = send 1 ch in let _ = send 2 ch in let _ = send 3 ch in 0\n")
         assert positioned(diags) == [
             (2, 1, "in ch: top-level value ch has linear type !Int; every use would share it")]
+
+    def test_a_let_body_is_checked_against_the_signature(self):
+        from conftest import checked_program
+        from sluice.runtime import run
+
+        prog = checked_program("f : Int -> Int\nf = let y = 1 in \\x -> x + y\n"
+                               "main : Int\nmain = f 2\n")
+        assert run(prog, seed=0) == 3
 
     def test_a_top_level_one_shot_function_is_legal(self):
         assert check_source("f : Int -o Int\nf x = x\nmain : Int\nmain = f 1 + f 2\n") == []
