@@ -18,8 +18,12 @@ a verdict.
 Reflexivity applies to the root first: one object, or equal start words,
 answer a query before any production is written, and before norms, pruning
 and search. Only a query that searches fills the grammar (`_Builder.fill`),
-including what earlier queries of its session left unfilled. The refutation
-probe skips reflexive pairs.
+including what earlier queries of its session left unfilled. The search then
+expands the root, and probes its children, over the grammar as filled: a
+root that fails or is refuted there ends the query, and most negative
+queries end so. Only a query that gets past its root norms and prunes the
+nonterminals added since the last one did, and goes on from the truncated
+root. The refutation probe skips reflexive pairs.
 
 Every type is decided this way: arrows, pairs, basic types and datatype
 names are grammar nonterminals too (see `grammar`), so a functional query is
@@ -346,25 +350,47 @@ def _push(frontier: list, pairs: Node, history: RuleIndex, depth: int,
 
 def search(g: Grammar, w1: Word, w2: Word, budget: int = DEFAULT_BUDGET,
            trace: TraceFn | None = None) -> bool:
-    """Decide bisimilarity of two start words over a pruned grammar."""
+    """Decide bisimilarity of two start words over a filled grammar whose
+    first `len(g.norms)` nonterminals are normed and pruned, as `compute_norms`
+    and `prune` leave them.
+
+    The root is expanded, and its children probed, before anything else is
+    normed: pruning only cuts tails that no transition reaches, so the
+    unpruned grammar offers the same action sets along every path, and a
+    root that fails or is refuted there is final. (A probe could still stop
+    at its width guard on one grammar and not on the other; no recorded
+    input does, see `tests/test_equiv.py`.) A query that gets past its
+    root norms and prunes the rest of the grammar, and the search starts
+    again from the truncated root, whose expansion is not probed twice."""
+    quota = Budget(budget)
+    quota.draw("search")
+    expanded = expand(g, ((w1, w2),))
+    if expanded is None or any(p[0] != p[1] and _pair_refuted(g, p, {}) for p in expanded):
+        if trace:
+            trace(0, 1, "expansion failed" if expanded is None else "refuted by expansion probe")
+        return False
+    done = len(g.norms)
+    compute_norms(g, done)
+    prune(g, done)
+
     root = frozenset({(truncate(g, w1), truncate(g, w2))})
     frontier: list = []
     pushes = itertools.count()
     _push(frontier, root, {}, 0, next(pushes))
     visited = {root}
     probe_cache: dict[WordPair, bool] = {}
-    quota = Budget(budget)
 
     while frontier:
         _, _, pairs, history, depth = heapq.heappop(frontier)
-        quota.draw("search")
+        if depth:  # the root drew its unit and was probed above
+            quota.draw("search")
 
         expanded = expand(g, pairs)
         if expanded is None:
             if trace:
                 trace(depth, len(pairs), "expansion failed")
             continue
-        if any(p[0] != p[1] and _pair_refuted(g, p, probe_cache) for p in expanded):
+        if depth and any(p[0] != p[1] and _pair_refuted(g, p, probe_cache) for p in expanded):
             if trace:
                 trace(depth, len(pairs), "refuted by expansion probe")
             continue
@@ -404,11 +430,14 @@ class Session:
     `KindError` is raised again on every query of an ill-kinded type. The
     types of every query are translated into one grammar that grows across
     queries, so a name or type translated before costs a memo lookup.
-    Productions are written, and norms and pruning run, only when a query
-    searches, and only for the nonterminals added since the last search.
-    Each search has its own budget."""
+    Productions are written only when a query searches. Norms and pruning
+    run only when a search gets past its root, and only for the
+    nonterminals added since the last search that did (see `search`). Each
+    search has its own budget. Anything but a verdict or `Inconclusive`
+    escaping a query restarts the grammar, so no half-written production or
+    norm is taken as done."""
 
-    __slots__ = ("abbrevs", "walk", "grammar", "_builder", "_done")
+    __slots__ = ("abbrevs", "walk", "grammar", "_builder")
 
     def __init__(self, datakinds: K.NameKinds, abbrevs: Mapping[str, Type]) -> None:
         self.abbrevs = abbrevs
@@ -417,10 +446,11 @@ class Session:
 
     def _restart(self) -> None:
         self._builder = _Builder(self.abbrevs, self.walk)
-        # the grammar grown so far; filled, normed and pruned up to the last
-        # search, and holding unfilled nonterminals of root-equal queries since
+        # the grammar grown so far: filled up to the last search, and normed
+        # and pruned up to the last search that got past its root (its first
+        # `len(norms)` nonterminals); root-equal queries since leave theirs
+        # unfilled, and root-refuted ones leave theirs unnormed
         self.grammar = Grammar(self._builder.productions)
-        self._done = 0  # nonterminals whose norms and pruned tails are final
 
     def kind_of(self, env: K.KindEnv, t: Type) -> Kind:
         return self.walk.kind(env, t)
@@ -436,21 +466,20 @@ class Session:
             walk.kind(env, t2)
         try:
             w1, w2 = ((), ()) if t1 is t2 else (builder.word(t1, env), builder.word(t2, env))
-            if w1 != w2:
-                builder.fill()
-        except BaseException:
-            self._restart()  # a nonterminal may be left half filled
+            if w1 == w2:
+                # (R) at the root: equal words of one grammar are bisimilar
+                if trace:
+                    trace(0, 0, "empty: equivalent")
+                return True
+            builder.fill()
+            return search(self.grammar, w1, w2, budget, trace)
+        except Inconclusive:
             raise
-        if w1 == w2:
-            # (R) at the root: equal words of one grammar are bisimilar
-            if trace:
-                trace(0, 0, "empty: equivalent")
-            return True
-        g = self.grammar
-        compute_norms(g, self._done)
-        prune(g, self._done)
-        self._done = len(g.productions)
-        return search(g, w1, w2, budget, trace)
+        except BaseException:
+            # a nonterminal may be left half filled, or the new ones half
+            # normed or pruned while `len(norms)` counts them as done
+            self._restart()
+            raise
 
 
 def equivalent(t1: Type, t2: Type, env: K.KindEnv | None = None, *,

@@ -31,12 +31,15 @@ reads the session's walk, under the kind env of the query, so a type the
 session has kinded is keyed without a second walk. A query whose
 two start words are equal is answered before the fill, and leaves its new
 nonterminals unfilled until a later query searches. Before a search the
-session fills every nonterminal, then norms and prunes the ones added since
-the last search only: `compute_norms` and `prune` take the count of
-nonterminals already done. After a fill every nonterminal reaches only
-nonterminals that existed when it ended, so the norm and truncated tails of
-one normed then are final. Within one fill an earlier nonterminal does refer
-to later ones, which is why the new ones are normed together.
+session fills every nonterminal. The search expands its root and probes the
+root's children over the grammar as filled, since pruning changes no action
+set along any path; only a search that gets past its root then norms and
+prunes the nonterminals added since the last one did: `compute_norms` and
+`prune` take the count of nonterminals already done, which is `len(norms)`.
+After a fill every nonterminal reaches only nonterminals that existed when it
+ended, so the norm and truncated tails of one normed then are final. Within
+one fill an earlier nonterminal does refer to later ones, which is why the
+new ones are normed together.
 """
 
 from __future__ import annotations

@@ -62,3 +62,41 @@ def root_walks(monkeypatch):
 
     monkeypatch.setattr(Walk, "facts", counting)
     return walks
+
+
+ROOT_REFUTATIONS = ([(0, 1, "expansion failed")], [(0, 1, "refuted by expansion probe")])
+
+
+@pytest.fixture
+def checked_searches(monkeypatch):
+    """Wraps `equiv.search` to check the grammar each search is given and
+    leaves, and lists each search's outcome: "root" for a query refuted at
+    its root, "past" for one that got past it. Every nonterminal is filled
+    when a search starts. A root refutation leaves the norms as they were;
+    after any other search every nonterminal has a norm, and it is the norm
+    a fresh `compute_norms` gives."""
+    from sluice import equiv as E
+    from sluice.grammar import Grammar, compute_norms
+
+    outcomes, search = [], E.search
+
+    def checked(g, w1, w2, budget=E.DEFAULT_BUDGET, trace=None):
+        assert all(g.productions.values())
+        before, events = dict(g.norms), []
+
+        def record(*event):
+            events.append(event)
+            if trace:
+                trace(*event)
+
+        verdict = search(g, w1, w2, budget, record)
+        if events in ROOT_REFUTATIONS:
+            assert g.norms == before
+            outcomes.append("root")
+        else:
+            assert g.norms == compute_norms(Grammar(dict(g.productions))).norms
+            outcomes.append("past")
+        return verdict
+
+    monkeypatch.setattr(E, "search", checked)
+    return outcomes

@@ -15,7 +15,7 @@ from sluice.equiv import (
     expand, index_rules, search, simplify,
 )
 from sluice.grammar import (
-    Grammar, Terminal, build, compute_norms, prune, step, truncate, word_norm,
+    Terminal, build, compute_norms, prune, step, truncate, word_norm,
 )
 from sluice.parser import parse_type
 from sluice.syntax import Basic, DataRef, Pair, Rec, Semi, TVar, SL, TU
@@ -567,17 +567,88 @@ class TestLadder:
 
 
 class TestSession:
-    def test_one_growing_grammar_decides_as_fresh_queries(self):
-        # the corpus pairs and the ladder, in turn, through one session: each
-        # search norms and prunes only the nonterminals its query added
+    def test_one_growing_grammar_decides_as_fresh_queries(self, checked_searches):
+        # the corpus pairs and the ladder, in turn, through one session: a
+        # query refuted at its root norms nothing, and one that gets past it
+        # norms and prunes only the nonterminals added since the last one did
         pairs = [pair for name, _ in SUITES for pair in drawn(name)[:150]]
         pairs += [pair for _, pair in ladder_queries()]
         session = E.Session({}, {})
         verdicts = [session.equivalent(t1, t2, {}) for t1, t2 in pairs]
+        outcomes = checked_searches[:]
         assert verdicts == [equivalent(t1, t2) for t1, t2 in pairs]
         assert 100 < verdicts.count(False) < len(pairs) - 100
-        g = session.grammar
-        assert g.norms == compute_norms(Grammar(dict(g.productions))).norms
+        assert outcomes.count("root") > 100 and outcomes.count("past") > 10, outcomes
+
+    def test_an_interrupted_norm_step_is_not_taken_as_done(self, monkeypatch):
+        # the mismatch lies deeper than the probe reaches, so the query gets
+        # past its root; left with provisional norms, the session would cut
+        # every word to its first symbol and answer True
+        deep = parse_type("!Int;" * 10 + "?Int"), parse_type("!Int;" * 10 + "?Bool")
+        unfolded = S.subst(TREE_C.body, {TREE_C.var: TREE_C})
+        compute = E.compute_norms
+
+        def interrupted(g, done=0):
+            monkeypatch.setattr(E, "compute_norms", compute)
+            g.norms.update((nt, None) for nt in list(g.productions)[done:])
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(E, "compute_norms", interrupted)
+        session = E.Session({}, {})
+        with pytest.raises(KeyboardInterrupt):
+            session.equivalent(*deep, {})
+        queries = [deep, (TREE_C, unfolded), deep[::-1]]
+        verdicts = [session.equivalent(t1, t2, {}) for t1, t2 in queries]
+        assert verdicts == [equivalent(t1, t2) for t1, t2 in queries] == [False, True, False]
+
+
+def root_outcome(g, root):
+    """The root step of `search` on a grammar as it stands: "failed",
+    "refuted" or "goes on". No probe of the root's children may stop at its
+    width guard."""
+    expanded = expand(g, {root})
+    if expanded is None:
+        return "failed"
+    unequal = [pair for pair in expanded if pair[0] != pair[1]]
+    for pair in unequal:
+        assert walk_to_mismatch(g, pair, E._PROBE_DEPTH)[0] != "wide", pair
+    return "refuted" if any(E._pair_refuted(g, pair, {}) for pair in unequal) else "goes on"
+
+
+class TestRootStep:
+    """`search` expands the root and probes its children over the grammar as
+    filled, and norms and prunes only when the query gets past its root."""
+
+    def test_a_root_refutation_norms_nothing(self):
+        variant = receive_bool(next(unfoldings(TREE_C, 1)))
+        for t1, t2, line in ((parse_type("!Int"), parse_type("?Int"), "expansion failed"),
+                             (TREE_C, variant, "refuted by expansion probe")):
+            session, events = E.Session({}, {}), []
+            assert not session.equivalent(t1, t2, {}, trace=lambda *e: events.append(e))
+            assert events == [(0, 1, line)]
+            assert session.grammar.norms == {}
+
+    def test_the_root_draws_its_unit_before_it_expands(self):
+        with pytest.raises(Inconclusive):
+            equivalent(parse_type("!Int"), parse_type("?Int"), budget=0)
+
+    def test_the_root_outcome_is_the_same_before_norms_and_after(self):
+        # exactness of the root step: pruning cuts only tails no transition
+        # reaches, so the unpruned grammar fails or refutes the same roots
+        rng = random.Random(71)
+        queries = [pair for _, pair in ladder_queries()]
+        queries += [pair for name in ("perturbed", "regular") for pair in drawn(name)
+                    if rng.random() < 0.2]
+        outcomes = []
+        for t1, t2 in queries:
+            g, w1, w2 = build(t1, t2)
+            before = root_outcome(g, (w1, w2))
+            compute_norms(g)
+            prune(g)
+            assert root_outcome(g, (truncate(g, w1), truncate(g, w2))) == before, (
+                S.pretty(t1), S.pretty(t2))
+            outcomes.append(before)
+        assert min(outcomes.count(o) for o in ("failed", "refuted", "goes on")) > 200, outcomes
 
 
 class TestEquivalenceRelation:
