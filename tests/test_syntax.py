@@ -1,5 +1,6 @@
 """Parsing, pretty-printing and substitution."""
 
+import dataclasses
 import random
 import typing
 
@@ -81,20 +82,115 @@ main =
 """
 
 
+TYPE_CLASSES = typing.get_args(S.Type)
+EXPR_CLASSES = tuple(S.Expr.__subclasses__())
+NODE_CLASSES = (*TYPE_CLASSES, S.Kind, S.Scheme, *EXPR_CLASSES)
+
+
+def captured(node):
+    """The fields a class pattern with positional captures binds, written
+    out for every node class."""
+    match node:
+        case Skip():
+            return ()
+        case (Basic(a) | DataRef(a) | TVar(a) | S.Lit(a) | S.Var(a) | S.Fork(a) | S.New(a)
+              | S.Send(a) | S.Receive(a)):
+            return (a,)
+        case (Pair(a, b) | Semi(a, b) | Message(a, b) | Choice(a, b) | Rec(a, b) | S.Kind(a, b)
+              | S.Scheme(a, b) | S.App(a, b) | S.PairE(a, b) | S.Case(a, b) | S.TypeApp(a, b)
+              | S.Select(a, b) | S.Match(a, b)):
+            return (a, b)
+        case Arrow(a, b, c) | S.Lam(a, b, c) | S.Let(a, b, c) | S.If(a, b, c):
+            return (a, b, c)
+        case S.LetPair(a, b, c, d):
+            return (a, b, c, d)
+
+
+def sample(cls):
+    """An instance of `cls` whose fields are distinct strings, and those
+    strings in constructor order."""
+    fields = tuple(f"field{i}" for i in range(len(cls.__match_args__)))
+    return (cls(*fields, pos=(1, 2)) if cls in EXPR_CLASSES else cls(*fields)), fields
+
+
 class TestNodeClasses:
     def test_no_node_class_has_a_subclass(self):
         # the per-node routines (kinding, translation, `subst`, `head`,
         # `free_tvars`, `synth`) dispatch on `x.__class__ is C`, which,
         # unlike a class pattern, would not match a subclass of C
-        types = typing.get_args(S.Type)
-        assert {c.__name__ for c in types} == {
+        assert {c.__name__ for c in TYPE_CLASSES} == {
             "Basic", "Arrow", "Pair", "DataRef", "Skip", "Semi", "Message", "Choice", "Rec", "TVar"}
-        exprs = S.Expr.__subclasses__()
-        assert {c.__name__ for c in exprs} >= {
+        assert {c.__name__ for c in EXPR_CLASSES} >= {
             "Lit", "Var", "Lam", "App", "PairE", "LetPair", "Let", "Case", "If", "TypeApp",
             "Fork", "New", "Send", "Receive", "Select", "Match"}
-        for cls in (*types, *exprs):
+        for cls in NODE_CLASSES:
             assert cls.__subclasses__() == [], cls
+
+    def test_nodes_have_slots_and_match_their_fields_in_constructor_order(self):
+        # a per-instance dict costs about 40 bytes a node; the benchmark
+        # corpus keeps about 117,000 type nodes alive
+        for cls in NODE_CLASSES:
+            node, fields = sample(cls)
+            assert not hasattr(node, "__dict__") and not dataclasses.is_dataclass(cls), cls
+            assert cls.__match_args__ == cls.__slots__, cls
+            assert tuple(getattr(node, name) for name in cls.__match_args__) == fields, cls
+            assert captured(node) == fields, cls
+
+    def test_a_wrong_number_of_constructor_arguments_raises(self):
+        for cls in NODE_CLASSES:
+            _, fields = sample(cls)
+            with pytest.raises(TypeError):
+                cls(*fields, "extra")
+            if fields:
+                with pytest.raises(TypeError):
+                    cls(*fields[1:])
+
+    def test_equality_is_class_strict_both_ways(self):
+        a, b = Message(S.OUT, "Int"), Skip()
+        for x, y in ((Semi(a, b), Pair(a, b)), (Basic("Int"), DataRef("Int")),
+                     (TVar("x"), DataRef("x")), (S.Send(S.Var("c")), S.Receive(S.Var("c")))):
+            assert x != y and y != x and not x == y and not y == x
+        assert Semi(a, b) == Semi(Message(S.OUT, "Int"), Skip())
+        assert not Semi(a, b) != Semi(Message(S.OUT, "Int"), Skip())
+
+    def test_types_kinds_and_schemes_hash_as_their_field_tuples(self):
+        # the dataclass formula, so no set or dict order moves
+        samples = [sample(cls)[0] for cls in (*TYPE_CLASSES, S.Kind, S.Scheme)]
+        samples += [parse_type(text) for text in TYPE_SNIPPETS + ["(Int, ()) -o Bool"]]
+        samples += [parse_scheme(text) for text in SCHEME_SNIPPETS]
+        for t in samples:
+            assert hash(t) == hash(tuple(getattr(t, name) for name in t.__match_args__)), t
+        assert hash(Skip()) == hash(())
+        assert hash(Basic("Int")) == hash(("Int",))
+
+    def test_types_kinds_and_schemes_are_immutable(self):
+        for node in (Semi(Skip(), Skip()), TVar("x"), Skip(), S.SL,
+                     S.Scheme((), Basic("Int"))):
+            name = (node.__match_args__ or ("name",))[0]
+            with pytest.raises(AttributeError):
+                setattr(node, name, None)
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+        assert S.SL == S.Kind(S.SESSION, S.LINEAR)
+
+    def test_expressions_compare_without_positions_and_are_unhashable(self):
+        e1 = S.App(S.Var("f", pos=(1, 1)), S.Lit(1, pos=(1, 3)), pos=(1, 1))
+        e2 = S.App(S.Var("f", pos=(7, 2)), S.Lit(1), pos=(9, 9))
+        assert e1 == e2 and not e1 != e2
+        assert e1 != S.App(S.Var("f"), S.Lit(2))
+        with pytest.raises(TypeError):
+            hash(e1)
+        e1.pos = (2, 2)  # expressions stay mutable
+        assert e1.pos == (2, 2)
+
+    def test_repr_is_the_dataclass_format(self):
+        # `tests/golden/frontend.txt` hashes `repr` of every parsed program
+        assert repr(Semi(Skip(), Message(S.OUT, "Int"))) == (
+            "Semi(lhs=Skip(), rhs=Message(polarity='!', payload='Int'))")
+        assert repr(S.Scheme((("a", S.SL),), TVar("a"))) == (
+            "Scheme(binders=(('a', Kind(prekind='S', mult='L')),), body=TVar(name='a'))")
+        assert repr(S.Lam(S.LINEAR, "x", S.Var("x", pos=(1, 9)), pos=(1, 1))) == (
+            "Lam(pos=(1, 1), mult='L', param='x', body=Var(pos=(1, 9), name='x'))")
 
 
 class TestParseType:
