@@ -11,9 +11,9 @@ pushed. The search stays complete, because a visited set keeps every
 node from being pushed twice and a grammar has only finitely many nodes at or
 below any key, so every pushed node is eventually popped. Reaching an empty
 node decides positively, exhausting the frontier decides negatively, and
-blowing the node budget, which the nodes processed and the simplification
-work items draw on alike, is reported as inconclusive rather than silently as
-a verdict.
+blowing the node budget, which the nodes processed, the simplification work
+items and the pairs of the breadth-first walk draw on alike, is reported as
+inconclusive rather than silently as a verdict.
 
 Reflexivity applies to the root first: one object, or equal start words,
 answer a query before any production is written, and before norms, pruning
@@ -23,7 +23,14 @@ expands the root, and probes its children, over the grammar as filled: a
 root that fails or is refuted there ends the query, and most negative
 queries end so. Only a query that gets past its root norms and prunes the
 nonterminals added since the last one did, and goes on from the truncated
-root. The refutation probe skips reflexive pairs.
+root. The refutation probe skips reflexive pairs, and runs at the root only.
+
+Below the root a search that has gone long walks once, breadth first, from
+its truncated root (`_walk_refutes`): the attacker's side of the
+bisimulation game. A deep negative query has a short distinguishing action
+sequence that the walk finds in a few hundred pairs, where the expansion
+tree would process hundreds of nodes, each simplified, before its frontier
+runs dry.
 
 Every type is decided this way: arrows, pairs, basic types and datatype
 names are grammar nonterminals too (see `grammar`), so a functional query is
@@ -37,6 +44,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Container, Iterable, Mapping, Optional
 
@@ -53,11 +61,11 @@ WordPair = tuple[Word, Word]
 Node = frozenset[WordPair]
 
 # The work one search may do before it is `Inconclusive`. It bounds time,
-# never a verdict. The most any recorded query spends is 8,055 units, on the
-# `deep` suite of the verdict corpus (10,619 on the deep pair of seed 2, left
-# out of that suite for time), against 9 on the rest of the verdict corpus
-# and 38 on the TreeC ladder; 100,000 leaves about ten times that. The budget
-# stays per query inside a `Session`: each search draws on its own.
+# never a verdict. The most any recorded query spends is 1,115 units, on the
+# deep pair of seed 2 in the `deep` suite of the verdict corpus, against 16
+# on the rest of the verdict corpus and 38 on the TreeC ladder; 100,000
+# leaves about ninety times that for inputs larger than any on record. The
+# budget stays per query inside a `Session`: each search draws on its own.
 DEFAULT_BUDGET = 100_000
 
 
@@ -67,8 +75,9 @@ class Inconclusive(Exception):
 
 @dataclass
 class Budget:
-    """One query's work: each search node processed and each simplification
-    work item draws one unit, and running out raises `Inconclusive`."""
+    """One query's work: each search node processed, each simplification
+    work item and each pair the breadth-first walk steps draws one unit, and
+    running out raises `Inconclusive`."""
 
     limit: int = DEFAULT_BUDGET
     spent: int = 0
@@ -296,45 +305,79 @@ def _reduce(g: Grammar, P: Node, history: RuleIndex) -> Node:
 # Search
 
 
-# Refutation probe: a bounded chain of pure expansions from a single pair. An
-# action mismatch at any depth is definitive evidence the pair is not
-# bisimilar, and a node containing such a pair can never reach the empty node,
-# so the whole subtree (including every decomposition sibling sharing the
-# pair) dies at once. Inconclusive probes change nothing.
+# Refutation probe, at the root only: a bounded chain of pure expansions from
+# one child of the root. An action mismatch at any depth is definitive
+# evidence the pair is not bisimilar, so the query ends. Inconclusive probes
+# change nothing.
 #
 # Depth: a probe that does not refute walks every level, so the depth is
 # most of its cost. The deepest refutation seen is at level 6 (the seventh
 # expansion): two pairs of the 10,500-pair verdict corpus and one of the
 # benchmark corpus (seed 901) refute there, and every ladder refutation is
-# at level 3. Depths 14, 10, 8 and 6 leave every recorded verdict and search
-# unchanged, while depth 4 adds nodes to a perturbed-pair search. Depth 8
-# keeps one level of margin over the deepest refutation and cuts a ladder
-# pass's `step` calls from about 111,000 to 17,500.
+# at level 3. Depths 14, 10, 8 and 6 left every recorded verdict and search
+# unchanged while the probe also ran below the root, and depth 4 added nodes
+# to a perturbed-pair search. Depth 8 keeps one level of margin over the
+# deepest refutation.
 #
-# Width: no recorded probe comes near the cap (the widest level is 14 pairs
-# on the ladder, 15 on the verdict corpus and 39 on its deep suite), but it
-# is load-bearing. Levels grow as n^depth on an equivalent recursion with n
-# labels whose branches distribute a trailing message; at n = 4 the query
-# makes about 1,400 `step` calls with the cap and 233,000 without it.
+# Width: the widest level a recorded probe meets is 14 pairs on the ladder
+# and 23 on the verdict corpus's deep suite. The unpruned words keep tails
+# that no transition reaches, and on two equivalent pairs of the perturbed
+# suite (3404 and 3279) levels grow to 151 pairs and past the cap, where the
+# probe stops with nothing lost. The cap is load-bearing: levels grow as
+# n^depth on an equivalent recursion with n labels whose branches
+# distribute a trailing message; at n = 4 the query makes about 1,400 `step`
+# calls with the cap and 233,000 without it, all in the probes of its root.
 _PROBE_DEPTH = 8
 _PROBE_WIDTH = 192
 
 
-def _pair_refuted(g: Grammar, pair: WordPair, cache: dict[WordPair, bool]) -> bool:
-    if pair in cache:
-        return cache[pair]
+def _pair_refuted(g: Grammar, pair: WordPair) -> bool:
     current: Node = frozenset({pair})
-    refuted = False
     for _ in range(_PROBE_DEPTH):
         nxt = expand(g, current)
         if nxt is None:
-            refuted = True
-            break
+            return True
         if not nxt or len(nxt) > _PROBE_WIDTH or nxt == current:
-            break
+            return False
         current = nxt
-    cache[pair] = refuted
-    return refuted
+    return False
+
+
+# Breadth-first refutation walk: the attacker's side of the bisimulation
+# game. A search that has processed `_WALK_AFTER` nodes walks once, from its
+# truncated root pair over the normed, pruned grammar, every pair reachable
+# by a common action sequence, shortest sequences first, truncating each
+# child and dropping reflexive pairs and pairs seen before. An action
+# mismatch reached from the root is final, for the reason the probe's is;
+# a walk that reaches nothing new, or sees `_WALK_PAIRS` pairs, lets the
+# search go on. It steps words with `step`, not `expand`, so it adds no
+# search node.
+#
+# Trigger: the most nodes any recorded equivalent query processes is 8 (the
+# TreeC ladder; 7 among the `deep` suite's equivalent pairs, 4 on the rest
+# of the verdict corpus), so 50 leaves every equivalent search on record
+# untouched: a walk there would run to its cap for nothing. Cap: the most
+# pairs any recorded refutation sees is 899 (the deep pair of seed 2; 875 at
+# seed 0), and 2,000 keeps more than twice that.
+_WALK_AFTER = 50
+_WALK_PAIRS = 2_000
+
+
+def _walk_refutes(g: Grammar, root: WordPair, quota: Budget) -> bool:
+    seen = {root}
+    queue = deque([root])
+    while queue and len(seen) < _WALK_PAIRS:
+        w1, w2 = queue.popleft()
+        quota.draw("breadth-first walk")
+        s1, s2 = step(g, w1), step(g, w2)
+        if s1.keys() != s2.keys():
+            return True
+        for a, u in s1.items():
+            pair = (truncate(g, u), truncate(g, s2[a]))
+            if pair[0] != pair[1] and pair not in seen:
+                seen.add(pair)
+                queue.append(pair)
+    return False
 
 
 def _push(frontier: list, pairs: Node, history: RuleIndex, depth: int,
@@ -357,15 +400,18 @@ def search(g: Grammar, w1: Word, w2: Word, budget: int = DEFAULT_BUDGET,
     The root is expanded, and its children probed, before anything else is
     normed: pruning only cuts tails that no transition reaches, so the
     unpruned grammar offers the same action sets along every path, and a
-    root that fails or is refuted there is final. (A probe could still stop
-    at its width guard on one grammar and not on the other; no recorded
-    input does, see `tests/test_equiv.py`.) A query that gets past its
-    root norms and prunes the rest of the grammar, and the search starts
-    again from the truncated root, whose expansion is not probed twice."""
+    root that fails or is refuted there is final. (A probe can stop at its
+    width guard on the unpruned grammar, whose words keep their unreachable
+    tails, where it would not on the pruned one; that costs a refutation,
+    never a verdict.) A query that gets past its root norms and prunes the
+    rest of the grammar, and the search starts again from the truncated
+    root. Nothing below the root is probed: the `_WALK_AFTER`th node
+    processed runs the breadth-first walk from the truncated root instead,
+    and a mismatch it reaches ends the query."""
     quota = Budget(budget)
     quota.draw("search")
     expanded = expand(g, ((w1, w2),))
-    if expanded is None or any(p[0] != p[1] and _pair_refuted(g, p, {}) for p in expanded):
+    if expanded is None or any(p[0] != p[1] and _pair_refuted(g, p) for p in expanded):
         if trace:
             trace(0, 1, "expansion failed" if expanded is None else "refuted by expansion probe")
         return False
@@ -373,26 +419,28 @@ def search(g: Grammar, w1: Word, w2: Word, budget: int = DEFAULT_BUDGET,
     compute_norms(g, done)
     prune(g, done)
 
-    root = frozenset({(truncate(g, w1), truncate(g, w2))})
+    root_pair = (truncate(g, w1), truncate(g, w2))
+    root = frozenset({root_pair})
     frontier: list = []
     pushes = itertools.count()
     _push(frontier, root, {}, 0, next(pushes))
     visited = {root}
-    probe_cache: dict[WordPair, bool] = {}
+    processed = 0
 
     while frontier:
         _, _, pairs, history, depth = heapq.heappop(frontier)
-        if depth:  # the root drew its unit and was probed above
+        processed += 1
+        if depth:  # the root drew its unit above
             quota.draw("search")
+        if processed == _WALK_AFTER and _walk_refutes(g, root_pair, quota):
+            if trace:
+                trace(depth, len(pairs), "refuted by breadth-first walk")
+            return False
 
         expanded = expand(g, pairs)
         if expanded is None:
             if trace:
                 trace(depth, len(pairs), "expansion failed")
-            continue
-        if depth and any(p[0] != p[1] and _pair_refuted(g, p, probe_cache) for p in expanded):
-            if trace:
-                trace(depth, len(pairs), "refuted by expansion probe")
             continue
 
         assumed = index_rules(pairs, history)

@@ -70,7 +70,12 @@ class GlobalEnv:
     datakinds: K.NameKinds = field(default_factory=dict)
     # each abbreviation's body, and each derived dual name's: one system of equations
     abbrevs: dict[str, Type] = field(default_factory=dict)
-    # kinds and equivalence for the whole program, over the two tables above
+    # the kind env of each accepted signature: its binders, or `no_binders`,
+    # the one empty env every other type is kinded under. The session's walk
+    # keeps one memo scope per env object, so each env is made once.
+    kenvs: dict[str, K.KindEnv] = field(default_factory=dict)
+    no_binders: K.KindEnv = field(default_factory=dict)
+    # kinds and equivalence for the whole program, over the tables above
     session: equiv.Session = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -536,7 +541,7 @@ def build_global_env(p: S.Program, diags: list[Diagnostic]) -> GlobalEnv:
                                         f"constructor {cname} declared twice"))
                 continue
             try:
-                mults = [env.kind_of({}, f).mult for f in fields]
+                mults = [env.kind_of(env.no_binders, f).mult for f in fields]
             except CheckError as err:
                 diags.append(Diagnostic(decl.pos[0], decl.pos[1], err.diag.message))
                 continue
@@ -548,12 +553,14 @@ def build_global_env(p: S.Program, diags: list[Diagnostic]) -> GlobalEnv:
 
     # signatures: kind-check under their binders
     for name, sig in p.signatures.items():
+        kenv = dict(sig.scheme.binders) if sig.scheme.binders else env.no_binders
         try:
-            env.kind_of(dict(sig.scheme.binders), sig.scheme.body)
+            env.kind_of(kenv, sig.scheme.body)
         except CheckError as err:
             diags.append(Diagnostic(sig.pos[0], sig.pos[1], err.diag.message))
             continue
         env.schemes[name] = sig.scheme
+        env.kenvs[name] = kenv
     return env
 
 
@@ -571,8 +578,9 @@ def check_program(p: S.Program) -> list[Diagnostic]:
             continue
         if name not in env.schemes:
             continue  # the signature itself was rejected
-        scheme = env.schemes[name]
-        kenv: K.KindEnv = {b: k for b, k in scheme.binders}
+        # a builtin's or constructor's scheme, which stands when the
+        # signature of its name was rejected, has no binders
+        scheme, kenv = env.schemes[name], env.kenvs.get(name, env.no_binders)
         try:
             # a value that is not a function is evaluated once and shared
             if not isinstance(d.body, Lam) and env.kind_of(kenv, scheme.body).mult == LINEAR:
@@ -601,7 +609,7 @@ def check_program(p: S.Program) -> list[Diagnostic]:
                    "main must have a non-function type"
                    if isinstance(scheme.body, Arrow) else
                    "main must have a non-session type"
-                   if env.kind_of({}, scheme.body).prekind == SESSION else None)
+                   if env.kind_of(env.no_binders, scheme.body).prekind == SESSION else None)
         if problem:
             diags.append(Diagnostic(main.pos[0], main.pos[1], problem))
     return diags

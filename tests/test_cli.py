@@ -12,6 +12,7 @@ from sluice import syntax as S
 from sluice.cli import main
 
 from conftest import PROGRAMS
+from verdict_corpus import DEEP_SEEDS, drawn
 
 TREE = os.path.join(PROGRAMS, "tree.fst")
 CROSS = os.path.join(PROGRAMS, "cross.fst")
@@ -182,6 +183,16 @@ class TestEquiv:
             "node depth=2 pairs=0 empty: equivalent\nequivalent\n")
         assert main(["equiv", t1, t2, "--budget", "4"]) == 2
         assert main(["equiv", t1, t2, "--budget", "5"]) == 0
+
+    def test_trace_shows_the_breadth_first_walk(self, capsys):
+        # the deep pair of seed 0 ends at the 50th node, where the walk
+        # refutes it
+        tree, perturbed = drawn("deep")[DEEP_SEEDS.index(0) - len(DEEP_SEEDS)]
+        assert main(["equiv", "--trace", S.pretty(tree), S.pretty(perturbed)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 51
+        assert lines[-2:] == ["node depth=4 pairs=2 refuted by breadth-first walk",
+                              "not equivalent"]
 
     def test_each_type_is_kinded_once(self, capsys, root_walks):
         assert main(["equiv", "!Int;?Bool", "!Int;Skip;?Bool"]) == 0

@@ -1,5 +1,6 @@
 """The expansion-tree equivalence decision procedure."""
 
+import functools
 import heapq
 import random
 import time
@@ -25,7 +26,10 @@ from oracles import (
     congruence_closure, k_bisimilar_types, pairwise_congruence_closure,
     regular_equivalent, scanning_congruent,
 )
-from verdict_corpus import SUITES, drawn, ladder_queries, search_line, unfoldings
+from verdict_corpus import (
+    DEEP_FOLDS, DEEP_SEEDS, DEEP_TREES, SUITES, drawn, ladder_queries, read_golden,
+    search_line, unfoldings,
+)
 
 TREE_C = parse_type("rec x. +{Leaf: Skip, Node: !Int;x;x;?Int}")
 TREE_CHANNEL = parse_type("rec x. +{Leaf: Skip, Node: !Int;x;x}")
@@ -327,9 +331,9 @@ class TestProbeDepth:
         probed = {}
         probe = E._pair_refuted
 
-        def record(g, pair, cache):
+        def record(g, pair):
             probed[id(g), pair] = g, pair
-            return probe(g, pair, cache)
+            return probe(g, pair)
 
         monkeypatch.setattr(E, "_pair_refuted", record)
         queries = [pair for _, pair in ladder_queries()]
@@ -343,7 +347,7 @@ class TestProbeDepth:
             outcome, level = walk_to_mismatch(g, pair, 32)
             if outcome == "refuted":
                 deepest = max(deepest, level)
-                assert E._pair_refuted(g, pair, {}), (pair, level)
+                assert E._pair_refuted(g, pair), (pair, level)
             elif outcome == "wide":
                 # the probe itself never reaches its width guard
                 assert level >= E._PROBE_DEPTH, (pair, level)
@@ -375,6 +379,69 @@ class TestProbeWidth:
         assert calls < 5_000
 
 
+@functools.cache
+def deep_pairs():
+    """The 12 deep pairs: the three-`x` tree recursion against its perturbed
+    5-fold unfolding, perturbed with seeds 0-11."""
+    tree = parse_type(DEEP_TREES[-1])
+    *_, unfolded = unfoldings(tree, DEEP_FOLDS)
+    return tuple((tree, perturb(random.Random(seed), unfolded)) for seed in range(12))
+
+
+class TestBreadthFirstWalk:
+    """The walk's trigger and cap each sit above a measurement, the deep
+    pairs end where it runs, and it draws on the query's budget."""
+
+    def test_the_trigger_sits_above_every_equivalent_search(self):
+        # the most nodes a recorded equivalent query processes: 8 on the
+        # ladder, 7 among the deep suite's equivalent pairs
+        most = {}
+        queries = [(name, pair) for name, pair in ladder_queries() if name.startswith("ladder ")]
+        queries += [("deep", pair) for pair, letter in zip(drawn("deep"), read_golden()["deep"])
+                    if letter == "E"]
+        for name, (t1, t2) in queries:
+            _, letter, nodes, _ = search_line(name, t1, t2).rsplit(" ", 3)
+            assert letter == "E", name
+            name = name.split()[0]
+            most[name] = max(most.get(name, 0), int(nodes))
+        assert most == {"ladder": 8, "deep": 7}
+        assert max(most.values()) < E._WALK_AFTER
+
+    def test_the_cap_sits_above_every_recorded_refutation(self, monkeypatch):
+        # the most pairs a recorded refutation sees is 899, at seed 2, and
+        # the next most 875, at seed 0; a walk steps a pair only while it has
+        # seen fewer than the cap (every deep pair refutes under the real cap,
+        # see the next test)
+        pairs = deep_pairs()
+
+        def refuted(seed, cap):
+            monkeypatch.setattr(E, "_WALK_PAIRS", cap)
+            g, w1, w2 = build(*pairs[seed])
+            compute_norms(g)
+            prune(g)
+            return E._walk_refutes(g, (truncate(g, w1), truncate(g, w2)), Budget())
+
+        assert E._WALK_PAIRS > 2 * 899
+        assert refuted(2, 900) and not refuted(2, 899)
+        assert refuted(0, 876) and not refuted(0, 875)
+
+    def test_every_deep_pair_ends_where_the_walk_runs(self):
+        for t1, t2 in deep_pairs():
+            events = []
+            assert not equivalent(t1, t2, trace=lambda *e: events.append(e))
+            assert len(events) <= E._WALK_AFTER
+            assert events[-1][2] in ("refuted by breadth-first walk",
+                                     "refuted by expansion probe")
+
+    def test_a_small_budget_stops_the_walk(self):
+        # seed 0 spends 384 units on its first 50 nodes and 704 in the walk,
+        # 1,088 in all
+        t1, t2 = deep_pairs()[0]
+        walk = "^node budget of 500 exhausted in breadth-first walk$"
+        with pytest.raises(Inconclusive, match=walk):
+            equivalent(t1, t2, budget=500)
+
+
 class TestTruncatedNodes:
     """`simplify` truncates the expanded node once and queues B2 witness
     children as built, because their words are truncated already."""
@@ -404,8 +471,13 @@ class TestTruncatedNodes:
         monkeypatch.setattr(E, "_b2_candidates", counted)
         # the ladder; the deep pair of seed 3, which makes most of the B2
         # children on record; and a perturbed TreeC unfolding followed by an
-        # unnormed stream, whose B2 children hold unnormed symbols
-        queries = [pair for _, pair in ladder_queries()] + [drawn("deep")[-2]]
+        # unnormed stream, whose B2 children hold unnormed symbols. The last
+        # two are not equivalent, and the breadth-first walk would end them
+        # at node 50 with 362 nodes in all; 355 is the earliest trigger
+        # that still meets all three bounds.
+        monkeypatch.setattr(E, "_WALK_AFTER", 355)
+        deep = drawn("deep")[DEEP_SEEDS.index(3) - len(DEEP_SEEDS)]
+        queries = [pair for _, pair in ladder_queries()] + [deep]
         stream = parse_type("rec y. !Bool;y")
         *_, unfolded = unfoldings(TREE_C, 5)
         queries.append((Semi(TREE_C, stream), Semi(perturb(random.Random(3), unfolded), stream)))
@@ -612,7 +684,7 @@ def root_outcome(g, root):
     unequal = [pair for pair in expanded if pair[0] != pair[1]]
     for pair in unequal:
         assert walk_to_mismatch(g, pair, E._PROBE_DEPTH)[0] != "wide", pair
-    return "refuted" if any(E._pair_refuted(g, pair, {}) for pair in unequal) else "goes on"
+    return "refuted" if any(E._pair_refuted(g, pair) for pair in unequal) else "goes on"
 
 
 class TestRootStep:

@@ -8,6 +8,7 @@ import pytest
 from sluice import equiv as E
 from sluice import kinds as K
 from sluice import syntax as S
+from sluice import typecheck as T
 from sluice.equiv import Session, equivalent
 from sluice.kinds import KindError
 from sluice.parser import parse_program, parse_type
@@ -56,6 +57,22 @@ class TestPrograms:
 
     def test_cross_doubled_checks(self, cross_doubled_source):
         assert check_source(cross_doubled_source) == []
+
+    def test_one_kind_env_per_polymorphic_signature(self, tree_source, monkeypatch):
+        # the session's walk keeps one memo scope per kind env: one empty env
+        # for every monomorphic type, and one per signature with binders
+        # (`transform` and `treeSum`), reused by its definition
+        envs = []
+
+        def kept(p, diags):
+            envs.append(build_global_env(p, diags))
+            return envs[-1]
+
+        monkeypatch.setattr(T, "build_global_env", kept)
+        assert check_source(tree_source) == []
+        scopes = [kenv for kenv, _ in envs[0].session.walk._scopes.values()]
+        assert sorted(map(list, scopes)) == [[], ["alpha"], ["alpha"]]
+        assert envs[0].kenvs["main"] is envs[0].no_binders
 
     def test_main_must_not_be_a_function(self):
         diags = check_source("main : Int -> Int\nmain x = x")

@@ -10,8 +10,9 @@ that flips any verdict shows up as a diff.
 The `deep` suite holds few, large pairs, recorded by verdict only: tree
 recursions with one to three `x` against their plain, perturbed and
 lawified 1- to 5-fold unfoldings, depth-7/8 sessions against two rounds of
-`lawify`, and two perturbed 5-fold unfoldings of a three-`x` tree that
-once ran out of budget.
+`lawify`, and five perturbed 5-fold unfoldings of a three-`x` tree
+(`DEEP_SEEDS`), which once ran out of budget and now end where the
+search's breadth-first walk refutes them.
 
 The `functional` suite, recorded by verdict only too, holds arrows and
 pairs over basic types, the variable `f`, the datatype name `D` and session
@@ -92,7 +93,7 @@ DEEP_TREES = ("rec x. +{Leaf: Skip, Node: !Bool;x}",
               "rec x. +{Leaf: Skip, Node: !Bool;x;x;x}")
 DEEP_FOLDS = 5
 DEEP_SESSIONS = 20
-DEEP_SEEDS = (3, 7)
+DEEP_SEEDS = (0, 2, 3, 6, 7)
 FUNCTIONAL = 2000
 # the functional suite's kinds of its one variable and one datatype name
 ENV = {"f": S.TU}
