@@ -1,14 +1,20 @@
 """Tokenizer for programs and standalone type expressions.
 
 Line comments start with `--`. Newlines are not emitted as tokens; each token
-records its line and column so the parser can recover line structure where it
-needs it (declaration starts, branch boundaries).
+records its line and column, and `lex` can also record the index of each
+line's first token, so the parser can recover line structure where it needs
+it (declaration starts, branch boundaries).
+
+Each token is matched once and classified once: the scan yields the spaces
+before a token and its text, a token's column is the sum of the lengths
+before it on its line, and its kind is one dictionary lookup on its text or
+its first character. Only newlines, comments, character literals, words that
+start with a non-ASCII letter and errors take a slower path.
 """
 
 from __future__ import annotations
 
 import re
-from functools import partial
 from typing import NamedTuple
 
 from .diagnostics import Diagnostic, DiagnosticError
@@ -18,27 +24,45 @@ KEYWORDS = {
     "with", "if", "then", "else", "fork", "new", "send", "receive", "select",
 }
 
-# One match per token, with the spaces before it. The alternatives are tried
-# in order: a comment comes before the `-` symbol, and two-character symbols
-# before their first character, so maximal munch falls out of the order.
-# `-o` is the linear arrow unless it runs into a longer identifier. Integer
-# literals are ASCII digits only. A word starts with a character of
+SYMBOLS = ("-o", "==", "<=", ">=", "&&", "||", "->", "=>", "(", ")", "[", "]",
+           "{", "}", ";", ",", ":", "=", "+", "-", "*", "!", "?", "&", "|", "<",
+           ">", "\\", ".", "_")
+
+# One match per token: the spaces before it, then the token. The alternatives
+# are tried in order: a comment comes before the `-` symbol, and two-character
+# symbols before their first character, so maximal munch falls out of the
+# order. `-o` is the linear arrow unless it runs into a longer identifier.
+# Integer literals are ASCII digits only. A word starts with a character of
 # `[^\W\d_]`, which is every letter (`str.isalpha`) and a few numeric
 # characters such as `²` that `lex` rejects, and goes on with letters, digits,
-# `_` and `'`. `other` takes one character that starts no token: a malformed
-# character literal, or an unexpected character. It excludes the spaces, so
-# that spaces at the end of the input match nothing instead of an error.
+# `_` and `'`. The last alternative takes one character that starts no token:
+# a malformed character literal, or an unexpected character. It excludes the
+# spaces, so that spaces at the end of the input match nothing instead of an
+# error.
 _SCAN = re.compile(r"""
-    [ \t\r]*
-    (?:
-        (?P<newline>\n)
-      | (?P<comment>--[^\n]*)
-      | (?P<int>[0-9]+)
-      | (?P<word>[^\W\d_][\w']*)
-      | (?P<sym>-o(?![\w'])|==|<=|>=|&&|\|\||->|=>|[()\[\]{};,:=+\-*!?&|<>\\._])
-      | (?P<char>'(?:\\[nt\\'0]|[^\\])')
-      | (?P<other>[^ \t\r])
+    ([ \t\r]*)
+    (   \n
+      | --[^\n]*
+      | [0-9]+
+      | [^\W\d_][\w']*
+      | -o(?![\w'])|==|<=|>=|&&|\|\||->|=>|[()\[\]{};,:=+\-*!?&|<>\\._]
+      | '(?:\\[nt\\'0]|[^\\])'
+      | [^ \t\r]
     )""", re.VERBOSE)
+
+# The kind of a token by its whole text (symbols and keywords), else by its
+# first character (ASCII words and integers); a miss in both is a token of
+# the slow path. A keyword's text is never the text of another kind of token.
+_BY_TEXT = {**dict.fromkeys(SYMBOLS, "sym"), **dict.fromkeys(KEYWORDS, "kw")}
+_BY_FIRST = {**dict.fromkeys("abcdefghijklmnopqrstuvwxyz", "lident"),
+             **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ", "uident"),
+             **dict.fromkeys("0123456789", "int")}
+
+# The scan runs over chunks of about this many characters, so that no more
+# than one chunk's matches exist at once. A chunk ends just after a newline
+# that no character literal spans (one not preceded by `'`), where every
+# match of a scan over the whole source ends too.
+_CHUNK = 4096
 
 _ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", "'": "'", "0": "\0"}
 
@@ -53,48 +77,52 @@ class Token(NamedTuple):
         return f"{self.kind}({self.text!r})@{self.line}:{self.col}"
 
 
-# `Token(...)` runs a Python-level `__new__`; building the tuple directly
-# halves the cost of each token.
-_token = partial(tuple.__new__, Token)
-
-
-def lex(source: str) -> list[Token]:
+def lex(source: str, heads: list[int] | None = None) -> list[Token]:
     """The tokens of `source`, ending with an `eof` token. A column counts
     the characters since the last newline, except that a comment leaves the
-    column where it began."""
+    column where it began. `heads`, when given, receives the index of the
+    token each line starts with: 0, then the number of tokens before each
+    newline (a line without tokens repeats the next line's index)."""
     tokens: list[Token] = []
     append = tokens.append
-    line, line_start, comment_at = 1, 0, None
-    for m in _SCAN.finditer(source):
-        group = m.lastgroup
-        if group == "newline":
-            line += 1
-            line_start = m.end()
-            comment_at = None
-            continue
-        at = m.start(group)
-        col = at - line_start + 1
-        if group == "word":
-            text = m.group(group)
-            if text in KEYWORDS:
-                append(_token(("kw", text, line, col)))
-            elif not text[0].isalpha():
-                raise DiagnosticError(Diagnostic(line, col, f"unexpected character {text[0]!r}"))
-            elif text[0].isupper():
-                append(_token(("uident", text, line, col)))
-            else:
-                append(_token(("lident", text, line, col)))
-        elif group == "sym" or group == "int":
-            append(_token((group, m.group(group), line, col)))
-        elif group == "comment":
-            comment_at = at
-        elif group == "char":
-            text = m.group(group)
-            append(_token(("char", _ESCAPES[text[2]] if len(text) == 4 else text[1], line, col)))
-        else:
-            raise DiagnosticError(Diagnostic(line, col, _malformed(source, at)))
-    end = len(source) if comment_at is None else comment_at
-    append(Token("eof", "", line, end - line_start + 1))
+    new = tuple.__new__  # builds a Token without NamedTuple.__new__'s Python frame
+    by_text, by_first = _BY_TEXT.get, _BY_FIRST.get
+    if heads is None:
+        heads = []
+    mark = heads.append
+    mark(0)
+    line, line_start, col, comment_at = 1, 0, 1, 0
+    start, n = 0, len(source)
+    while start < n:
+        stop = source.find("\n", start + _CHUNK) + 1 or n
+        while stop < n and source[stop - 2] == "'":
+            stop = source.find("\n", stop) + 1 or n
+        for space, text in _SCAN.findall(source, start, stop):
+            col += len(space)
+            kind = by_text(text) or by_first(text[0])
+            if kind is None:
+                c = text[0]
+                if c == "\n":
+                    line, line_start, col, comment_at = line + 1, line_start + col, 1, 0
+                    mark(len(tokens))
+                    continue
+                if c == "-":
+                    comment_at = col
+                    col += len(text)
+                    continue
+                if c == "'" and len(text) > 1:
+                    append(new(Token, ("char", _ESCAPES[text[2]] if len(text) == 4 else text[1],
+                                       line, col)))
+                    col += len(text)
+                    continue
+                if not c.isalpha():
+                    raise DiagnosticError(Diagnostic(
+                        line, col, _malformed(source, line_start + col - 1)))
+                kind = "uident" if c.isupper() else "lident"
+            append(new(Token, (kind, text, line, col)))
+            col += len(text)
+        start = stop
+    append(Token("eof", "", line, comment_at or n - line_start + 1))
     return tokens
 
 

@@ -457,6 +457,12 @@ def check_against(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr, t: Type) -
 # Programs
 
 
+# A declaration whose type nests deeper than the kinding walk can follow on
+# the Python stack (it recurses once per `;`, as in a long message spine) is
+# rejected with this error at the declaration.
+_TOO_DEEP = "nesting too deep"
+
+
 def _declare_names(env: GlobalEnv, p: S.Program) -> dict[str, str]:
     """Fill `env`'s tables of type names, returning the error of each rejected
     abbreviation. The kinds are one least fixed point: an abbreviation kinds
@@ -465,7 +471,9 @@ def _declare_names(env: GlobalEnv, p: S.Program) -> dict[str, str]:
     rise and kind errors persist as they do, so a failing abbreviation is
     rejected for good (kind None), and so is each one that refers to it.
     Contractivity needs the final kinds, so it comes last; each name's last
-    walk already saw them, since a kind change walks its users again."""
+    walk already saw them, since a kind change walks its users again. A
+    datatype nested too deep to walk is rejected too, and its error is
+    returned alongside the abbreviations' errors."""
     kinds = env.datakinds
     bodies = {name: decl.body for name, decl in p.abbrevs.items()}
     types: dict[str, Type] = {
@@ -473,11 +481,17 @@ def _declare_names(env: GlobalEnv, p: S.Program) -> dict[str, str]:
         for name, decl in p.datatypes.items()}
     types.update(bodies)
     users: dict[str, list[str]] = {}
-    for name, t in types.items():
-        for ref in S.type_names(t):
-            users.setdefault(ref, []).append(name)
-    kinds.update(dict.fromkeys(p.datatypes, S.TU) | dict.fromkeys(bodies, S.SU))
     errors: dict[str, str] = {}
+    for name, t in types.items():
+        try:
+            refs = S.type_names(t)
+        except RecursionError:
+            errors[name] = _TOO_DEEP
+            continue
+        for ref in refs:
+            users.setdefault(ref, []).append(name)
+    kinds.update(dict.fromkeys(p.datatypes, S.TU) | dict.fromkeys(bodies, S.SU)
+                 | dict.fromkeys(errors))
     walked: dict[str, K.Kinding] = {}  # each name's last walk
 
     def settle(work: list[str]) -> None:
@@ -485,11 +499,14 @@ def _declare_names(env: GlobalEnv, p: S.Program) -> dict[str, str]:
             name = work.pop()
             if kinds[name] is None:
                 continue
-            new, error, _, _ = walked[name] = K.kinding({}, types[name], kinds)
+            try:
+                new, error, _, _ = walked[name] = K.kinding({}, types[name], kinds)
+            except RecursionError:
+                new, error = None, _TOO_DEEP
             if error is None and name in bodies and new.prekind != SESSION:
                 error = f"type abbreviation {name} must be a session type"
             if error is not None:
-                if name not in bodies:
+                if name not in bodies and error != _TOO_DEEP:
                     continue  # a datatype's fields are reported with its constructors
                 errors[name], new = error, None
             if new != kinds[name]:
@@ -535,6 +552,9 @@ def build_global_env(p: S.Program, diags: list[Diagnostic]) -> GlobalEnv:
     # constructors become curried functions; a partial application that holds
     # a linear field is itself linear, so every arrow after that field is -o
     for dname, decl in p.datatypes.items():
+        if dname in errors:
+            diags.append(Diagnostic(*decl.pos, errors[dname]))
+            continue
         for cname, fields in decl.ctors.items():
             if cname in env.ctors:
                 diags.append(Diagnostic(decl.pos[0], decl.pos[1],
@@ -544,6 +564,9 @@ def build_global_env(p: S.Program, diags: list[Diagnostic]) -> GlobalEnv:
                 mults = [env.kind_of(env.no_binders, f).mult for f in fields]
             except CheckError as err:
                 diags.append(Diagnostic(decl.pos[0], decl.pos[1], err.diag.message))
+                continue
+            except RecursionError:
+                diags.append(Diagnostic(decl.pos[0], decl.pos[1], _TOO_DEEP))
                 continue
             ty: Type = DataRef(dname)
             for i in reversed(range(len(fields))):
@@ -558,6 +581,9 @@ def build_global_env(p: S.Program, diags: list[Diagnostic]) -> GlobalEnv:
             env.kind_of(kenv, sig.scheme.body)
         except CheckError as err:
             diags.append(Diagnostic(sig.pos[0], sig.pos[1], err.diag.message))
+            continue
+        except RecursionError:
+            diags.append(Diagnostic(sig.pos[0], sig.pos[1], _TOO_DEEP))
             continue
         env.schemes[name] = sig.scheme
         env.kenvs[name] = kenv

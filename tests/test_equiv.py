@@ -16,7 +16,7 @@ from sluice.equiv import (
     expand, index_rules, search, simplify,
 )
 from sluice.grammar import (
-    Terminal, build, compute_norms, prune, step, truncate, word_norm,
+    Grammar, Terminal, build, compute_norms, prune, step, truncate, word_norm,
 )
 from sluice.parser import parse_type
 from sluice.syntax import Basic, DataRef, Pair, Rec, Semi, TVar, SL, TU
@@ -328,31 +328,42 @@ class TestProbeDepth:
     record (level 6)."""
 
     def test_probe_refutes_whatever_a_long_walk_refutes(self, monkeypatch):
-        probed = {}
+        # The probe runs on the grammar as filled, before the query norms
+        # and prunes it, so each pair is replayed on a copy of the grammar
+        # taken when the probe ran. `grammars` keeps each query's grammar
+        # alive, so that no two queries share an id.
+        grammars, probed, verdicts = {}, {}, []
         probe = E._pair_refuted
 
         def record(g, pair):
-            probed[id(g), pair] = g, pair
+            if id(g) not in grammars:
+                grammars[id(g)] = g, Grammar(
+                    {n: dict(prods) for n, prods in g.productions.items()}, dict(g.norms))
+            probed[id(g), pair] = grammars[id(g)][1], pair, len(verdicts)
             return probe(g, pair)
 
         monkeypatch.setattr(E, "_pair_refuted", record)
         queries = [pair for _, pair in ladder_queries()]
         queries += drawn("perturbed")
         for t1, t2 in queries:
-            equivalent(t1, t2)
+            verdicts.append(equivalent(t1, t2))
         monkeypatch.undo()
 
-        deepest = 0
-        for g, pair in probed.values():
+        deepest, shallow_wide = 0, []
+        for g, pair, query in probed.values():
             outcome, level = walk_to_mismatch(g, pair, 32)
             if outcome == "refuted":
                 deepest = max(deepest, level)
                 assert E._pair_refuted(g, pair), (pair, level)
-            elif outcome == "wide":
-                # the probe itself never reaches its width guard
-                assert level >= E._PROBE_DEPTH, (pair, level)
+            elif outcome == "wide" and level < E._PROBE_DEPTH:
+                # the probe stops at its width guard here, which costs no
+                # refutation only because the query is equivalent
+                assert verdicts[query], (pair, level)
+                shallow_wide.append(level)
         assert len(probed) > 1000
         assert deepest == 6
+        # three pairs of perturbed pair 3279, all on the unpruned grammar
+        assert sorted(shallow_wide) == [6, 6, 7]
 
 
 class TestProbeWidth:

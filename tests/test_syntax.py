@@ -1,13 +1,16 @@
-"""Parsing, pretty-printing and substitution."""
+"""Lexing, parsing, pretty-printing and substitution."""
 
 import dataclasses
 import random
+import re
 import typing
+from functools import partial
 
 import pytest
 
 from sluice import syntax as S
-from sluice.diagnostics import DiagnosticError
+from sluice.diagnostics import Diagnostic, DiagnosticError
+from sluice.lexer import KEYWORDS, Token, lex
 from sluice.parser import parse_program, parse_scheme, parse_type
 from sluice.syntax import (
     Skip, Semi, Message, Choice, Rec, TVar, Basic, Arrow, Pair, DataRef,
@@ -16,6 +19,7 @@ from sluice.syntax import (
 
 from conftest import parse_expr
 from gen import rand_session
+from verdict_corpus import frontend_inputs
 
 
 def reassoc_semi(t):
@@ -111,6 +115,147 @@ def sample(cls):
     strings in constructor order."""
     fields = tuple(f"field{i}" for i in range(len(cls.__match_args__)))
     return (cls(*fields, pos=(1, 2)) if cls in EXPR_CLASSES else cls(*fields)), fields
+
+
+# The lexer before each token was classified once: one `finditer` match per
+# token, dispatched on the name of the group that matched. `TestLexer` holds
+# `lex` to it.
+_REFERENCE_SCAN = re.compile(r"""
+    [ \t\r]*
+    (?:
+        (?P<newline>\n)
+      | (?P<comment>--[^\n]*)
+      | (?P<int>[0-9]+)
+      | (?P<word>[^\W\d_][\w']*)
+      | (?P<sym>-o(?![\w'])|==|<=|>=|&&|\|\||->|=>|[()\[\]{};,:=+\-*!?&|<>\\._])
+      | (?P<char>'(?:\\[nt\\'0]|[^\\])')
+      | (?P<other>[^ \t\r])
+    )""", re.VERBOSE)
+
+_REFERENCE_ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", "'": "'", "0": "\0"}
+
+_token = partial(tuple.__new__, Token)
+
+
+def reference_lex(source: str) -> list[Token]:
+    """The tokens of `source`, ending with an `eof` token. A column counts
+    the characters since the last newline, except that a comment leaves the
+    column where it began."""
+    tokens: list[Token] = []
+    append = tokens.append
+    line, line_start, comment_at = 1, 0, None
+    for m in _REFERENCE_SCAN.finditer(source):
+        group = m.lastgroup
+        if group == "newline":
+            line += 1
+            line_start = m.end()
+            comment_at = None
+            continue
+        at = m.start(group)
+        col = at - line_start + 1
+        if group == "word":
+            text = m.group(group)
+            if text in KEYWORDS:
+                append(_token(("kw", text, line, col)))
+            elif not text[0].isalpha():
+                raise DiagnosticError(Diagnostic(line, col, f"unexpected character {text[0]!r}"))
+            elif text[0].isupper():
+                append(_token(("uident", text, line, col)))
+            else:
+                append(_token(("lident", text, line, col)))
+        elif group == "sym" or group == "int":
+            append(_token((group, m.group(group), line, col)))
+        elif group == "comment":
+            comment_at = at
+        elif group == "char":
+            text = m.group(group)
+            append(_token(("char", _REFERENCE_ESCAPES[text[2]] if len(text) == 4 else text[1],
+                           line, col)))
+        else:
+            raise DiagnosticError(Diagnostic(line, col, _reference_malformed(source, at)))
+    end = len(source) if comment_at is None else comment_at
+    append(Token("eof", "", line, end - line_start + 1))
+    return tokens
+
+
+def _reference_malformed(source: str, i: int) -> str:
+    """Why no token starts at `source[i]`."""
+    c = source[i]
+    if c != "'":
+        return f"unexpected character {c!r}"
+    if i + 1 >= len(source) or source[i + 1] != "\\":
+        return "unterminated character literal"
+    if i + 3 >= len(source) or source[i + 3] != "'":
+        return "bad character escape"
+    return f"unknown escape \\{source[i + 2]}"
+
+
+def lexed(lex_fn, source):
+    """The token tuples of `source`, or the rendered lexer error."""
+    try:
+        return [tuple(t) for t in lex_fn(source)]
+    except DiagnosticError as exc:
+        return exc.diag.render()
+
+
+def tokens(source):
+    return [(t.kind, t.text, t.line, t.col) for t in lex(source)]
+
+
+class TestLexer:
+    def test_columns_after_tabs_and_crlf(self):
+        # a tab and a carriage return are one column each
+        assert tokens("\tx\r\n  y\t=\r\n") == [
+            ("lident", "x", 1, 2), ("lident", "y", 2, 3), ("sym", "=", 2, 5), ("eof", "", 3, 1)]
+
+    def test_eof_after_a_trailing_comment_stays_where_the_comment_began(self):
+        assert tokens("main = 1  -- the end")[-1] == ("eof", "", 1, 11)
+        assert tokens("main = 1  -- the end\n")[-1] == ("eof", "", 2, 1)
+        assert tokens("x  ")[-1] == ("eof", "", 1, 4)
+
+    @pytest.mark.parametrize("source, message", [
+        ("x = 'ab'", "1:5: error: unterminated character literal"),
+        ("x = '", "1:5: error: unterminated character literal"),
+        ("x = '\\n", "1:5: error: bad character escape"),
+        ("x = '\\q'", "1:5: error: unknown escape \\q"),
+        ("x = $", "1:5: error: unexpected character '$'"),
+        ("x =\n ²y", "2:2: error: unexpected character '²'"),
+    ])
+    def test_malformed_characters(self, source, message):
+        with pytest.raises(DiagnosticError) as exc:
+            lex(source)
+        assert exc.value.diag.render() == f"<input>:{message}"
+
+    def test_linear_arrow_against_a_longer_word(self):
+        assert tokens("a -o b")[1] == ("sym", "-o", 1, 3)
+        assert tokens("a -oops")[1:3] == [("sym", "-", 1, 3), ("lident", "oops", 1, 4)]
+        assert tokens("a -o'")[1:3] == [("sym", "-", 1, 3), ("lident", "o'", 1, 4)]
+
+    def test_words_and_letters_beyond_ascii(self):
+        assert tokens("λx Ñu x² ǅ")[:4] == [
+            ("lident", "λx", 1, 1), ("uident", "Ñu", 1, 4), ("lident", "x²", 1, 7),
+            ("lident", "ǅ", 1, 10)]
+
+    def test_line_heads(self):
+        heads = []
+        lex("a b\n\n  -- c\nd\n", heads)
+        assert heads == [0, 2, 2, 2, 3]
+
+    def test_agrees_with_the_reference_lexer(self):
+        sources = [src for name, srcs in frontend_inputs() if name.startswith("soup")
+                   for src in srcs]
+        rng = random.Random(2806)
+        alphabet = "ab Zq_'\\\n\r\t -o->=;(){}09é²λ٣Ñ"
+        pieces = [" x", " Ab", " 12", " é", "  ", "\t", "\r\n", "\n", " 'a'", " '\n'", " '\\n'",
+                  "-- c\n", " ->", " -o", " -oops", " (", " ;", " let", "'", "\\"]
+        for i in range(2000):
+            sources.append("".join(rng.choice(alphabet) for _ in range(rng.randint(0, 60))))
+            if i % 100 == 0:
+                # long enough to cross the lexer's chunk boundaries
+                sources.append("".join(rng.choice(pieces[:-2]) for _ in range(3000)))
+                sources.append("".join(rng.choice(pieces) for _ in range(3000)))
+        for source in sources:
+            assert lexed(lex, source) == lexed(reference_lex, source), source
 
 
 class TestNodeClasses:
@@ -481,6 +626,14 @@ class TestRobustness:
             with pytest.raises(DiagnosticError, match="nesting too deep") as exc:
                 parse(text)
             assert exc.value.diag.line == 1 and 1 < exc.value.diag.col <= text.index(")")
+
+    def test_semi_spine_parses_right_nested_in_a_loop(self):
+        n = 5000
+        t = parse_type("!Int;" * n + "Skip")
+        for _ in range(n):
+            assert type(t) is Semi and t.lhs == Message(S.OUT, "Int")
+            t = t.rhs
+        assert t == Skip()
 
     def test_let_chain_parses_right_nested_in_a_loop(self):
         n = 5000

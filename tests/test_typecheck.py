@@ -402,6 +402,19 @@ class TestErrorPaths:
             (2, 1, "in f: nesting too deep"),
             (4, 5, "in g: expected type Int, found Bool")]
 
+    @pytest.mark.parametrize("messages", [1000, 3000])
+    def test_too_deep_declarations_are_positioned(self, messages):
+        # the parser reads a `;` spine in a loop, but kinding walks it one
+        # Python frame per `;`: each declaration is rejected where it starts
+        spine = "!Int;" * messages + "Skip"
+        src = (f"f : {spine} -> Int\nf c = 1\n"
+               f"type T = {spine}\n"
+               f"data D = A ({spine} -> Int) | B Int\n"
+               "main : Int\nmain = 1\n")
+        diags = check_source(src)
+        assert sorted((d.line, d.col, d.message) for d in diags) == [
+            (1, 1, "nesting too deep"), (3, 1, "nesting too deep"), (4, 1, "nesting too deep")]
+
     @pytest.mark.parametrize("src, want", [
         ("f : Int -> Int\nf x = x [Int]", (2, 7, "in f: x is not polymorphic")),
         ("g : Int\ng = 1\nmain : Int\nmain = g [Int]",
