@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .diagnostics import Diagnostic, DiagnosticError
+from .diagnostics import TOO_DEEP, Diagnostic, DiagnosticError
 from . import equiv as E
 from . import grammar as G
 from . import kinds as K
@@ -37,7 +37,7 @@ def _load(path: str):
         with open(path, encoding="utf-8") as fh:
             source = fh.read()
     except OSError as exc:
-        print(f"{path}: error: {exc.strerror or exc}", file=sys.stderr)
+        print(Diagnostic(0, 0, str(exc.strerror or exc)).render(path), file=sys.stderr)
         return None, False
     prog, diags = parse_program(source)
     for d in diags:
@@ -82,7 +82,7 @@ def _session_type(text: str, needs: str):
         return None
     t, kind = parsed
     if kind.prekind != SESSION:
-        print(f"<type>:1:1: error: {needs}", file=sys.stderr)
+        print(Diagnostic(1, 1, needs).render("<type>"), file=sys.stderr)
         return None
     return t
 
@@ -123,7 +123,7 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         # Input nested deeper than a recursive walk (parser, kinding,
         # typechecker, grammar translation) can follow on the Python stack.
-        print(f"{getattr(args, 'file', '<type>')}: error: nesting too deep", file=sys.stderr)
+        print(Diagnostic(0, 0, TOO_DEEP).render(getattr(args, "file", "<type>")), file=sys.stderr)
         return EXIT_DIAGNOSTICS
 
 
@@ -174,8 +174,8 @@ def _command(args: argparse.Namespace) -> int:
             return EXIT_DIAGNOSTICS
         free = sorted(free_tvars(t))
         if free:
-            print(f"<type>:1:1: error: dual is not defined on type variable {free[0]}",
-                  file=sys.stderr)
+            print(Diagnostic(1, 1, f"dual is not defined on type variable {free[0]}")
+                  .render("<type>"), file=sys.stderr)
             return EXIT_DIAGNOSTICS
         print(pretty(dual(t)))
         return EXIT_OK

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# The error of input nested deeper than a recursive walk (parser, kinding,
+# typechecker, grammar translation) can follow on the Python stack.
+TOO_DEEP = "nesting too deep"
+
 
 @dataclass(frozen=True)
 class Diagnostic:

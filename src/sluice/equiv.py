@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import Callable, Container, Iterable, Mapping, Optional
 
 from . import kinds as K
-from .diagnostics import Diagnostic, DiagnosticError
+from .diagnostics import TOO_DEEP, Diagnostic, DiagnosticError
 # `build` is not called here; it stays an attribute of this module because
 # the benchmark's tracer wraps `equiv.build`
 from .grammar import (  # noqa: F401
@@ -540,9 +540,9 @@ def equivalent(t1: Type, t2: Type, env: K.KindEnv | None = None, *,
     False, not an error. `datakinds` and `abbrevs` are the program's tables
     of name kinds and abbreviation bodies. This is a session of one query.
     Types nested deeper than kinding or translation can follow on the Python
-    stack raise DiagnosticError("nesting too deep")."""
+    stack raise DiagnosticError(TOO_DEEP)."""
     try:
         return Session(datakinds or {}, abbrevs or {}).equivalent(
             t1, t2, env or {}, budget=budget, trace=trace)
     except RecursionError:
-        raise DiagnosticError(Diagnostic(0, 0, "nesting too deep")) from None
+        raise DiagnosticError(Diagnostic(0, 0, TOO_DEEP)) from None

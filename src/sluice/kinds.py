@@ -20,7 +20,7 @@ fresh walk; the typechecker reads the unguarded names of a declaration off
 
 from __future__ import annotations
 
-from .diagnostics import Diagnostic, DiagnosticError
+from .diagnostics import TOO_DEEP, Diagnostic, DiagnosticError
 from . import syntax as S
 from .syntax import (
     Kind, SU, SL, TU, TL, SESSION, FUNCTIONAL, UNRESTRICTED, LINEAR,
@@ -245,11 +245,11 @@ def synth_kind(env: KindEnv, t: Type, datatypes: NameKinds | None = None) -> Kin
     recursion. `datatypes` maps declared type names (datatypes and
     abbreviations) to their kinds; without it any DataRef is rejected as
     unknown. A type nested deeper than the walk can follow on the Python
-    stack raises KindError("nesting too deep")."""
+    stack raises KindError(TOO_DEEP)."""
     try:
         return Walk(datatypes or {}).kind(env, t)
     except RecursionError:
-        raise _fail("nesting too deep") from None
+        raise _fail(TOO_DEEP) from None
 
 
 def contractive(env: KindEnv, t: Type, datatypes: NameKinds | None = None) -> bool:

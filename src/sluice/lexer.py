@@ -35,10 +35,11 @@ SYMBOLS = ("-o", "==", "<=", ">=", "&&", "||", "->", "=>", "(", ")", "[", "]",
 # Integer literals are ASCII digits only. A word starts with a character of
 # `[^\W\d_]`, which is every letter (`str.isalpha`) and a few numeric
 # characters such as `²` that `lex` rejects, and goes on with letters, digits,
-# `_` and `'`. The last alternative takes one character that starts no token:
-# a malformed character literal, or an unexpected character. It excludes the
-# spaces, so that spaces at the end of the input match nothing instead of an
-# error.
+# `_` and `'`. A character literal holds an escape or one character other
+# than a backslash or a newline. The last alternative takes one character
+# that starts no token: a malformed character literal, or an unexpected
+# character. It excludes the spaces, so that spaces at the end of the input
+# match nothing instead of an error.
 _SCAN = re.compile(r"""
     ([ \t\r]*)
     (   \n
@@ -46,7 +47,7 @@ _SCAN = re.compile(r"""
       | [0-9]+
       | [^\W\d_][\w']*
       | -o(?![\w'])|==|<=|>=|&&|\|\||->|=>|[()\[\]{};,:=+\-*!?&|<>\\._]
-      | '(?:\\[nt\\'0]|[^\\])'
+      | '(?:\\[nt\\'0]|[^\\\n])'
       | [^ \t\r]
     )""", re.VERBOSE)
 
@@ -59,9 +60,9 @@ _BY_FIRST = {**dict.fromkeys("abcdefghijklmnopqrstuvwxyz", "lident"),
              **dict.fromkeys("0123456789", "int")}
 
 # The scan runs over chunks of about this many characters, so that no more
-# than one chunk's matches exist at once. A chunk ends just after a newline
-# that no character literal spans (one not preceded by `'`), where every
-# match of a scan over the whole source ends too.
+# than one chunk's matches exist at once. A chunk ends just after a newline,
+# where every match of a scan over the whole source ends too, since no token
+# spans a newline.
 _CHUNK = 4096
 
 _ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", "'": "'", "0": "\0"}
@@ -95,8 +96,6 @@ def lex(source: str, heads: list[int] | None = None) -> list[Token]:
     start, n = 0, len(source)
     while start < n:
         stop = source.find("\n", start + _CHUNK) + 1 or n
-        while stop < n and source[stop - 2] == "'":
-            stop = source.find("\n", stop) + 1 or n
         for space, text in _SCAN.findall(source, start, stop):
             col += len(space)
             kind = by_text(text) or by_first(text[0])

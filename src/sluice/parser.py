@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Callable, TypeVar
 
-from .diagnostics import Diagnostic, DiagnosticError
+from .diagnostics import TOO_DEEP, Diagnostic, DiagnosticError
 from .lexer import Token, lex
 from . import syntax as S
 
@@ -551,12 +551,12 @@ def parse_program(source: str) -> tuple[S.Program | None, list[Diagnostic]]:
 
 def _within_stack(p: _P, rule: Callable[[_P], _T]) -> _T:
     """`rule(p)`, where input nested deeper than the Python stack can follow
-    becomes the diagnostic `nesting too deep` at the token the parser had
+    becomes the diagnostic `TOO_DEEP` at the token the parser had
     reached."""
     try:
         return rule(p)
     except RecursionError:
-        raise p.err("nesting too deep") from None
+        raise p.err(TOO_DEEP) from None
 
 
 def _parse_all(source: str, rule: Callable[[_P], _T]) -> _T:

@@ -13,7 +13,9 @@ a doubled one can.
 
 The typechecker is the safety front-end; the runtime moves untyped payloads
 and never re-checks. Select/match labels travel in-band through the same
-slots as data, wrapped in a distinct tag.
+slots as data, wrapped in a distinct tag. A builtin is the curried Python
+function `syntax.PRELUDE` gives its name; the builtins and the constructors
+are bound, as top-level values, when a run starts.
 
 A scheduler seeded with `random.Random(seed)` picks the next thread at every
 channel operation, every fork and every time slice, so the seed fixes the
@@ -24,17 +26,15 @@ each thread's blocking site.
 
 from __future__ import annotations
 
-import operator
 import random
 from dataclasses import dataclass
+from types import FunctionType
 
 from . import syntax as S
 from .syntax import (
     Expr, Lit, Var, Lam, App, PairE, LetPair, Let, Case, If as IfE, TypeApp,
     Fork, New, Send, Receive, Select, Match,
 )
-
-_INT_MIN = -S.INT_MAX - 1
 
 # Machine steps a thread takes before the scheduler picks again, so that a
 # thread which never communicates cannot starve the others.
@@ -133,34 +133,6 @@ class LabelVal:
 
 
 @dataclass
-class Builtin:
-    name: str
-    arity: int
-    args: tuple = ()
-
-
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-          "div": operator.floordiv, "mod": operator.mod}
-_BINARY = {"==": operator.eq, "<": operator.lt, "<=": operator.le, ">": operator.gt,
-           ">=": operator.ge, "&&": lambda x, y: x and y, "||": lambda x, y: x or y}
-_BUILTIN_ARITY = {"not": 1} | {name: 2 for name in _ARITH | _BINARY}
-
-
-def _builtin_apply(b: Builtin, args: tuple) -> object:
-    if b.name == "not":
-        return not args[0]
-    x, y = args
-    if b.name not in _ARITH:
-        return _BINARY[b.name](x, y)
-    if y == 0 and b.name in ("div", "mod"):
-        raise RuntimeAbort("division by zero")
-    r = _ARITH[b.name](x, y)
-    if not (_INT_MIN <= r <= S.INT_MAX):
-        raise RuntimeAbort("integer overflow")
-    return r
-
-
-@dataclass
 class _SendPartial:
     value: object
 
@@ -202,7 +174,7 @@ def _atom(v: object) -> str:
         return v.tag
     if isinstance(v, ChannelEnd):
         return "<channel>"
-    if isinstance(v, (Closure, Builtin, _SendPartial)):
+    if isinstance(v, (Closure, FunctionType, _SendPartial)):
         return "<fun>"
     if isinstance(v, LabelVal):
         return f"<label {v.name}>"
@@ -247,12 +219,16 @@ class _Thread:
 
 
 class _Machine:
-    """One run: its threads, the seeded scheduler and the memoized top-level
-    values."""
+    """One run: its threads, the seeded scheduler and the top-level values:
+    the builtins, the constructors and, once evaluated, the definitions."""
 
     def __init__(self, program: S.Program, seed: int | None):
         self.program = program
-        self.globals: dict[str, object] = {}
+        self.globals: dict[str, object] = {
+            name: f for name, (_, f) in S.PRELUDE.items() if name not in program.definitions}
+        for decl in program.datatypes.values():
+            for c, fields in decl.ctors.items():
+                self.globals.setdefault(c, CtorVal(c, (), len(fields)))
         self.rng = random.Random(seed)
         self.runnable: list[_Thread] = []
         self.parked: set[_Thread] = set()
@@ -306,12 +282,10 @@ class _Machine:
                         v, e = self.globals[name], None
                     else:
                         d = self.program.definitions.get(name)
-                        if d is not None:
-                            k.append((_GLOBAL, name))
-                            e, env = d.body, {}
-                        else:
-                            v = self.globals[name] = self._constant(name)
-                            e = None
+                        if d is None:
+                            raise RuntimeAbort(f"unbound name {name}")
+                        k.append((_GLOBAL, name))
+                        e, env = d.body, {}
                 elif cls is App:
                     k.append((_ARG, e.arg, env, e))
                     e = e.fun
@@ -371,9 +345,11 @@ class _Machine:
                     env = dict(f.env)
                     env[f.param] = v
                     e = f.body
-                elif cls is Builtin:
-                    args = f.args + (v,)
-                    v = _builtin_apply(f, args) if len(args) == f.arity else Builtin(f.name, f.arity, args)
+                elif cls is FunctionType:
+                    try:
+                        v = f(v)
+                    except ArithmeticError as exc:
+                        raise RuntimeAbort(str(exc)) from None
                 elif cls is CtorVal:
                     if len(f.args) >= f.arity:
                         raise RuntimeAbort(f"constructor {f.tag} applied to too many arguments")
@@ -441,16 +417,6 @@ class _Machine:
             raise RuntimeAbort(f"stack overflow: more than {_MAX_FRAMES} pending frames")
         th.expr, th.env, th.value = e, env, v
         return False
-
-    def _constant(self, name: str) -> object:
-        """The value of a top-level name that is not defined in the program: a
-        builtin or a constructor."""
-        if name in _BUILTIN_ARITY:
-            return Builtin(name, _BUILTIN_ARITY[name])
-        for decl in self.program.datatypes.values():
-            if name in decl.ctors:
-                return CtorVal(name, (), len(decl.ctors[name]))
-        raise RuntimeAbort(f"unbound name {name}")
 
 
 def _site(e: Expr) -> str:

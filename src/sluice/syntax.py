@@ -1,4 +1,6 @@
-"""Abstract syntax: kinds, types, expressions, declarations, and the type pretty-printer.
+"""Abstract syntax: kinds, types, expressions, declarations, the type
+pretty-printer, and `PRELUDE`, the table of builtins: each one's name, type
+and meaning, which the typechecker and the interpreter both read.
 
 Every type, kind, scheme and expression is a node of a slot class, with no
 per-instance dict. Two nodes are equal only when they are of one class and
@@ -493,6 +495,42 @@ class Expr(_Node):
 # Int is a signed 64-bit integer: the parser rejects a larger literal, and
 # the runtime reports an overflow when arithmetic leaves the range.
 INT_MAX = 2 ** 63 - 1
+
+
+def _int(n: int) -> int:
+    if -INT_MAX - 1 <= n <= INT_MAX:
+        return n
+    raise OverflowError("integer overflow")
+
+
+def _divisor(n: int) -> int:
+    if n:
+        return n
+    raise ZeroDivisionError("division by zero")
+
+
+_INT2 = Arrow(UNRESTRICTED, INT, Arrow(UNRESTRICTED, INT, INT))
+_CMP = Arrow(UNRESTRICTED, INT, Arrow(UNRESTRICTED, INT, BOOL))
+_BOOL2 = Arrow(UNRESTRICTED, BOOL, Arrow(UNRESTRICTED, BOOL, BOOL))
+
+# The builtins: each name's type and its meaning, a curried function that
+# takes one argument per arrow of the type. `div` and `mod` round toward
+# negative infinity. A definition of the same name hides a builtin.
+PRELUDE: dict[str, tuple[Type, Callable]] = {
+    "+": (_INT2, lambda x: lambda y: _int(x + y)),
+    "-": (_INT2, lambda x: lambda y: _int(x - y)),
+    "*": (_INT2, lambda x: lambda y: _int(x * y)),
+    "div": (_INT2, lambda x: lambda y: _int(x // _divisor(y))),
+    "mod": (_INT2, lambda x: lambda y: x % _divisor(y)),
+    "==": (_CMP, lambda x: lambda y: x == y),
+    "<": (_CMP, lambda x: lambda y: x < y),
+    "<=": (_CMP, lambda x: lambda y: x <= y),
+    ">": (_CMP, lambda x: lambda y: x > y),
+    ">=": (_CMP, lambda x: lambda y: x >= y),
+    "&&": (_BOOL2, lambda x: lambda y: x and y),
+    "||": (_BOOL2, lambda x: lambda y: x or y),
+    "not": (Arrow(UNRESTRICTED, BOOL, BOOL), lambda x: not x),
+}
 
 
 class Lit(Expr):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 
-from .diagnostics import Diagnostic, DiagnosticError
+from .diagnostics import TOO_DEEP, Diagnostic, DiagnosticError
 from . import equiv
 from . import kinds as K
 from . import syntax as S
@@ -39,28 +39,7 @@ def _fail(msg: str, pos: S.Pos | None = None) -> CheckError:
 # Global environment
 
 
-def _arrow(*tys: Type) -> Type:
-    out = tys[-1]
-    for t in reversed(tys[:-1]):
-        out = Arrow(UNRESTRICTED, t, out)
-    return out
-
-
-BUILTINS: dict[str, Scheme] = {
-    "+": Scheme((), _arrow(INT, INT, INT)),
-    "-": Scheme((), _arrow(INT, INT, INT)),
-    "*": Scheme((), _arrow(INT, INT, INT)),
-    "div": Scheme((), _arrow(INT, INT, INT)),
-    "mod": Scheme((), _arrow(INT, INT, INT)),
-    "==": Scheme((), _arrow(INT, INT, BOOL)),
-    "<": Scheme((), _arrow(INT, INT, BOOL)),
-    "<=": Scheme((), _arrow(INT, INT, BOOL)),
-    ">": Scheme((), _arrow(INT, INT, BOOL)),
-    ">=": Scheme((), _arrow(INT, INT, BOOL)),
-    "&&": Scheme((), _arrow(BOOL, BOOL, BOOL)),
-    "||": Scheme((), _arrow(BOOL, BOOL, BOOL)),
-    "not": Scheme((), _arrow(BOOL, BOOL)),
-}
+BUILTINS: dict[str, Scheme] = {name: Scheme((), ty) for name, (ty, _) in S.PRELUDE.items()}
 
 
 @dataclass
@@ -457,12 +436,6 @@ def check_against(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr, t: Type) -
 # Programs
 
 
-# A declaration whose type nests deeper than the kinding walk can follow on
-# the Python stack (it recurses once per `;`, as in a long message spine) is
-# rejected with this error at the declaration.
-_TOO_DEEP = "nesting too deep"
-
-
 def _declare_names(env: GlobalEnv, p: S.Program) -> dict[str, str]:
     """Fill `env`'s tables of type names, returning the error of each rejected
     abbreviation. The kinds are one least fixed point: an abbreviation kinds
@@ -486,7 +459,7 @@ def _declare_names(env: GlobalEnv, p: S.Program) -> dict[str, str]:
         try:
             refs = S.type_names(t)
         except RecursionError:
-            errors[name] = _TOO_DEEP
+            errors[name] = TOO_DEEP
             continue
         for ref in refs:
             users.setdefault(ref, []).append(name)
@@ -502,11 +475,11 @@ def _declare_names(env: GlobalEnv, p: S.Program) -> dict[str, str]:
             try:
                 new, error, _, _ = walked[name] = K.kinding({}, types[name], kinds)
             except RecursionError:
-                new, error = None, _TOO_DEEP
+                new, error = None, TOO_DEEP
             if error is None and name in bodies and new.prekind != SESSION:
                 error = f"type abbreviation {name} must be a session type"
             if error is not None:
-                if name not in bodies and error != _TOO_DEEP:
+                if name not in bodies and error != TOO_DEEP:
                     continue  # a datatype's fields are reported with its constructors
                 errors[name], new = error, None
             if new != kinds[name]:
@@ -566,7 +539,7 @@ def build_global_env(p: S.Program, diags: list[Diagnostic]) -> GlobalEnv:
                 diags.append(Diagnostic(decl.pos[0], decl.pos[1], err.diag.message))
                 continue
             except RecursionError:
-                diags.append(Diagnostic(decl.pos[0], decl.pos[1], _TOO_DEEP))
+                diags.append(Diagnostic(decl.pos[0], decl.pos[1], TOO_DEEP))
                 continue
             ty: Type = DataRef(dname)
             for i in reversed(range(len(fields))):
@@ -583,7 +556,7 @@ def build_global_env(p: S.Program, diags: list[Diagnostic]) -> GlobalEnv:
             diags.append(Diagnostic(sig.pos[0], sig.pos[1], err.diag.message))
             continue
         except RecursionError:
-            diags.append(Diagnostic(sig.pos[0], sig.pos[1], _TOO_DEEP))
+            diags.append(Diagnostic(sig.pos[0], sig.pos[1], TOO_DEEP))
             continue
         env.schemes[name] = sig.scheme
         env.kenvs[name] = kenv
@@ -625,7 +598,7 @@ def check_program(p: S.Program) -> list[Diagnostic]:
                 f"{S.MAX_UNFOLDINGS} times before its first action")))
         except RecursionError:
             # `synth` recurses once per application, as in a long operator chain
-            diags.append(Diagnostic(d.pos[0], d.pos[1], f"in {name}: nesting too deep"))
+            diags.append(Diagnostic(d.pos[0], d.pos[1], f"in {name}: {TOO_DEEP}"))
 
     main, scheme = p.definitions.get("main"), env.schemes.get("main")
     if main is None:

@@ -7,11 +7,13 @@ import pytest
 
 from sluice import runtime
 from sluice.cli import main as cli_main
-from sluice.parser import parse_program
+from sluice.parser import _PRECEDENCE, parse_program
 from sluice.runtime import (
-    CtorVal, RuntimeAbort, Slot, WatchdogAbort, channel_receive, channel_send,
+    CtorVal, LabelVal, RuntimeAbort, Slot, WatchdogAbort, channel_receive, channel_send,
     new_channel, pretty_value, run,
 )
+from sluice.syntax import BOOL, INT, PRELUDE, Arrow
+from sluice.typecheck import BUILTINS
 from conftest import checked_program
 
 
@@ -116,6 +118,121 @@ class TestEval:
         src = "loop : Int -> Int\nloop n = 1 + loop n\nmain : Int\nmain = loop 0"
         with pytest.raises(RuntimeAbort, match="stack overflow"):
             run_source(src)
+
+
+# One program per builtin: (expression, its type, its value). `div` and
+# `mod` round toward negative infinity.
+BUILTIN_VALUES = [
+    ("3 + 4", "Int", 7),
+    ("3 - 4", "Int", -1),
+    ("6 * 7", "Int", 42),
+    ("div 7 2", "Int", 3),
+    ("div (0 - 7) 2", "Int", -4),
+    ("mod 7 2", "Int", 1),
+    ("mod (0 - 7) 2", "Int", 1),
+    ("3 == 3", "Bool", True),
+    ("3 == 4", "Bool", False),
+    ("3 < 4", "Bool", True),
+    ("4 < 4", "Bool", False),
+    ("4 <= 4", "Bool", True),
+    ("5 <= 4", "Bool", False),
+    ("4 > 3", "Bool", True),
+    ("4 > 4", "Bool", False),
+    ("4 >= 4", "Bool", True),
+    ("3 >= 4", "Bool", False),
+    ("True && True", "Bool", True),
+    ("True && False", "Bool", False),
+    ("False || True", "Bool", True),
+    ("False || False", "Bool", False),
+    ("not True", "Bool", False),
+    ("not False", "Bool", True),
+    ("let f = div 84 in f 2", "Int", 42),
+]
+
+BUILTIN_ERRORS = [
+    ("9223372036854775807 + 1", "integer overflow"),
+    ("0 - 9223372036854775807 - 2", "integer overflow"),
+    ("4611686018427387904 * 2", "integer overflow"),
+    ("div (0 - 9223372036854775807 - 1) (0 - 1)", "integer overflow"),
+    ("div 1 0", "division by zero"),
+    ("mod 1 0", "division by zero"),
+]
+
+
+class TestBuiltins:
+    @pytest.mark.parametrize("expr, ty, value", BUILTIN_VALUES)
+    def test_value(self, expr, ty, value):
+        assert run_source(f"main : {ty}\nmain = {expr}\n") == value
+
+    @pytest.mark.parametrize("expr, message", BUILTIN_ERRORS)
+    def test_runtime_error(self, expr, message):
+        with pytest.raises(RuntimeAbort, match=f"^{message}$"):
+            run_source(f"main : Int\nmain = {expr}\n")
+
+    def test_a_definition_hides_a_builtin(self):
+        src = "not : Int -> Int\nnot n = n + 1\nmain : Int\nmain = not 41\n"
+        assert run_source(src) == 42
+
+    def test_checker_and_parser_read_the_prelude(self):
+        assert BUILTINS.keys() == PRELUDE.keys()
+        assert _PRECEDENCE.keys() <= PRELUDE.keys()
+
+    def test_each_function_takes_one_argument_per_arrow(self):
+        sample = {INT: 1, BOOL: True}
+        for name, (ty, f) in PRELUDE.items():
+            while isinstance(ty, Arrow):
+                assert callable(f), name
+                f, ty = f(sample[ty.dom]), ty.cod
+            assert not callable(f), name
+
+
+# The forked reader waits on `d` at line 3 while main, whose first select
+# filled the one-place buffer, waits to select B at line 14.
+SELECT_DEADLOCK = """\
+reader : ?Int -o &{A: &{B: Skip}} -o Int
+reader d r =
+  let x, d = receive d in
+  match r with
+    A r ->
+      match r with
+        B r -> x
+main : Int
+main =
+  let w, r = new +{A: +{B: Skip}} in
+  let c, d = new !Int in
+  let _ = fork (reader d r) in
+  let w = select A w in
+  let w = select B w in
+  let _ = send 1 c in
+  0
+"""
+
+
+class TestReporting:
+    def test_functions_channels_and_labels_print_as_placeholders(self):
+        assert pretty_value(run_unchecked("main : Int\nmain = \\x -> x\n")) == "<fun>"
+        assert pretty_value(run_unchecked("main : Int\nmain = not\n")) == "<fun>"
+        assert pretty_value(run_unchecked("main : Int\nmain = div 7\n")) == "<fun>"
+        assert pretty_value(run_unchecked("main : Int\nmain = let w, r = new !Int in w\n")) \
+            == "<channel>"
+        assert pretty_value(LabelVal("L")) == "<label L>"
+
+    def test_a_name_bound_nowhere_is_an_error_at_its_use(self):
+        # the runtime never re-checks, so it is the last line of defence
+        with pytest.raises(RuntimeAbort, match="^unbound name foo$"):
+            run_unchecked("main : Int\nmain = 1 + foo 2\n")
+
+    def test_deadlock_parked_at_a_select(self, tmp_path, capsys):
+        prog = checked_program(SELECT_DEADLOCK)
+        for seed in range(20):
+            with pytest.raises(WatchdogAbort) as exc:
+                run(prog, seed=seed)
+            assert exc.value.report == ["receive at line 3", "select B at line 14"]
+        path = tmp_path / "select.fst"
+        path.write_text(SELECT_DEADLOCK)
+        assert cli_main(["run", str(path), "--seed", "1"]) == 3
+        assert capsys.readouterr().err == (
+            "deadlock detected:\n  receive at line 3\n  select B at line 14\n")
 
 
 class TestChannels:

@@ -190,6 +190,17 @@ def _reference_malformed(source: str, i: int) -> str:
     return f"unknown escape \\{source[i + 2]}"
 
 
+def raw_newline_literal(source: str) -> int | None:
+    """Where the reference lexer reads a character literal that holds a raw
+    newline, which `lex` rejects, if it reads one before any error."""
+    for m in _REFERENCE_SCAN.finditer(source):
+        if m.lastgroup == "other":
+            return None
+        if m.group(m.lastgroup) == "'\n'":
+            return m.start(m.lastgroup)
+    return None
+
+
 def lexed(lex_fn, source):
     """The token tuples of `source`, or the rendered lexer error."""
     try:
@@ -226,6 +237,13 @@ class TestLexer:
             lex(source)
         assert exc.value.diag.render() == f"<input>:{message}"
 
+    def test_a_raw_newline_in_a_character_literal_is_unterminated(self):
+        # read as the character `\n`, such a literal would hide a line break
+        # from the line count, and `foo` would be placed on line 3, not 4
+        prog, diags = parse_program("main : Char\nmain = '\n'\nfoo")
+        assert prog is None
+        assert diags == [Diagnostic(2, 8, "unterminated character literal")]
+
     def test_linear_arrow_against_a_longer_word(self):
         assert tokens("a -o b")[1] == ("sym", "-o", 1, 3)
         assert tokens("a -oops")[1:3] == [("sym", "-", 1, 3), ("lident", "oops", 1, 4)]
@@ -254,8 +272,20 @@ class TestLexer:
                 # long enough to cross the lexer's chunk boundaries
                 sources.append("".join(rng.choice(pieces[:-2]) for _ in range(3000)))
                 sources.append("".join(rng.choice(pieces) for _ in range(3000)))
+        # and long sources without raw newlines in literals, which the
+        # reference lexer reads otherwise, so that they agree across chunks
+        rng = random.Random(2906)
+        for _ in range(20):
+            sources.append("".join(rng.choice(pieces[:-2]) for _ in range(3000))
+                           .replace(" '\n'", " 'a'"))
         for source in sources:
-            assert lexed(lex, source) == lexed(reference_lex, source), source
+            at = raw_newline_literal(source)
+            if at is None:
+                assert lexed(lex, source) == lexed(reference_lex, source), source
+            else:
+                line, col = source.count("\n", 0, at) + 1, at - source.rfind("\n", 0, at)
+                assert lexed(lex, source) == Diagnostic(
+                    line, col, "unterminated character literal").render(), source
 
 
 class TestNodeClasses:
