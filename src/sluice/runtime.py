@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from types import FunctionType
 
 from . import syntax as S
+from .lexer import ESCAPES
 from .syntax import (
     Expr, Lit, Var, Lam, App, PairE, LetPair, Let, Case, If as IfE, TypeApp,
     Fork, New, Send, Receive, Select, Match,
@@ -52,6 +53,9 @@ _SLICE = 1000
 # 3.11), so the cap is about 250 MB. The deepest stack of any test or example
 # program is 20,003 frames (`sumTo 20000`, `build 10000`), 50 times less.
 _MAX_FRAMES = 1_000_000
+
+# each character a literal spells with an escape, to its escape
+_ESCAPED = {char: "\\" + letter for letter, char in ESCAPES.items()}
 
 
 class RuntimeAbort(Exception):
@@ -167,7 +171,7 @@ def _atom(v: object) -> str:
     if isinstance(v, int):
         return str(v)
     if isinstance(v, str):
-        return f"'{v}'"
+        return f"'{_ESCAPED.get(v, v)}'"
     if isinstance(v, tuple):
         return "()"
     if isinstance(v, CtorVal):

@@ -1,8 +1,10 @@
 """Algorithmic linear typechecking against explicit signatures.
 
-Contexts thread left to right through subexpressions; using a linear binding
-removes it from the residual context, and every binder is checked for
-consumption when its scope ends. Type comparisons go through the equivalence
+Each definition is checked in one context, changed in place left to right:
+a typing rule returns the type it finds, using a linear binding removes it
+from the context, and every binder is checked for consumption when its scope
+ends. The arms of `if`, `case` and `match` are checked on copies, and the
+first arm's context is kept. Type comparisons go through the equivalence
 decision procedure, so anything that differs only by the sequential-composition
 laws checks interchangeably. Session operations read the channel type's head
 normal form (`syntax.head`): each first action with its continuation.
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from typing import Iterable
 
 from .diagnostics import TOO_DEEP, Diagnostic, DiagnosticError
 from . import equiv
@@ -81,23 +84,23 @@ Shadowed = tuple[str, tuple[Type, Kind] | None, bool]
 
 
 class Ctx:
-    """The typing context of one definition, changed in place as checking
-    runs left to right. `bindings` maps each name in scope to its type and
-    kind; `consumed` holds the linear names used up so far. Binding a name
-    returns what it hid and dropping the scope puts that back, so entering
-    and leaving a scope costs O(1) whatever the context holds. A construct
-    with branches checks each branch on its own `copy`."""
+    """The typing context of one definition: the program's `env`, the kind
+    env `kenv` of its type variables, and, changed in place as checking runs
+    left to right, `bindings` (each name in scope with its type and kind) and
+    `consumed` (the linear names used up so far). Binding a name returns what
+    it hid and dropping the scope puts that back, so a scope costs O(1). Each
+    arm of a branch is checked on a `copy`; the first arm's names are kept."""
 
-    __slots__ = ("bindings", "consumed")
+    __slots__ = ("env", "kenv", "bindings", "consumed")
 
-    def __init__(self) -> None:
+    def __init__(self, env: GlobalEnv, kenv: K.KindEnv) -> None:
+        self.env, self.kenv = env, kenv
         self.bindings: dict[str, tuple[Type, Kind]] = {}
         self.consumed: set[str] = set()
 
     def copy(self) -> "Ctx":
-        out = Ctx()
-        out.bindings = dict(self.bindings)
-        out.consumed = set(self.consumed)
+        out = Ctx(self.env, self.kenv)
+        out.bindings, out.consumed = dict(self.bindings), set(self.consumed)
         return out
 
     def bind(self, name: str, ty: Type, kind: Kind, pos: S.Pos | None) -> Shadowed:
@@ -144,66 +147,60 @@ class Ctx:
 # Expression synthesis
 
 
-def synth(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr) -> tuple[Type, Ctx]:
+def synth(ctx: Ctx, e: Expr) -> Type:
     cls = e.__class__
     if cls is Var:
         name = e.name
         ty = ctx.use(name, e.pos)
         if ty is not None:
-            return ty, ctx
-        scheme = env.schemes.get(name)
+            return ty
+        scheme = ctx.env.schemes.get(name)
         if scheme is None:
             raise _fail(f"unbound variable {name}", e.pos)
         if scheme.binders:
             raise _fail(f"{name} is polymorphic and needs a type application", e.pos)
-        return scheme.body, ctx
+        return scheme.body
 
+    env, kenv = ctx.env, ctx.kenv  # past the commonest case, a bound variable
     if cls is App:
         fun, arg = e.fun, e.arg
         if isinstance(fun, Send):
-            tv, ctx1 = synth(ctx, env, kenv, fun.expr)
+            tv = synth(ctx, fun.expr)
             if not isinstance(tv, Basic):
                 raise _fail(f"send carries basic values only, got {S.pretty(tv)}", e.pos)
-            tc, ctx2 = synth(ctx1, env, kenv, arg)
+            tc = synth(ctx, arg)
             (payload, cont), = _actions(env, tc, S.OUT, e.pos).items()
             if payload != tv.name:
                 raise _fail(f"channel expects !{payload}, got {tv.name}", e.pos)
-            return cont, ctx2
-        tf, ctx1 = synth(ctx, env, kenv, fun)
+            return cont
+        tf = synth(ctx, fun)
         if not isinstance(tf, Arrow):
             raise _fail(f"applying a non-function of type {S.pretty(tf)}", e.pos)
-        ta, ctx2 = synth(ctx1, env, kenv, arg)
+        ta = synth(ctx, arg)
         if not env.equivalent(ta, tf.dom, kenv):
             raise _fail(
                 f"argument type {S.pretty(ta)} does not match parameter type {S.pretty(tf.dom)}",
                 e.pos)
-        return tf.cod, ctx2
+        return tf.cod
 
     if cls is Lit:
-        value = e.value
-        if isinstance(value, bool):
-            return BOOL, ctx
-        if isinstance(value, int):
-            return INT, ctx
-        if isinstance(value, str):
-            return S.CHAR, ctx
-        return UNIT, ctx
+        return _LITERALS.get(e.value.__class__, UNIT)  # `()` is the unit literal
 
     if cls is Receive:
-        tc, ctx1 = synth(ctx, env, kenv, e.expr)
+        tc = synth(ctx, e.expr)
         (payload, cont), = _actions(env, tc, S.IN, e.pos).items()
-        return Pair(Basic(payload), cont), ctx1
+        return Pair(Basic(payload), cont)
 
     if cls is Let or cls is LetPair:
-        return _let_spine(ctx, env, kenv, e)
+        return _let_spine(ctx, e)
 
     if cls is Select:
         label = e.label
-        tc, ctx1 = synth(ctx, env, kenv, e.expr)
+        tc = synth(ctx, e.expr)
         offered = _actions(env, tc, S.INTERNAL, e.pos)
         if label not in offered:
             raise _fail(f"label {label} is not offered by {S.pretty(tc)}", e.pos)
-        return offered[label], ctx1
+        return offered[label]
 
     if cls is TypeApp:
         name, args = e.name, e.args
@@ -226,7 +223,7 @@ def synth(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr) -> tuple[Type, Ctx
                 raise _fail(
                     f"type argument {S.pretty(arg)} has kind {akind}, not a subkind of {bkind}", e.pos)
             mapping[bname] = arg
-        return S.subst(scheme.body, mapping), ctx
+        return S.subst(scheme.body, mapping)
 
     if cls is New:
         session = e.session
@@ -236,57 +233,52 @@ def synth(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr) -> tuple[Type, Ctx
         free = sorted(S.free_tvars(session))
         if free:
             raise _fail(f"new cannot take the dual of type variable {free[0]}", e.pos)
-        return Pair(session, dual(session)), ctx
+        return Pair(session, dual(session))
 
     if cls is Fork:
-        ti, ctx1 = synth(ctx, env, kenv, e.expr)
+        ti = synth(ctx, e.expr)
         kind = env.kind_of(kenv, ti, e.pos)
         if kind.mult != UNRESTRICTED:
             raise _fail(
                 f"forked expression has linear type {S.pretty(ti)}; its value would be lost",
                 e.pos)
-        return UNIT, ctx1
+        return UNIT
 
     if cls is PairE:
-        t1, ctx1 = synth(ctx, env, kenv, e.fst)
-        t2, ctx2 = synth(ctx1, env, kenv, e.snd)
-        return Pair(t1, t2), ctx2
+        t1 = synth(ctx, e.fst)
+        return Pair(t1, synth(ctx, e.snd))
 
     if cls is Match:
         branches = e.branches
-        tc, ctx1 = synth(ctx, env, kenv, e.scrutinee)
+        tc = synth(ctx, e.scrutinee)
         offered = _actions(env, tc, S.EXTERNAL, e.pos)
         _check_coverage({lab for lab, _, _ in branches}, set(offered),
                         "match branches do not cover the choice", e.pos)
-        outs = []
-        for lab, binder, body in branches:
-            outs.append(_branch(ctx1, env, kenv, [(binder, offered[lab])], body, e.pos))
-        return _join_branches(ctx1, env, kenv, outs, e.pos)
+        return _branches(ctx, [([(binder, offered[lab])], body) for lab, binder, body in branches],
+                         e.pos)
 
     if cls is IfE:
-        tc, ctx1 = synth(ctx, env, kenv, e.cond)
+        tc = synth(ctx, e.cond)
         if not env.equivalent(tc, BOOL, kenv):
             raise _fail(f"if condition must be Bool, got {S.pretty(tc)}", e.pos)
-        outs = [_branch(ctx1, env, kenv, [], e.then, e.pos),
-                _branch(ctx1, env, kenv, [], e.els, e.pos)]
-        return _join_branches(ctx1, env, kenv, outs, e.pos)
+        return _branches(ctx, [([], e.then), ([], e.els)], e.pos)
 
     if cls is Case:
-        branches = e.branches
-        ts, ctx1 = synth(ctx, env, kenv, e.scrutinee)
+        ts = synth(ctx, e.scrutinee)
         if not isinstance(ts, DataRef) or ts.name in env.abbrevs:
             raise _fail(f"case needs a datatype value, got {S.pretty(ts)}", e.pos)
         all_ctors = {c: fields for c, (d, fields) in env.ctors.items() if d == ts.name}
-        _check_coverage({c for c, _, _ in branches}, set(all_ctors),
+        _check_coverage({c for c, _, _ in e.branches}, set(all_ctors),
                         f"case branches do not cover {ts.name}", e.pos)
-        outs = []
-        for ctor, params, body in branches:
-            fields = all_ctors[ctor]
-            if len(params) != len(fields):
-                raise _fail(f"constructor {ctor} has {len(fields)} fields, pattern binds {len(params)}",
-                            e.pos)
-            outs.append(_branch(ctx1, env, kenv, list(zip(params, fields)), body, e.pos))
-        return _join_branches(ctx1, env, kenv, outs, e.pos)
+
+        def arms():  # lazily: a pattern's arity is checked after the arms before it
+            for ctor, params, body in e.branches:
+                fields = all_ctors[ctor]
+                if len(params) != len(fields):
+                    raise _fail(f"constructor {ctor} has {len(fields)} fields, "
+                                f"pattern binds {len(params)}", e.pos)
+                yield list(zip(params, fields)), body
+        return _branches(ctx, arms(), e.pos)
 
     if cls is Lam:
         raise _fail("cannot synthesize the type of an unannotated function", e.pos)
@@ -294,36 +286,36 @@ def synth(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr) -> tuple[Type, Ctx
     if cls is Send:
         raise _fail("send must be applied to a value and then a channel", e.pos)
 
-    raise _fail(f"cannot type expression {e!r}", getattr(e, "pos", None))
+    raise _fail(f"cannot type expression {e!r}", e.pos)
 
 
-def _let_spine(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr,
-               expected: Type | None = None) -> tuple[Type, Ctx]:
+def _let_spine(ctx: Ctx, e: Expr, expected: Type | None = None) -> Type:
     """A chain of `let`s, walked in a loop: each bound expression in the
     context its predecessors built, then the final body, synthesized or
     checked against `expected`, then the scopes dropped innermost first."""
     scopes: list[tuple[list[Shadowed], S.Pos | None]] = []
     while True:
         if isinstance(e, Let):
-            tb, ctx = synth(ctx, env, kenv, e.bound)
-            binders = [(e.x, tb)]
+            binders = [(e.x, synth(ctx, e.bound))]
         elif isinstance(e, LetPair):
-            tb, ctx = synth(ctx, env, kenv, e.bound)
+            tb = synth(ctx, e.bound)
             if not isinstance(tb, Pair):
                 raise _fail(f"let x, y = ... needs a pair, got {S.pretty(tb)}", e.pos)
             binders = [(e.x, tb.fst), (e.y, tb.snd)]
         else:
             break
-        scopes.append((_bind_all(ctx, env, kenv, binders, e.pos), e.pos))
+        scopes.append((_bind_all(ctx, binders, e.pos), e.pos))
         e = e.body
     if expected is None:
-        ty, ctx = synth(ctx, env, kenv, e)
+        expected = synth(ctx, e)
     else:
-        ty, ctx = expected, check_against(ctx, env, kenv, e, expected)
+        check_against(ctx, e, expected)
     for scope, pos in reversed(scopes):
         ctx.drop(scope, pos)
-    return ty, ctx
+    return expected
 
+
+_LITERALS = {bool: BOOL, int: INT, str: S.CHAR}
 
 _NO_ACTION = {S.OUT: "has no output action", S.IN: "has no input action",
               S.INTERNAL: "offers no internal choice", S.EXTERNAL: "offers no external choice"}
@@ -345,8 +337,7 @@ def _actions(env: GlobalEnv, t: Type, tag: str, pos: S.Pos | None) -> dict[str, 
     return actions
 
 
-def _bind_all(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv,
-              pairs: list[tuple[str, Type]], pos: S.Pos | None) -> list[Shadowed]:
+def _bind_all(ctx: Ctx, pairs: list[tuple[str, Type]], pos: S.Pos | None) -> list[Shadowed]:
     """Bind pattern names in `ctx`, returning the scope for `Ctx.drop`. A
     name may be bound once, and a wildcard must be droppable on the spot."""
     names = [name for name, _ in pairs if name != "_"]
@@ -354,7 +345,7 @@ def _bind_all(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv,
         raise _fail(f"duplicate binder {next(n for n in names if names.count(n) > 1)}", pos)
     scope: list[Shadowed] = []
     for name, ty in pairs:
-        kind = env.kind_of(kenv, ty, pos)
+        kind = ctx.env.kind_of(ctx.kenv, ty, pos)
         if name == "_":
             if kind.mult != UNRESTRICTED:
                 raise _fail(f"cannot discard a value of linear type {S.pretty(ty)} : {kind}", pos)
@@ -373,63 +364,62 @@ def _check_coverage(covered: set[str], expected: set[str], what: str, pos: S.Pos
         raise _fail(f"{what}: {detail}", pos)
 
 
-def _branch(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv,
-            binders: list[tuple[str, Type]], body: Expr,
-            pos: S.Pos | None) -> tuple[Type, Ctx, frozenset[str]]:
-    """Check one branch on a copy of `ctx`, which stays as it was."""
-    inner = ctx.copy()
-    scope = _bind_all(inner, env, kenv, binders, pos)
-    ty, after = synth(inner, env, kenv, body)
-    after.drop(scope, pos)
-    consumed = ctx.linear_names() - after.linear_names()
-    return ty, after, consumed
-
-
-def _join_branches(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv,
-                   outs: list[tuple[Type, Ctx, frozenset[str]]],
-                   pos: S.Pos | None) -> tuple[Type, Ctx]:
-    ty0, res0, used0 = outs[0]
+def _branches(ctx: Ctx, arms: Iterable[tuple[list[tuple[str, Type]], Expr]],
+              pos: S.Pos | None) -> Type:
+    """Check each arm, its pattern's names bound, on its own copy of `ctx`.
+    Once all are checked, each arm in turn must consume the linear names the
+    first arm consumes and have a type equivalent to the first arm's type,
+    which is the result; the first arm's names become `ctx`'s."""
+    linear = ctx.linear_names()
+    outs = []
+    for binders, body in arms:
+        arm = ctx.copy()
+        scope = _bind_all(arm, binders, pos)
+        ty = synth(arm, body)
+        arm.drop(scope, pos)
+        outs.append((ty, arm, linear - arm.linear_names()))
+    ty0, first, used0 = outs[0]
     for i, (ty, _, used) in enumerate(outs[1:], start=2):
         if used != used0:
             diff = sorted(used ^ used0)
             raise _fail(
                 f"branches disagree on consuming linear variables: {', '.join(diff)} "
                 f"(branch {i} vs branch 1)", pos)
-        if not env.equivalent(ty, ty0, kenv):
+        if not ctx.env.equivalent(ty, ty0, ctx.kenv):
             raise _fail(
                 f"branch {i} has type {S.pretty(ty)}, not equivalent to {S.pretty(ty0)}", pos)
-    return ty0, res0
+    ctx.bindings, ctx.consumed = first.bindings, first.consumed
+    return ty0
 
 
-def check_against(ctx: Ctx, env: GlobalEnv, kenv: K.KindEnv, e: Expr, t: Type) -> Ctx:
+def check_against(ctx: Ctx, e: Expr, t: Type) -> None:
     """Synthesize and compare by equivalence. Functions cannot be synthesized
     without an annotation, so a function (a lambda, or a definition's
     parameters) checked against an arrow pushes the arrow inward instead;
     under `->` it must not consume a linear variable from outside. A `let`
     chain checks its body against the type."""
     if isinstance(e, (Let, LetPair)):
-        return _let_spine(ctx, env, kenv, e, t)[1]
-    if isinstance(e, Lam):
+        _let_spine(ctx, e, t)
+    elif isinstance(e, Lam):
         if not isinstance(t, Arrow):
             raise _fail(f"expected type {S.pretty(t)}, found a function", e.pos)
         if e.mult == LINEAR and t.mult == UNRESTRICTED:
             raise _fail("a one-shot function cannot be used where an unrestricted one is expected",
                         e.pos)
         linear_before = ctx.linear_names()
-        scope = _bind_all(ctx, env, kenv, [(e.param, t.dom)], e.pos)
-        residual = check_against(ctx, env, kenv, e.body, t.cod)
-        residual.drop(scope, e.pos)
+        scope = _bind_all(ctx, [(e.param, t.dom)], e.pos)
+        check_against(ctx, e.body, t.cod)
+        ctx.drop(scope, e.pos)
         if t.mult == UNRESTRICTED:
-            captured = sorted(linear_before - residual.linear_names())
+            captured = sorted(linear_before - ctx.linear_names())
             if captured:
                 raise _fail(
                     f"unrestricted function consumes linear variables: {', '.join(captured)}",
                     e.pos)
-        return residual
-    ty, residual = synth(ctx, env, kenv, e)
-    if not env.equivalent(ty, t, kenv):
-        raise _fail(f"expected type {S.pretty(t)}, found {S.pretty(ty)}", getattr(e, "pos", None))
-    return residual
+    else:
+        ty = synth(ctx, e)
+        if not ctx.env.equivalent(ty, t, ctx.kenv):
+            raise _fail(f"expected type {S.pretty(t)}, found {S.pretty(ty)}", e.pos)
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +575,7 @@ def check_program(p: S.Program) -> list[Diagnostic]:
             if not isinstance(d.body, Lam) and env.kind_of(kenv, scheme.body).mult == LINEAR:
                 raise _fail(f"top-level value {name} has linear type {S.pretty(scheme.body)}; "
                             "every use would share it", d.pos)
-            check_against(Ctx(), env, kenv, d.body, scheme.body)
+            check_against(Ctx(env, kenv), d.body, scheme.body)
         except CheckError as err:
             line, col = (err.diag.line, err.diag.col) if err.diag.line else d.pos
             diags.append(Diagnostic(line, col, f"in {name}: {err.diag.message}"))

@@ -7,6 +7,7 @@ import pytest
 
 from sluice import runtime
 from sluice.cli import main as cli_main
+from sluice.lexer import lex
 from sluice.parser import _PRECEDENCE, parse_program
 from sluice.runtime import (
     CtorVal, LabelVal, RuntimeAbort, Slot, WatchdogAbort, channel_receive, channel_send,
@@ -233,6 +234,18 @@ class TestReporting:
         assert cli_main(["run", str(path), "--seed", "1"]) == 3
         assert capsys.readouterr().err == (
             "deadlock detected:\n  receive at line 3\n  select B at line 14\n")
+
+    @pytest.mark.parametrize("literal, char", [
+        ("'a'", "a"), ("'\\n'", "\n"), ("'\\t'", "\t"), ("'\\\\'", "\\"), ("'\\''", "'"),
+        ("'\\0'", "\0"),
+    ])
+    def test_a_printed_char_lexes_back_to_itself(self, literal, char, tmp_path, capsys):
+        path = tmp_path / "char.fst"
+        path.write_text(f"main : Char\nmain = {literal}\n", encoding="utf-8")
+        assert cli_main(["run", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out == literal + "\n"
+        assert [(t.kind, t.text) for t in lex(out)] == [("char", char), ("eof", "")]
 
 
 class TestChannels:

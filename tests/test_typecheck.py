@@ -38,13 +38,13 @@ def fresh_env() -> GlobalEnv:
     return build_global_env(prog, [])
 
 
-def linear_ctx(**bindings) -> Ctx:
-    ctx = Ctx()
-    kenv = {"alpha": SL}
-    env = fresh_env()
+def linear_ctx(kenv=None, env=None, **bindings) -> Ctx:
+    """A context over `env` (a fresh one by default) and `kenv` (alpha : SL
+    by default) binding each keyword to the type its text parses to."""
+    ctx = Ctx(env or fresh_env(), {"alpha": SL} if kenv is None else kenv)
     for name, text in bindings.items():
         ty = parse_type(text)
-        ctx.bind(name, ty, env.kind_of(kenv, ty), None)
+        ctx.bind(name, ty, ctx.env.kind_of(ctx.kenv, ty), None)
     return ctx
 
 
@@ -131,28 +131,28 @@ class TestLetSpine:
 
 class TestSend:
     def test_send_consumes_channel_not_int(self):
-        ctx = linear_ctx(x="Int", c="!Int;alpha")
         env, kenv = fresh_env(), {"alpha": SL}
-        ty, residual = synth(ctx, env, kenv, parse_expr("send x c"))
+        ctx = linear_ctx(kenv, env, x="Int", c="!Int;alpha")
+        ty = synth(ctx, parse_expr("send x c"))
         assert equivalent(ty, TVar("alpha"), kenv)
-        assert "c" not in residual.bindings and "c" in residual.consumed
-        assert "x" in residual.bindings
+        assert "c" not in ctx.bindings and "c" in ctx.consumed
+        assert "x" in ctx.bindings
 
     def test_send_against_input_head(self):
         ctx = linear_ctx(x="Int", c="?Int;alpha")
         with pytest.raises(CheckError, match="output"):
-            synth(ctx, fresh_env(), {"alpha": SL}, parse_expr("send x c"))
+            synth(ctx, parse_expr("send x c"))
 
     def test_send_payload_mismatch(self):
         ctx = linear_ctx(x="Bool", c="!Int;alpha")
         with pytest.raises(CheckError, match="!Int"):
-            synth(ctx, fresh_env(), {"alpha": SL}, parse_expr("send x c"))
+            synth(ctx, parse_expr("send x c"))
 
 
 class TestSessionOps:
     def test_new_returns_dual_pair(self):
         env = fresh_env()
-        ty, _ = synth(Ctx(), env, {}, parse_expr("new TreeC"))
+        ty = synth(Ctx(env, {}), parse_expr("new TreeC"))
         assert isinstance(ty, Pair)
         tree_s = parse_type("rec y. &{Leaf: Skip, Node: ?Int;y;y;!Int}")
         assert env.equivalent(ty.fst, TREE_C, {})
@@ -160,102 +160,136 @@ class TestSessionOps:
 
     def test_select_pushes_continuation(self):
         ctx = linear_ctx(c="+{Leaf: Skip, Node: !Int};alpha")
-        ty, _ = synth(ctx, fresh_env(), {"alpha": SL}, parse_expr("select Leaf c"))
+        ty = synth(ctx, parse_expr("select Leaf c"))
         assert equivalent(ty, TVar("alpha"), {"alpha": SL})
         ctx = linear_ctx(c="+{Leaf: Skip, Node: !Int};alpha")
-        ty, _ = synth(ctx, fresh_env(), {"alpha": SL}, parse_expr("select Node c"))
+        ty = synth(ctx, parse_expr("select Node c"))
         assert equivalent(ty, parse_type("!Int;alpha"), {"alpha": SL})
 
     def test_select_absent_label(self):
         ctx = linear_ctx(c="+{Leaf: Skip};alpha")
         with pytest.raises(CheckError, match="not offered"):
-            synth(ctx, fresh_env(), {"alpha": SL}, parse_expr("select Node c"))
+            synth(ctx, parse_expr("select Node c"))
 
     def test_receive_on_skip_rejected(self):
-        ctx = linear_ctx(c="Skip")
+        ctx = linear_ctx({}, c="Skip")
         with pytest.raises(CheckError, match="input"):
-            synth(ctx, fresh_env(), {}, parse_expr("receive c"))
+            synth(ctx, parse_expr("receive c"))
 
     def test_receive_yields_pair(self):
         ctx = linear_ctx(c="?Bool;alpha")
-        ty, _ = synth(ctx, fresh_env(), {"alpha": SL}, parse_expr("receive c"))
+        ty = synth(ctx, parse_expr("receive c"))
         assert isinstance(ty, Pair) and ty.fst == Basic("Bool")
 
     def test_head_normalization_through_composition(self):
         # ((!Int;Skip);gamma) types like !Int;gamma
-        ctx = linear_ctx(x="Int", c="(!Int;Skip);?Bool")
-        ty, _ = synth(ctx, fresh_env(), {}, parse_expr("send x c"))
+        ctx = linear_ctx({}, x="Int", c="(!Int;Skip);?Bool")
+        ty = synth(ctx, parse_expr("send x c"))
         assert equivalent(ty, parse_type("?Bool"))
 
     def test_match_requires_external_choice(self):
         ctx = linear_ctx(c="+{Leaf: Skip};alpha")
         with pytest.raises(CheckError, match="external"):
-            synth(ctx, fresh_env(), {"alpha": SL},
-                  parse_expr("match c with Leaf c -> c"))
+            synth(ctx, parse_expr("match c with Leaf c -> c"))
 
     def test_fork_requires_droppable(self):
-        ctx = linear_ctx(c="!Int;Skip")
+        ctx = linear_ctx({}, c="!Int;Skip")
         with pytest.raises(CheckError, match="linear"):
-            synth(ctx, fresh_env(), {}, parse_expr("fork c"))
+            synth(ctx, parse_expr("fork c"))
 
     def test_fork_on_unrestricted_ok(self):
-        ty, _ = synth(Ctx(), fresh_env(), {}, parse_expr("fork (1 + 2)"))
+        ty = synth(Ctx(fresh_env(), {}), parse_expr("fork (1 + 2)"))
         assert ty == S.UNIT
 
 
 class TestLinearity:
     def test_discarding_linear_channel_rejected(self):
-        ctx = linear_ctx(c="!Int;Skip")
+        ctx = linear_ctx({}, c="!Int;Skip")
         with pytest.raises(CheckError, match="discard"):
-            synth(ctx, fresh_env(), {}, parse_expr("let _ = c in 5"))
+            synth(ctx, parse_expr("let _ = c in 5"))
 
     def test_discarding_skip_is_legal(self):
-        ctx = linear_ctx(c="Skip")
-        ty, residual = synth(ctx, fresh_env(), {}, parse_expr("let _ = c in 5"))
+        ctx = linear_ctx({}, c="Skip")
+        ty = synth(ctx, parse_expr("let _ = c in 5"))
         assert ty == Basic("Int")
 
     def test_unused_linear_binding_rejected(self):
-        ctx = linear_ctx(c="!Int;Skip")
+        ctx = linear_ctx({}, c="!Int;Skip")
         with pytest.raises(CheckError, match="not used"):
-            synth(ctx, fresh_env(), {}, parse_expr("let d = c in 5"))
+            synth(ctx, parse_expr("let d = c in 5"))
 
     def test_linear_use_twice_rejected(self):
-        ctx = linear_ctx(x="Int", c="!Int;!Int")
+        ctx = linear_ctx({}, x="Int", c="!Int;!Int")
         with pytest.raises(CheckError, match="more than once"):
-            synth(ctx, fresh_env(), {}, parse_expr("(send x c, send x c)"))
+            synth(ctx, parse_expr("(send x c, send x c)"))
 
     def test_branches_must_agree_on_linear_consumption(self):
-        ctx = linear_ctx(b="Bool", c="!Int;Skip")
+        ctx = linear_ctx({}, b="Bool", c="!Int;Skip")
         with pytest.raises(CheckError, match="branches disagree"):
-            synth(ctx, fresh_env(), {}, parse_expr("if b then let _ = send 1 c in 2 else 2"))
+            synth(ctx, parse_expr("if b then let _ = send 1 c in 2 else 2"))
 
     def test_unrestricted_lambda_cannot_capture_linear(self):
         env = fresh_env()
-        ctx = linear_ctx(c="!Int;Skip")
+        ctx = linear_ctx({}, env, c="!Int;Skip")
         lam = parse_expr("\\x -> let _ = send x c in 0")
         with pytest.raises(CheckError, match="unrestricted function consumes"):
-            check_against(ctx, env, {}, lam, parse_type("Int -> Int"))
+            check_against(ctx, lam, parse_type("Int -> Int"))
 
     def test_linear_lambda_may_capture_linear(self):
         env = fresh_env()
-        ctx = linear_ctx(c="!Int;Skip")
+        ctx = linear_ctx({}, env, c="!Int;Skip")
         lam = parse_expr("\\x -o let _ = send x c in 0")
-        residual = check_against(ctx, env, {}, lam, parse_type("Int -o Int"))
-        assert "c" not in residual.bindings
+        check_against(ctx, lam, parse_type("Int -o Int"))
+        assert "c" not in ctx.bindings
 
     def test_shadowing_unconsumed_linear_rejected(self):
-        ctx = linear_ctx(c="!Int;Skip")
+        ctx = linear_ctx({}, c="!Int;Skip")
         with pytest.raises(CheckError, match="shadow"):
-            synth(ctx, fresh_env(), {}, parse_expr("let c = 5 in c"))
+            synth(ctx, parse_expr("let c = 5 in c"))
 
     def test_residual_is_submap(self):
         rng = random.Random(77)
-        ctx = linear_ctx(x="Int", c="!Int;?Bool", d="Skip")
+        ctx = linear_ctx({}, x="Int", c="!Int;?Bool", d="Skip")
         before = dict(ctx.bindings)  # synth changes ctx in place
-        ty, residual = synth(ctx, fresh_env(), {}, parse_expr("send x c"))
-        assert set(residual.bindings) <= set(before)
-        dropped = set(before) - set(residual.bindings)
+        ty = synth(ctx, parse_expr("send x c"))
+        assert set(ctx.bindings) <= set(before)
+        dropped = set(before) - set(ctx.bindings)
         assert dropped == {"c"} and before["c"][1].mult == S.LINEAR
+
+
+class TestBranchesInPlace:
+    """The arms of `if`, `case` and `match` run on copies; what the first arm
+    leaves becomes the caller's own context."""
+
+    @staticmethod
+    def data_env() -> GlobalEnv:
+        prog, diags = parse_program("data T = A | B Int\nmain : Int\nmain = 1\n")
+        assert not diags
+        return build_global_env(prog, [])
+
+    @pytest.mark.parametrize("bindings, source", [
+        ({"b": "Bool"}, "if b then send 1 c else send 2 c"),
+        ({"t": "T"}, "case t of A -> send 1 c, B n -> send n c"),
+        ({"d": "&{L: Skip, R: Skip}"},
+         "match d with L d -> let _ = d in send 1 c, R d -> let _ = d in send 2 c"),
+    ])
+    def test_every_arm_consuming_a_channel_consumes_it_in_the_caller(self, bindings, source):
+        ctx = linear_ctx({}, self.data_env(), c="!Int;Skip", **bindings)
+        assert synth(ctx, parse_expr(source)) == S.Skip()
+        assert "c" not in ctx.bindings and "c" in ctx.consumed
+        assert set(ctx.bindings) == set(bindings) - {"d"}
+
+    def test_an_error_in_a_later_arm_comes_before_a_disagreement(self):
+        ctx = linear_ctx({}, d="&{L: Skip, M: Skip, R: Skip}", c="!Int;Skip")
+        source = ("match d with L d -> let _ = d in send 1 c, M d -> d, "
+                  "R d -> let _ = d in send True c")
+        with pytest.raises(CheckError, match="channel expects !Int, got Bool"):
+            synth(ctx, parse_expr(source))
+
+    def test_a_pattern_arity_is_checked_after_the_arms_before_it(self):
+        ctx = linear_ctx({}, self.data_env(), t="T", c="!Int;Skip")
+        with pytest.raises(CheckError, match="channel expects !Int, got Bool"):
+            synth(ctx, parse_expr("case t of A -> send True c, B -> send 1 c"))
 
 
 class TestTypeApplication:
@@ -277,24 +311,24 @@ class TestTypeApplication:
         env = self.env_with_transform()
         kenv = {"alpha": SL}
         expr = parse_expr("transform[TreeC;?Int;alpha]")
-        ty, _ = synth(Ctx(), env, kenv, expr)
+        ty = synth(Ctx(env, kenv), expr)
         want = parse_type("Tree -> TreeC;TreeC;?Int;alpha -> (Tree, TreeC;?Int;alpha)")
         assert env.equivalent(ty, want, kenv)
 
     def test_kind_mismatch_rejected(self):
         env = self.env_with_transform()
         with pytest.raises(CheckError, match="kind"):
-            synth(Ctx(), env, {}, parse_expr("transform[Int]"))
+            synth(Ctx(env, {}), parse_expr("transform[Int]"))
 
     def test_arity_checked(self):
         env = self.env_with_transform()
         with pytest.raises(CheckError, match="type argument"):
-            synth(Ctx(), env, {}, parse_expr("transform[Skip, Skip]"))
+            synth(Ctx(env, {}), parse_expr("transform[Skip, Skip]"))
 
     def test_polymorphic_name_needs_application(self):
         env = self.env_with_transform()
         with pytest.raises(CheckError, match="type application"):
-            synth(Ctx(), env, {}, parse_expr("transform"))
+            synth(Ctx(env, {}), parse_expr("transform"))
 
     def test_application_equals_substitution(self):
         rng = random.Random(31)
@@ -305,8 +339,8 @@ class TestTypeApplication:
             env.schemes["f"] = Scheme((("a", SL),), S.Arrow(S.UNRESTRICTED, body, Basic("Int")))
             env.schemes["g"] = Scheme((), S.Arrow(S.UNRESTRICTED, S.subst(body, {"a": arg}),
                                                   Basic("Int")))
-            t1, _ = synth(Ctx(), env, {}, S.TypeApp("f", (arg,)))
-            t2, _ = synth(Ctx(), env, {}, S.Var("g"))
+            t1 = synth(Ctx(env, {}), S.TypeApp("f", (arg,)))
+            t2 = synth(Ctx(env, {}), S.Var("g"))
             assert equivalent(t1, t2)
 
 
@@ -355,8 +389,7 @@ class TestErrorPaths:
     def test_non_exhaustive_match(self):
         ctx = linear_ctx(c="&{Leaf: Skip, Node: !Int};alpha")
         with pytest.raises(CheckError, match="missing Node"):
-            synth(ctx, fresh_env(), {"alpha": SL},
-                  parse_expr("match c with Leaf c -> c"))
+            synth(ctx, parse_expr("match c with Leaf c -> c"))
 
     def test_constructor_pattern_arity(self):
         src = ("data Tree = Leaf | Node Int Tree Tree\n"
@@ -584,7 +617,7 @@ main =
     def test_new_gives_dual_names_that_match_the_written_server(self):
         prog, _ = parse_program(self.MUTUAL)
         env = build_global_env(prog, [])
-        ty, _ = synth(Ctx(), env, {}, parse_expr("new Ask"))
+        ty = synth(Ctx(env, {}), parse_expr("new Ask"))
         assert ty == Pair(S.DataRef("Ask"), S.DataRef("dualof Ask"))
         assert env.equivalent(ty.snd, S.DataRef("Serve"), {})
         assert env.equivalent(S.DataRef("dualof Reply"), S.DataRef("Answer"), {})
@@ -840,14 +873,14 @@ class TestSession:
 
 class TestCheckAgainst:
     def test_accepts_up_to_the_laws(self):
-        ctx = linear_ctx(c="Skip;!Int")
-        residual = check_against(ctx, fresh_env(), {}, parse_expr("c"), parse_type("!Int"))
-        assert "c" not in residual.bindings
+        ctx = linear_ctx({}, c="Skip;!Int")
+        check_against(ctx, parse_expr("c"), parse_type("!Int"))
+        assert "c" not in ctx.bindings
 
     def test_rejects_mismatch_quoting_both_types(self):
-        ctx = linear_ctx(c="!Int")
+        ctx = linear_ctx({}, c="!Int")
         with pytest.raises(CheckError, match=r"\?Int.*!Int|!Int.*\?Int"):
-            check_against(ctx, fresh_env(), {}, parse_expr("c"), parse_type("?Int"))
+            check_against(ctx, parse_expr("c"), parse_type("?Int"))
 
 
 def test_dump_types(tree_source):
