@@ -12,25 +12,25 @@ node from being pushed twice and a grammar has only finitely many nodes at or
 below any key, so every pushed node is eventually popped. Reaching an empty
 node decides positively, exhausting the frontier decides negatively, and
 blowing the node budget, which the nodes processed, the simplification work
-items and the pairs of the breadth-first walk draw on alike, is reported as
-inconclusive rather than silently as a verdict.
+items and the pairs of the refutation walk below the root draw on alike, is
+reported as inconclusive rather than silently as a verdict.
+
+One breadth-first walk (`_pair_refuted`) refutes: the attacker's side of
+the bisimulation game. It steps every pair reachable from the root pair by a
+common action sequence, shortest sequences first, and an action mismatch is
+a distinguishing sequence. A deep negative query has a short one, which
+the walk finds in a few hundred pairs, where the expansion tree would
+process hundreds of nodes, each simplified, before its frontier runs dry.
 
 Reflexivity applies to the root first: one object, or equal start words,
 answer a query before any production is written, and before norms, pruning
 and search. Only a query that searches fills the grammar (`_Builder.fill`),
 including what earlier queries of its session left unfilled. The search then
-expands the root, and probes its children, over the grammar as filled: a
-root that fails or is refuted there ends the query, and most negative
-queries end so. Only a query that gets past its root norms and prunes the
-nonterminals added since the last one did, and goes on from the truncated
-root. The refutation probe skips reflexive pairs, and runs at the root only.
-
-Below the root a search that has gone long walks once, breadth first, from
-its truncated root (`_walk_refutes`): the attacker's side of the
-bisimulation game. A deep negative query has a short distinguishing action
-sequence that the walk finds in a few hundred pairs, where the expansion
-tree would process hundreds of nodes, each simplified, before its frontier
-runs dry.
+walks from the root pair, nine levels deep, over the grammar as filled: a
+mismatch there ends the query, and most negative queries end so. Only a
+query that gets past its root norms and prunes the nonterminals added since
+the last one did, and goes on from the truncated root. A search that has
+gone long walks once more, with no level bound, from its truncated root.
 
 Every type is decided this way: arrows, pairs, basic types and datatype
 names are grammar nonterminals too (see `grammar`), so a functional query is
@@ -76,8 +76,8 @@ class Inconclusive(Exception):
 @dataclass
 class Budget:
     """One query's work: each search node processed, each simplification
-    work item and each pair the breadth-first walk steps draws one unit, and
-    running out raises `Inconclusive`."""
+    work item and each pair the refutation walk steps below the root draws
+    one unit, and running out raises `Inconclusive`."""
 
     limit: int = DEFAULT_BUDGET
     spent: int = 0
@@ -305,78 +305,60 @@ def _reduce(g: Grammar, P: Node, history: RuleIndex) -> Node:
 # Search
 
 
-# Refutation probe, at the root only: a bounded chain of pure expansions from
-# one child of the root. An action mismatch at any depth is definitive
-# evidence the pair is not bisimilar, so the query ends. Inconclusive probes
-# change nothing.
+# Refutation walk: the attacker's side of the bisimulation game. From a
+# root pair it steps every pair reachable by a common action sequence,
+# shortest sequences first, truncating each child and dropping reflexive
+# pairs and pairs seen before; a pair `levels` steps from the root is not
+# queued, and `levels=None` bounds nothing. An action mismatch reached from
+# the root is definitive evidence that the pair is not bisimilar, so the
+# query ends; a walk that reaches nothing new, or sees `_WALK_PAIRS` pairs,
+# lets the search go on. It steps words with `step`, not `expand`, so it
+# adds no search node. Each pair it steps draws on `quota`, unless that is
+# None.
 #
-# Depth: a probe that does not refute walks every level, so the depth is
-# most of its cost. The deepest refutation seen is at level 6 (the seventh
-# expansion): two pairs of the 10,500-pair verdict corpus and one of the
-# benchmark corpus (seed 901) refute there, and every ladder refutation is
-# at level 3. Depths 14, 10, 8 and 6 left every recorded verdict and search
-# unchanged while the probe also ran below the root, and depth 4 added nodes
-# to a perturbed-pair search. Depth 8 keeps one level of margin over the
-# deepest refutation.
-#
-# Width: the widest level a recorded probe meets is 14 pairs on the ladder
-# and 23 on the verdict corpus's deep suite. The unpruned words keep tails
-# that no transition reaches, and on two equivalent pairs of the perturbed
-# suite (3404 and 3279) levels grow to 151 pairs and past the cap, where the
-# probe stops with nothing lost. The cap is load-bearing: levels grow as
-# n^depth on an equivalent recursion with n labels whose branches
-# distribute a trailing message; at n = 4 the query makes about 1,400 `step`
-# calls with the cap and 233,000 without it, all in the probes of its root.
-_PROBE_DEPTH = 8
-_PROBE_WIDTH = 192
-
-
-def _pair_refuted(g: Grammar, pair: WordPair) -> bool:
-    current: Node = frozenset({pair})
-    for _ in range(_PROBE_DEPTH):
-        nxt = expand(g, current)
-        if nxt is None:
-            return True
-        if not nxt or len(nxt) > _PROBE_WIDTH or nxt == current:
-            return False
-        current = nxt
-    return False
-
-
-# Breadth-first refutation walk: the attacker's side of the bisimulation
-# game. A search that has processed `_WALK_AFTER` nodes walks once, from its
-# truncated root pair over the normed, pruned grammar, every pair reachable
-# by a common action sequence, shortest sequences first, truncating each
-# child and dropping reflexive pairs and pairs seen before. An action
-# mismatch reached from the root is final, for the reason the probe's is;
-# a walk that reaches nothing new, or sees `_WALK_PAIRS` pairs, lets the
-# search go on. It steps words with `step`, not `expand`, so it adds no
-# search node.
+# `search` walks at most twice. At the root it walks over the grammar as
+# filled, drawing nothing from the query's budget, and steps the pairs of
+# depth 0-8 (`_ROOT_LEVELS`). A walk that refutes nothing steps every level,
+# so the bound is most of its cost: with no bound, a benchmark corpus pass
+# at seed 11 makes 96,128 `step` calls instead of 16,808, and a ladder pass
+# 21,332 instead of 568. The deepest root refutation on record is at depth
+# 8, on pair 37 of the verdict corpus's `deep` suite and on one pair of that
+# corpus pass, so the bound keeps no margin. The `_WALK_AFTER`th node a
+# search processes walks again, from the truncated root over the normed,
+# pruned grammar, with no level bound.
 #
 # Trigger: the most nodes any recorded equivalent query processes is 8 (the
 # TreeC ladder; 7 among the `deep` suite's equivalent pairs, 4 on the rest
 # of the verdict corpus), so 50 leaves every equivalent search on record
 # untouched: a walk there would run to its cap for nothing. Cap: the most
 # pairs any recorded refutation sees is 899 (the deep pair of seed 2; 875 at
-# seed 0), and 2,000 keeps more than twice that.
+# seed 0), and 2,000 keeps more than twice that. The cap also bounds a root
+# walk whose pairs grow as n^depth: on an equivalent recursion with n labels
+# whose branches distribute a trailing message, the query makes about 1,500
+# `step` calls at n = 4 with the cap and 233,000 without it.
+_ROOT_LEVELS = 9
 _WALK_AFTER = 50
 _WALK_PAIRS = 2_000
 
 
-def _walk_refutes(g: Grammar, root: WordPair, quota: Budget) -> bool:
+def _pair_refuted(g: Grammar, root: WordPair, quota: Budget | None,
+                  levels: int | None) -> bool:
     seen = {root}
-    queue = deque([root])
+    queue = deque([(root, 0)])
     while queue and len(seen) < _WALK_PAIRS:
-        w1, w2 = queue.popleft()
-        quota.draw("breadth-first walk")
+        (w1, w2), depth = queue.popleft()
+        if quota is not None:
+            quota.draw("breadth-first walk")
         s1, s2 = step(g, w1), step(g, w2)
         if s1.keys() != s2.keys():
             return True
+        if depth + 1 == levels:
+            continue
         for a, u in s1.items():
             pair = (truncate(g, u), truncate(g, s2[a]))
             if pair[0] != pair[1] and pair not in seen:
                 seen.add(pair)
-                queue.append(pair)
+                queue.append((pair, depth + 1))
     return False
 
 
@@ -397,23 +379,21 @@ def search(g: Grammar, w1: Word, w2: Word, budget: int = DEFAULT_BUDGET,
     first `len(g.norms)` nonterminals are normed and pruned, as `compute_norms`
     and `prune` leave them.
 
-    The root is expanded, and its children probed, before anything else is
-    normed: pruning only cuts tails that no transition reaches, so the
-    unpruned grammar offers the same action sets along every path, and a
-    root that fails or is refuted there is final. (A probe can stop at its
-    width guard on the unpruned grammar, whose words keep their unreachable
-    tails, where it would not on the pruned one; that costs a refutation,
-    never a verdict.) A query that gets past its root norms and prunes the
-    rest of the grammar, and the search starts again from the truncated
-    root. Nothing below the root is probed: the `_WALK_AFTER`th node
-    processed runs the breadth-first walk from the truncated root instead,
-    and a mismatch it reaches ends the query."""
+    The refutation walk runs from the root pair, `_ROOT_LEVELS` levels deep,
+    before anything else is normed: pruning only cuts tails that no
+    transition reaches, so the unpruned grammar offers the same action sets
+    along every path, and a mismatch found there is final. The walk cuts
+    words only after a symbol an earlier query normed as unnormed. A query
+    that gets past its root norms and prunes the rest of the grammar, and
+    the search starts from the truncated root. The `_WALK_AFTER`th node
+    processed walks again from the truncated root, with no level bound, and
+    a mismatch it reaches ends the query."""
     quota = Budget(budget)
     quota.draw("search")
-    expanded = expand(g, ((w1, w2),))
-    if expanded is None or any(p[0] != p[1] and _pair_refuted(g, p) for p in expanded):
+    if _pair_refuted(g, (w1, w2), None, _ROOT_LEVELS):
         if trace:
-            trace(0, 1, "expansion failed" if expanded is None else "refuted by expansion probe")
+            failed = expand(g, ((w1, w2),)) is None
+            trace(0, 1, "expansion failed" if failed else "refuted by expansion probe")
         return False
     done = len(g.norms)
     compute_norms(g, done)
@@ -432,7 +412,7 @@ def search(g: Grammar, w1: Word, w2: Word, budget: int = DEFAULT_BUDGET,
         processed += 1
         if depth:  # the root drew its unit above
             quota.draw("search")
-        if processed == _WALK_AFTER and _walk_refutes(g, root_pair, quota):
+        if processed == _WALK_AFTER and _pair_refuted(g, root_pair, quota, None):
             if trace:
                 trace(depth, len(pairs), "refuted by breadth-first walk")
             return False

@@ -31,11 +31,13 @@ reads the session's walk, under the kind env of the query, so a type the
 session has kinded is keyed without a second walk. A query whose
 two start words are equal is answered before the fill, and leaves its new
 nonterminals unfilled until a later query searches. Before a search the
-session fills every nonterminal. The search expands its root and probes the
-root's children over the grammar as filled, since pruning changes no action
-set along any path; only a search that gets past its root then norms and
-prunes the nonterminals added since the last one did: `compute_norms` and
-`prune` take the count of nonterminals already done, which is `len(norms)`.
+session fills every nonterminal. The search walks from its root pair over
+the grammar as filled, since pruning changes no action set along any path;
+`truncate` cuts a word there only after a symbol an earlier search normed
+as unnormed, never at one not normed yet. Only a search that gets past its
+root then norms and prunes the nonterminals added since the last one did:
+`compute_norms` and `prune` take the count of nonterminals already done,
+which is `len(norms)`.
 After a fill every nonterminal reaches only nonterminals that existed when it
 ended, so the norm and truncated tails of one normed then are final. Within
 one fill an earlier nonterminal does refer to later ones, which is why the
@@ -236,9 +238,10 @@ def prune(g: Grammar, done: int = 0) -> Grammar:
 
 
 def truncate(g: Grammar, w: Word) -> Word:
-    """Cut a word just after its first unnormed symbol."""
+    """Cut a word just after its first symbol known to be unnormed: one whose
+    norm is None. A nonterminal not normed yet is never cut at."""
     for i, nt in enumerate(w):
-        if g.norms.get(nt) is None:
+        if g.norms.get(nt, 0) is None:
             return w[: i + 1]
     return w
 

@@ -13,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from sluice import runtime
+from sluice import equiv, runtime
+from sluice.grammar import build, compute_norms, prune, truncate
+from sluice.parser import parse_type
 
 from conftest import checked_program, program_source
 
@@ -30,11 +32,16 @@ def _calls(tree: ast.Module, name: str) -> list[ast.Call]:
             and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
 
 
-def test_every_function_the_tracer_wraps_exists():
+def _wrapped() -> list[tuple[str, str, str]]:
+    """The tracer's `WRAPPED` table: (owner path, attribute, span name)."""
     [wrapped] = [node.value for node in _tree("tracer.py").body if isinstance(node, ast.Assign)
                  and [getattr(t, "id", None) for t in node.targets] == ["WRAPPED"]]
+    return ast.literal_eval(wrapped)
+
+
+def test_every_function_the_tracer_wraps_exists():
     missing = []
-    for owner_path, attr, _ in ast.literal_eval(wrapped):
+    for owner_path, attr, _ in _wrapped():
         module, *path = owner_path.split(".")
         owner = importlib.import_module(f"sluice.{module}")  # as `load_modules` imports it
         for part in path:
@@ -57,3 +64,16 @@ def test_a_deadlock_raises_the_exception_the_workloads_name():
     with pytest.raises(runtime.WatchdogAbort) as exc:
         runtime.run(prog, seed=0, quiescence=2.0)
     assert exc.type.__name__ in named  # what the workloads record of any exception
+
+
+def test_the_refutation_walk_answers_the_bool_the_probe_hook_counts():
+    # the tracer counts `equiv.probe` calls whose result `is True`
+    [walk] = [getattr(equiv, attr) for _, attr, span in _wrapped() if span == "equiv.probe"]
+    for t1, t2, refuted in (("!Int;?Int", "!Int;?Bool", True),
+                            ("rec x. !Int;x", "!Int;rec x. !Int;x", False)):
+        g, w1, w2 = build(parse_type(t1), parse_type(t2))
+        assert walk(g, (w1, w2), None, equiv._ROOT_LEVELS) is refuted  # as at the root
+        compute_norms(g)
+        prune(g)
+        root = (truncate(g, w1), truncate(g, w2))
+        assert walk(g, root, equiv.Budget(), None) is refuted  # as below it

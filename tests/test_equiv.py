@@ -299,76 +299,84 @@ class TestRootReflexivity:
 
 
 def walk_to_mismatch(g, pair, levels):
-    """Walk the pairs reachable from `pair` level by level, as the probe
-    does, for up to `levels` levels. Returns `("refuted", i)` when the pairs
-    reachable in exactly i steps offer mismatched actions, `("wide", i)` when
-    level i would hold more than `_PROBE_WIDTH` pairs (where a probe of any
-    depth gives up), and `("safe", i)` when the walk ends at level i without
-    either."""
-    level = {pair}
-    for i in range(levels):
+    """Walk the pairs reachable from `pair` level by level, as the refutation
+    walk does, for up to `levels` levels and with twice its pair cap.
+    Returns `("refuted", d)` when a pair d steps from `pair` offers
+    mismatched actions, `("wide", d)` when more than `2 * _WALK_PAIRS`
+    pairs are seen by level d, and `("safe", d)` when the walk ends at level
+    d without either."""
+    seen, level = {pair}, {pair}
+    for depth in range(levels):
         nxt = set()
         for w1, w2 in level:
             s1, s2 = step(g, w1), step(g, w2)
             if s1.keys() != s2.keys():
-                return "refuted", i
-            nxt.update((s1[a], s2[a]) for a in s1)
-        if not nxt or nxt == level:
-            return "safe", i
-        if len(nxt) > E._PROBE_WIDTH:
-            return "wide", i
-        level = nxt
+                return "refuted", depth
+            nxt.update((truncate(g, s1[a]), truncate(g, s2[a])) for a in s1)
+        level = {p for p in nxt if p[0] != p[1]} - seen
+        seen |= level
+        if not level:
+            return "safe", depth
+        if len(seen) > 2 * E._WALK_PAIRS:
+            return "wide", depth
     return "safe", levels
 
 
 class TestProbeDepth:
-    """The probe's depth loses no refutation that a 32-level walk finds, on
-    every pair the search probes for the TreeC ladder (k = 1..8) and the
-    verdict corpus's perturbed suite, which holds the deepest refutations on
-    record (level 6)."""
+    """The root walk's level bound loses no refutation that a 32-level walk
+    finds within the bound's reach, on every root pair of the TreeC ladder
+    (k = 1..8), the verdict corpus's perturbed suite and its deep suite,
+    which holds the deepest refutations on record."""
 
     def test_probe_refutes_whatever_a_long_walk_refutes(self, monkeypatch):
-        # The probe runs on the grammar as filled, before the query norms
-        # and prunes it, so each pair is replayed on a copy of the grammar
-        # taken when the probe ran. `grammars` keeps each query's grammar
-        # alive, so that no two queries share an id.
-        grammars, probed, verdicts = {}, {}, []
-        probe = E._pair_refuted
+        # The root walk runs on the grammar as filled, before the query norms
+        # and prunes it, so each root pair is replayed on a copy of the
+        # grammar taken when the walk ran.
+        walked = []
+        walk = E._pair_refuted
 
-        def record(g, pair):
-            if id(g) not in grammars:
-                grammars[id(g)] = g, Grammar(
-                    {n: dict(prods) for n, prods in g.productions.items()}, dict(g.norms))
-            probed[id(g), pair] = grammars[id(g)][1], pair, len(verdicts)
-            return probe(g, pair)
+        def record(g, root, quota, levels):
+            refuted = walk(g, root, quota, levels)
+            if levels is not None:
+                copy = Grammar({n: dict(prods) for n, prods in g.productions.items()},
+                               dict(g.norms))
+                walked.append((copy, root, refuted, len(verdicts)))
+            return refuted
 
         monkeypatch.setattr(E, "_pair_refuted", record)
         queries = [pair for _, pair in ladder_queries()]
-        queries += drawn("perturbed")
+        queries += drawn("perturbed") + drawn("deep")
+        verdicts = []
         for t1, t2 in queries:
             verdicts.append(equivalent(t1, t2))
         monkeypatch.undo()
 
-        deepest, shallow_wide = 0, []
-        for g, pair, query in probed.values():
-            outcome, level = walk_to_mismatch(g, pair, 32)
-            if outcome == "refuted":
-                deepest = max(deepest, level)
-                assert E._pair_refuted(g, pair), (pair, level)
-            elif outcome == "wide" and level < E._PROBE_DEPTH:
-                # the probe stops at its width guard here, which costs no
-                # refutation only because the query is equivalent
-                assert verdicts[query], (pair, level)
-                shallow_wide.append(level)
-        assert len(probed) > 1000
-        assert deepest == 6
-        # three pairs of perturbed pair 3279, all on the unpruned grammar
-        assert sorted(shallow_wide) == [6, 6, 7]
+        depths, beyond = [], []
+        for g, root, refuted, query in walked:
+            outcome, depth = walk_to_mismatch(g, root, 32)
+            assert refuted == (outcome == "refuted" and depth < E._ROOT_LEVELS), (root, depth)
+            if refuted:
+                depths.append(depth)
+            elif outcome == "refuted":
+                # too deep for the root walk: the query is still refuted
+                # below the root, by the search or by the walk at its
+                # `_WALK_AFTER`th node
+                assert not verdicts[query], (root, depth)
+                beyond.append(depth)
+            elif outcome == "wide":
+                # the long walk gave up here, which costs no refutation only
+                # because the query is equivalent
+                assert verdicts[query], (root, depth)
+        assert len(walked) > 3000
+        # deep pair 37 is refuted at depth 8: the bound keeps no margin
+        assert max(depths) == E._ROOT_LEVELS - 1 == 8
+        # eleven deep pairs, each refuted below the root
+        assert sorted(beyond) == [10, 10, 10, 11, 11, 13, 15, 16, 16, 17, 17]
 
 
 class TestProbeWidth:
-    """The width cap is load-bearing: on this equivalent pair, the probe's
-    levels grow as n^depth with n labels."""
+    """The pair cap is load-bearing: on this equivalent pair, the pairs the
+    root walk reaches at each depth grow as n^depth with n labels."""
 
     def test_the_cap_keeps_a_widening_probe_small(self, monkeypatch):
         msgs = ("!Int", "?Int", "!Char", "?Bool")
@@ -386,7 +394,7 @@ class TestProbeWidth:
 
         monkeypatch.setattr(E, "step", counting)
         assert equivalent(t1, t2)
-        # about 1,400 with the cap, 233,000 without it
+        # about 1,500 with the cap, 233,000 without it
         assert calls < 5_000
 
 
@@ -430,7 +438,7 @@ class TestBreadthFirstWalk:
             g, w1, w2 = build(*pairs[seed])
             compute_norms(g)
             prune(g)
-            return E._walk_refutes(g, (truncate(g, w1), truncate(g, w2)), Budget())
+            return E._pair_refuted(g, (truncate(g, w1), truncate(g, w2)), Budget(), None)
 
         assert E._WALK_PAIRS > 2 * 899
         assert refuted(2, 900) and not refuted(2, 899)
@@ -664,7 +672,7 @@ class TestSession:
         assert outcomes.count("root") > 100 and outcomes.count("past") > 10, outcomes
 
     def test_an_interrupted_norm_step_is_not_taken_as_done(self, monkeypatch):
-        # the mismatch lies deeper than the probe reaches, so the query gets
+        # the mismatch lies deeper than the root walk reaches, so the query gets
         # past its root; left with provisional norms, the session would cut
         # every word to its first symbol and answer True
         deep = parse_type("!Int;" * 10 + "?Int"), parse_type("!Int;" * 10 + "?Bool")
@@ -687,20 +695,19 @@ class TestSession:
 
 def root_outcome(g, root):
     """The root step of `search` on a grammar as it stands: "failed",
-    "refuted" or "goes on". No probe of the root's children may stop at its
-    width guard."""
-    expanded = expand(g, {root})
-    if expanded is None:
+    "refuted" or "goes on". The root walk's pair cap may cost no
+    refutation: a walk with twice the cap agrees with it."""
+    if expand(g, {root}) is None:
         return "failed"
-    unequal = [pair for pair in expanded if pair[0] != pair[1]]
-    for pair in unequal:
-        assert walk_to_mismatch(g, pair, E._PROBE_DEPTH)[0] != "wide", pair
-    return "refuted" if any(E._pair_refuted(g, pair) for pair in unequal) else "goes on"
+    refuted = E._pair_refuted(g, root, None, E._ROOT_LEVELS)
+    outcome, _ = walk_to_mismatch(g, root, E._ROOT_LEVELS)
+    assert outcome != "wide" and refuted == (outcome == "refuted"), root
+    return "refuted" if refuted else "goes on"
 
 
 class TestRootStep:
-    """`search` expands the root and probes its children over the grammar as
-    filled, and norms and prunes only when the query gets past its root."""
+    """`search` walks from the root pair over the grammar as filled, and
+    norms and prunes only when the query gets past its root."""
 
     def test_a_root_refutation_norms_nothing(self):
         variant = receive_bool(next(unfoldings(TREE_C, 1)))

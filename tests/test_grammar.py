@@ -332,6 +332,18 @@ class TestPrune:
         assert truncate(g, w_before) == (0,)
         assert k_bisimilar(g0, w_before, g, truncate(g, w_before), 20)
 
+    def test_truncate_cuts_only_after_a_symbol_known_to_be_unnormed(self):
+        g = _hand_grammar([
+            (0, "!", "Int", [0, 1]),   # X -> !Int X Y, X unnormed
+            (1, "?", "Int", []),       # Y -> ?Int eps
+        ])
+        # nothing normed yet: no symbol is cut at
+        assert truncate(g, (0, 1, 0, 1)) == (0, 1, 0, 1)
+        g.norms[1] = 1
+        assert truncate(g, (1, 0, 1)) == (1, 0, 1)
+        g.norms[0] = None
+        assert truncate(g, (1, 0, 1)) == (1, 0)
+
     def test_all_normed_unchanged(self):
         g, _ = build(TREE_C)
         compute_norms(g)
