@@ -95,12 +95,19 @@ class Walk:
         - whether it performs no action, and whether some `rec` in it loops;
         - the subterm to translate in its place, its key, and the bit set of
           the `rec` binders around it that its free variables refer to (none
-          at the root)."""
+          at the root).
+        A type nested deeper than the walk can follow on the Python stack
+        raises KindError(TOO_DEEP)."""
         scope = self._scopes.get(id(env))
         if scope is None:
             scope = self._scopes[id(env)] = env, {}
         hit = scope[1].get(id(t))  # a frame less for a type seen before
-        return hit if hit is not None else self._walk(t, env, scope[1], ())
+        if hit is not None:
+            return hit
+        try:
+            return self._walk(t, env, scope[1], ())
+        except RecursionError:
+            raise _fail(TOO_DEEP) from None
 
     def _walk(self, t: Type, env: KindEnv, memo: dict[int, Facts],
               bound: tuple[str, ...]) -> Facts:
@@ -234,7 +241,8 @@ def kinding(env: KindEnv, t: Type, names: NameKinds | None = None) -> Kinding:
     `rec` in `t` is guarded. `names` maps declared type names (datatypes and
     abbreviations) to their kinds; a name missing from it is unknown, and a
     name of kind SU guards nothing. The walk does not stop at a kind error,
-    so an ill-kinded type still gets its unguarded set and contractivity."""
+    so an ill-kinded type still gets its unguarded set and contractivity.
+    A type nested too deep to walk raises KindError(TOO_DEEP)."""
     kind, error, unguarded, _, loops, _, _, _ = Walk(names or {}).facts(t, env)
     return (kind if error is None else None), error, unguarded, not loops
 
@@ -244,16 +252,13 @@ def synth_kind(env: KindEnv, t: Type, datatypes: NameKinds | None = None) -> Kin
     or unbound variable a depth-first walk meets, else on non-contractive
     recursion. `datatypes` maps declared type names (datatypes and
     abbreviations) to their kinds; without it any DataRef is rejected as
-    unknown. A type nested deeper than the walk can follow on the Python
-    stack raises KindError(TOO_DEEP)."""
-    try:
-        return Walk(datatypes or {}).kind(env, t)
-    except RecursionError:
-        raise _fail(TOO_DEEP) from None
+    unknown."""
+    return Walk(datatypes or {}).kind(env, t)
 
 
 def contractive(env: KindEnv, t: Type, datatypes: NameKinds | None = None) -> bool:
     """True when every rec binder in `t` is guarded by at least one action;
-    a name of kind SU in `datatypes` guards nothing. Total: an ill-kinded or
-    open type gets an answer too."""
+    a name of kind SU in `datatypes` guards nothing. An ill-kinded or open
+    type gets an answer too; only a type too deep to walk raises
+    KindError(TOO_DEEP)."""
     return kinding(env, t, datatypes)[3]

@@ -13,9 +13,12 @@ a doubled one can.
 
 The typechecker is the safety front-end; the runtime moves untyped payloads
 and never re-checks. Select/match labels travel in-band through the same
-slots as data, wrapped in a distinct tag. A builtin is the curried Python
-function `syntax.PRELUDE` gives its name; the builtins and the constructors
-are bound, as top-level values, when a run starts.
+slots as data, wrapped in a distinct tag. Every channel action (a send, a
+receive, a select, and the receive a match starts with) waits in one `_OP`
+frame for its channel end, and names the action's keyword as its site. A
+builtin is the curried Python function `syntax.PRELUDE` gives its name; the
+builtins and the constructors are bound, as top-level values, when a run
+starts.
 
 A scheduler seeded with `random.Random(seed)` picks the next thread at every
 channel operation, every fork and every time slice, so the seed fixes the
@@ -136,11 +139,6 @@ class LabelVal:
     name: str
 
 
-@dataclass
-class _SendPartial:
-    value: object
-
-
 def pretty_value(v: object) -> str:
     """Source-like text of a value. Pairs and constructor arguments are walked
     with an explicit stack, so a deep value costs heap, not Python stack."""
@@ -178,7 +176,7 @@ def _atom(v: object) -> str:
         return v.tag
     if isinstance(v, ChannelEnd):
         return "<channel>"
-    if isinstance(v, (Closure, FunctionType, _SendPartial)):
+    if isinstance(v, (Closure, FunctionType)):
         return "<fun>"
     if isinstance(v, LabelVal):
         return f"<label {v.name}>"
@@ -189,21 +187,22 @@ def _atom(v: object) -> str:
 # Evaluation
 
 # Continuation frames are tuples tagged by their first field:
-#   (_ARG, arg, env, app)        evaluate the argument of application `app`
-#   (_CALL, fun, app)            apply `fun` to the value
+#   (_ARG, arg, env)             evaluate the argument, then apply the function
+#   (_CALL, fun)                 apply `fun` to the value
 #   (_PAIR, snd, env)            evaluate the second component
 #   (_PAIRED, fst)               build the pair
 #   (_LET, x, body, env)         bind x to the value, evaluate body
 #   (_LETPAIR, x, y, body, env)  bind the pair's components, evaluate body
 #   (_CASE, branches, env)       dispatch on the constructor
 #   (_IF, then, els, env)        dispatch on the boolean
-#   (_SEND,)                     `send v`, waiting for its channel end
-#   (_RECEIVE, site)             receive on the channel end
-#   (_SELECT, site)              send the label of the Select `site`
+#   (_SEND, site)                the payload of the Send `site`: take the
+#                                channel operand from the _ARG frame beneath
+#   (_OP, message, site)         the value is a channel end: wait to send the
+#                                message on it, or to receive if it is _EMPTY
 #   (_MATCH, branches, env)      dispatch on the received label
 #   (_GLOBAL, name)              memoize a top-level value
-(_ARG, _CALL, _PAIR, _PAIRED, _LET, _LETPAIR, _CASE, _IF, _SEND, _RECEIVE,
- _SELECT, _MATCH, _GLOBAL) = range(13)
+(_ARG, _CALL, _PAIR, _PAIRED, _LET, _LETPAIR, _CASE, _IF, _SEND, _OP, _MATCH,
+ _GLOBAL) = range(12)
 
 
 class _Thread:
@@ -291,7 +290,7 @@ class _Machine:
                         k.append((_GLOBAL, name))
                         e, env = d.body, {}
                 elif cls is App:
-                    k.append((_ARG, e.arg, env, e))
+                    k.append((_ARG, e.arg, env))
                     e = e.fun
                 elif cls is Lit:
                     v, e = e.value, None
@@ -313,17 +312,17 @@ class _Machine:
                     k.append((_PAIR, e.snd, env))
                     e = e.fst
                 elif cls is Send:
-                    k.append((_SEND,))
+                    k.append((_SEND, e))
                     e = e.expr
                 elif cls is Receive:
-                    k.append((_RECEIVE, e))
+                    k.append((_OP, _EMPTY, e))
                     e = e.expr
                 elif cls is Select:
-                    k.append((_SELECT, e))
+                    k.append((_OP, LabelVal(e.label), e))
                     e = e.expr
                 elif cls is Match:
                     k.append((_MATCH, e.branches, env))
-                    k.append((_RECEIVE, e))
+                    k.append((_OP, _EMPTY, e))
                     e = e.scrutinee
                 elif cls is New:
                     v, e = new_channel(), None
@@ -340,10 +339,10 @@ class _Machine:
             frame = k.pop()
             tag = frame[0]
             if tag == _ARG:
-                _, e, env, app = frame
-                k.append((_CALL, v, app))
+                _, e, env = frame
+                k.append((_CALL, v))
             elif tag == _CALL:
-                _, f, app = frame
+                f = frame[1]
                 cls = f.__class__
                 if cls is Closure:
                     env = dict(f.env)
@@ -358,9 +357,6 @@ class _Machine:
                     if len(f.args) >= f.arity:
                         raise RuntimeAbort(f"constructor {f.tag} applied to too many arguments")
                     v = CtorVal(f.tag, f.args + (v,), f.arity)
-                elif cls is _SendPartial:
-                    th.op = (v, f.value, app)
-                    break
                 else:
                     raise RuntimeAbort(f"applying a non-function value {pretty_value(f)}")
             elif tag == _LET:
@@ -389,11 +385,8 @@ class _Machine:
                 for p, a in zip(params, v.args):
                     if p != "_":
                         env[p] = a
-            elif tag == _RECEIVE:
-                th.op = (v, _EMPTY, frame[1])
-                break
-            elif tag == _SELECT:
-                th.op = (v, LabelVal(frame[1].label), frame[1])
+            elif tag == _OP:
+                th.op = (v, frame[1], frame[2])
                 break
             elif tag == _MATCH:
                 _, branches, env = frame
@@ -414,7 +407,10 @@ class _Machine:
             elif tag == _PAIRED:
                 v = (frame[1], v)
             elif tag == _SEND:
-                v = _SendPartial(v)
+                if not k or k[-1][0] != _ARG:
+                    raise RuntimeAbort("send must be applied to a value and then a channel")
+                _, e, env = k.pop()
+                k.append((_OP, v, frame[1]))
             else:
                 self.globals[frame[1]] = v
         if len(k) > _MAX_FRAMES:

@@ -278,17 +278,13 @@ def type_names(t: Type) -> set[str]:
     return set()
 
 
-_fresh_counter = count(1)
-
-
-def fresh_name(base: str) -> str:
-    return f"{base}_{next(_fresh_counter)}"
-
-
 def subst(t: Type, mapping: dict[str, Type]) -> Type:
     """Capture-avoiding substitution of type variables. The free variables of
     each type in `mapping` are worked out at most once per call, when a
-    binder first needs them, not once per binder."""
+    binder first needs them, not once per binder. A `rec x` binder that would
+    capture is renamed to the first `x_N` (N = 1, 2, ...) that is neither a
+    key of `mapping` nor free in the body or in a substituted type, so the
+    result depends on the arguments alone."""
     return _subst(t, mapping, {}) if mapping else t
 
 
@@ -312,7 +308,8 @@ def _subst(t: Type, mapping: dict[str, Type], free: dict[str, frozenset[str]]) -
             if fv is None:
                 fv = free[k] = free_tvars(v)
             if var in fv:
-                renamed = fresh_name(var)
+                taken = set(mapping).union(free_tvars(body), *map(free_tvars, inner.values()))
+                renamed = next(n for i in count(1) if (n := f"{var}_{i}") not in taken)
                 body = subst(body, {var: TVar(renamed)})
                 var = renamed
                 break

@@ -464,8 +464,8 @@ def _declare_names(env: GlobalEnv, p: S.Program) -> dict[str, str]:
                 continue
             try:
                 new, error, _, _ = walked[name] = K.kinding({}, types[name], kinds)
-            except RecursionError:
-                new, error = None, TOO_DEEP
+            except K.KindError as err:
+                new, error = None, err.diag.message
             if error is None and name in bodies and new.prekind != SESSION:
                 error = f"type abbreviation {name} must be a session type"
             if error is not None:
@@ -528,9 +528,6 @@ def build_global_env(p: S.Program, diags: list[Diagnostic]) -> GlobalEnv:
             except CheckError as err:
                 diags.append(Diagnostic(decl.pos[0], decl.pos[1], err.diag.message))
                 continue
-            except RecursionError:
-                diags.append(Diagnostic(decl.pos[0], decl.pos[1], TOO_DEEP))
-                continue
             ty: Type = DataRef(dname)
             for i in reversed(range(len(fields))):
                 ty = Arrow(LINEAR if LINEAR in mults[:i] else UNRESTRICTED, fields[i], ty)
@@ -544,9 +541,6 @@ def build_global_env(p: S.Program, diags: list[Diagnostic]) -> GlobalEnv:
             env.kind_of(kenv, sig.scheme.body)
         except CheckError as err:
             diags.append(Diagnostic(sig.pos[0], sig.pos[1], err.diag.message))
-            continue
-        except RecursionError:
-            diags.append(Diagnostic(sig.pos[0], sig.pos[1], TOO_DEEP))
             continue
         env.schemes[name] = sig.scheme
         env.kenvs[name] = kenv
@@ -576,7 +570,7 @@ def check_program(p: S.Program) -> list[Diagnostic]:
                 raise _fail(f"top-level value {name} has linear type {S.pretty(scheme.body)}; "
                             "every use would share it", d.pos)
             check_against(Ctx(env, kenv), d.body, scheme.body)
-        except CheckError as err:
+        except DiagnosticError as err:  # a CheckError, or a KindError of a query
             line, col = (err.diag.line, err.diag.col) if err.diag.line else d.pos
             diags.append(Diagnostic(line, col, f"in {name}: {err.diag.message}"))
         except equiv.Inconclusive:

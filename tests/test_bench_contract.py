@@ -77,3 +77,41 @@ def test_the_refutation_walk_answers_the_bool_the_probe_hook_counts():
         prune(g)
         root = (truncate(g, w1), truncate(g, w2))
         assert walk(g, root, equiv.Budget(), None) is refuted  # as below it
+
+
+def _literal(tree: ast.Module, name: str) -> object:
+    """The literal a module-level assignment in `tree` gives `name`; a tuple
+    assignment gives each of its names the matching element."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            target, value = node.targets[0], node.value
+            pairs = (zip(target.elts, value.elts) if isinstance(target, ast.Tuple)
+                     else [(target, value)])
+            for t, v in pairs:
+                if getattr(t, "id", None) == name:
+                    return ast.literal_eval(v)
+    raise KeyError(name)
+
+
+def test_a_run_makes_one_channel_call_per_message_the_workloads_count(monkeypatch):
+    # the traced run's `runtime.chan_ops` and slot spans are per message
+    workloads = _tree("workloads.py")
+    calls: dict[str, int] = {}
+    for owner, name in ((runtime, "channel_send"), (runtime, "channel_receive"),
+                        (runtime.Slot, "put"), (runtime.Slot, "take")):
+        def counted(*args, _name=name, _original=getattr(owner, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(owner, name, counted)
+
+    def calls_of(source: str) -> dict[str, int]:
+        calls.update(channel_send=0, channel_receive=0, put=0, take=0)
+        runtime.run(checked_program(source), seed=1)
+        return calls
+
+    tree = _literal(workloads, "TREE_MESSAGES")
+    assert calls_of(program_source("tree.fst")) == dict.fromkeys(calls, tree)
+    for n in (1, 100):
+        # n selects and n sends, then `Done`
+        stream = _literal(workloads, "STREAM").format(n=n)
+        assert calls_of(stream) == dict.fromkeys(calls, 2 * n + 1)

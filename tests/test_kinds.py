@@ -5,6 +5,8 @@ import random
 import pytest
 
 from sluice import syntax as S
+from sluice.equiv import Session
+from sluice.grammar import build
 from sluice.kinds import KindError, Walk, contractive, kinding, lub, subkind, synth_kind
 from sluice.parser import parse_type
 from sluice.syntax import (
@@ -111,6 +113,19 @@ class TestSynth:
             spine = Semi(spine, Skip())
         with pytest.raises(KindError, match="^nesting too deep$"):
             synth_kind({}, spine)
+
+    @pytest.mark.parametrize("entry", [
+        lambda t: kinding({}, t),
+        lambda t: contractive({}, t),
+        build,
+        lambda t: Session({}, {}).kind_of({}, t),
+    ], ids=["kinding", "contractive", "build", "Session.kind_of"])
+    def test_too_deep_a_nest_is_a_kind_error_at_every_entry_point(self, entry):
+        t = Message(S.OUT, "Int")
+        for _ in range(3000):
+            t = Choice(S.INTERNAL, (("A", t),))
+        with pytest.raises(KindError, match="^nesting too deep$"):
+            entry(t)
 
     def test_a_non_type_is_a_type_error(self):
         # the walk dispatches on the exact class of a node; anything else

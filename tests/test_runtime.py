@@ -298,6 +298,57 @@ class TestChannels:
             assert exc.value.report == ["send at line 5"]
 
 
+# main's second send waits on the full one-place buffer before main can
+# receive; the send keyword is on line 6, its channel operand on line 7
+SPLIT_SEND = """\
+main : Int
+main =
+  let w, r = new !Int;!Int in
+  let w = send 1 w in
+  let w =
+    send 2
+      w in
+{rest}"""
+
+
+class TestSend:
+    def test_a_send_nested_in_an_application_runs_to_its_value(self):
+        # the send is the argument of `size`, and its channel operand is
+        # itself an application
+        src = ("pass : !Int -o !Int\npass c = c\n"
+               "size : Skip -> Int\nsize c = 5\n"
+               "main : Int\n"
+               "main =\n"
+               "  let w, r = new !Int in\n"
+               "  let n = size (send (1 + 1) (pass w)) in\n"
+               "  let x, _ = receive r in\n"
+               "  n + x\n")
+        prog = checked_program(src)
+        assert {run(prog, seed=seed) for seed in range(10)} == {7}
+
+    @pytest.mark.parametrize("body", ["send 1", "(\\x -> x) (send 1)", "(send 1, 2)"])
+    def test_a_send_short_of_its_channel_is_a_runtime_error(self, body):
+        # the typechecker rejects a bare send; the runtime, which never
+        # re-checks, must not take an unrelated frame for its channel
+        with pytest.raises(RuntimeAbort,
+                           match="^send must be applied to a value and then a channel$"):
+            run_unchecked(f"main : Int\nmain = {body}\n")
+
+    def test_a_parked_send_is_reported_at_its_keyword(self, tmp_path, capsys):
+        for seed in range(10):
+            with pytest.raises(WatchdogAbort) as exc:
+                run_unchecked(SPLIT_SEND.format(rest="  0\n"), seed=seed)
+            assert exc.value.report == ["send at line 6"]
+        src = SPLIT_SEND.format(rest=("  let x, r = receive r in\n"
+                                      "  let y, r = receive r in\n"
+                                      "  x + y\n"))
+        checked_program(src)
+        path = tmp_path / "split.fst"
+        path.write_text(src)
+        assert cli_main(["run", str(path), "--seed", "0"]) == 3
+        assert capsys.readouterr().err == "deadlock detected:\n  send at line 6\n"
+
+
 class TestConcurrency:
     def test_cross_program_completes(self, cross_source):
         assert run_source(cross_source, seed=3, quiescence=0.5) is False

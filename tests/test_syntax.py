@@ -607,6 +607,17 @@ class TestSubst:
         assert S.free_tvars(out) == {"z"}
         assert S.subst(parse_type("rec z. x;z"), {"x": Message(S.OUT, "Int")}).var == "z"
 
+    def test_a_renamed_binder_takes_the_first_free_name(self):
+        # `x` captures `y`'s replacement; `x_1` is taken when it is free in
+        # the body, a key of the mapping or free in a substituted type
+        t = parse_type("rec x. !Int;x;y")
+        for mapping, renamed in (({"y": TVar("x")}, "rec x_1. !Int;x_1;x"),
+                                 ({"y": TVar("x"), "x_1": TVar("z")}, "rec x_2. !Int;x_2;x"),
+                                 ({"y": parse_type("x;x_1")}, "rec x_2. !Int;x_2;x;x_1")):
+            assert S.pretty(S.subst(t, mapping)) == renamed
+        body_has_x_1 = parse_type("rec x. !Int;x;y;x_1")
+        assert S.pretty(S.subst(body_has_x_1, {"y": TVar("x")})) == "rec x_2. !Int;x_2;x;x_1"
+
     def test_free_variables_are_worked_out_once_per_call(self, monkeypatch):
         # twenty binders on the path to `x`, each asking whether it would
         # capture a free variable of the substituted type

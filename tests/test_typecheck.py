@@ -9,6 +9,7 @@ from sluice import equiv as E
 from sluice import kinds as K
 from sluice import syntax as S
 from sluice import typecheck as T
+from sluice.diagnostics import TOO_DEEP, Diagnostic
 from sluice.equiv import Session, equivalent
 from sluice.kinds import KindError
 from sluice.parser import parse_program, parse_type
@@ -435,6 +436,15 @@ class TestErrorPaths:
             (2, 1, "in f: nesting too deep"),
             (4, 5, "in g: expected type Int, found Bool")]
 
+    def test_a_kind_error_in_a_query_is_positioned_at_the_definition(self, monkeypatch):
+        def too_deep(*args):
+            raise KindError(Diagnostic(0, 0, TOO_DEEP))
+
+        monkeypatch.setattr(E.Session, "equivalent", too_deep)
+        diags = check_source("f : Int -> Int\nf x = x\nmain : Int\nmain = f 1\n")
+        assert [(d.line, d.col, d.message) for d in diags] == [
+            (2, 1, "in f: nesting too deep"), (4, 1, "in main: nesting too deep")]
+
     @pytest.mark.parametrize("messages", [1000, 3000])
     def test_too_deep_declarations_are_positioned(self, messages):
         # the parser reads a `;` spine in a loop, but kinding walks it one
@@ -601,6 +611,15 @@ main =
         assert env.equivalent(S.DataRef("A"), parse_type("!Int;?Int;A"), {})
         assert not env.equivalent(S.DataRef("A"), S.DataRef("B"), {})
         assert check_program(prog) == []
+
+    def test_a_renamed_binder_reads_the_same_on_every_check(self):
+        # instantiating `a` with `x` renames the `rec x` binder it lands under
+        src = ("f : forall a:SL => (rec x. !Int;a;x) -> Int\nf c = 1\n"
+               "g : forall x:SL => Int -> Int\ng n = f [x] n\nmain : Int\nmain = 1\n")
+        checks = [[(d.line, d.col, d.message) for d in check_source(src)] for _ in range(3)]
+        assert checks[0] == checks[1] == checks[2]
+        assert (4, 13, "in g: argument type Int does not match parameter type "
+                       "rec x_1. !Int;x;x_1") in checks[0]
 
     def test_diagnostics_name_abbreviations_alike_every_check(self):
         src = "type C = !Int;C\nmain : Int\nmain = let a, b = new C in 1 + a"
