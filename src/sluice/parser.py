@@ -41,14 +41,15 @@ _T = TypeVar("_T")
 
 
 def _error_at(t: Token, msg: str) -> DiagnosticError:
-    return DiagnosticError(Diagnostic(t.line, t.col, msg))
+    return DiagnosticError(Diagnostic(t[2], t[3], msg))
 
 
 class _P:
     """A cursor over a token list that ends with `eof`. Each rule peeks at
-    the next token once (`self.toks[self.i]`) and picks its case by the
-    token's kind and text; a keyword is known by its text alone, which no
-    other token has. Nothing moves past `eof`."""
+    the next token once (`self.toks[self.i]`), unpacks it or reads it by
+    index, and picks its case by the token's kind and text; a keyword is
+    known by its text alone, which no other token has. Nothing moves past
+    `eof`."""
 
     __slots__ = ("toks", "i")
 
@@ -65,30 +66,30 @@ class _P:
 
     def at(self, kind: str, text: str | None = None) -> bool:
         t = self.toks[self.i]
-        return t.kind == kind and (text is None or t.text == text)
+        return t[0] == kind and (text is None or t[1] == text)
 
     def eat(self, text: str, kind: str = "sym") -> bool:
         """Move past the next token if it is `text` of `kind`."""
         t = self.toks[self.i]
-        if t.text == text and t.kind == kind:
+        if t[1] == text and t[0] == kind:
             self.i += 1
             return True
         return False
 
     def expect(self, kind: str, text: str | None = None, what: str = "") -> Token:
         t = self.toks[self.i]
-        if t.kind == kind and (text is None or t.text == text):
+        if t[0] == kind and (text is None or t[1] == text):
             self.i += 1
             return t
         raise self.expected(text or what or kind)
 
     def end(self) -> None:
-        if self.toks[self.i].kind != "eof":
+        if self.toks[self.i][0] != "eof":
             raise self.expected("eof")
 
     def expected(self, want: str) -> DiagnosticError:
-        t = self.toks[self.i]
-        return self.err(f"expected {want!r}, found {t.text!r}" if t.text
+        text = self.toks[self.i][1]
+        return self.err(f"expected {want!r}, found {text!r}" if text
                         else f"expected {want!r}, found end of input")
 
     def err(self, msg: str) -> DiagnosticError:
@@ -98,10 +99,11 @@ class _P:
         """Expect a `kind` token naming a `what` that is not in `seen`, and
         add it there; a repeat is reported at the repeated name."""
         t = self.expect(kind, what=what)
-        if t.text in seen:
-            raise _error_at(t, f"{duplicate} {t.text}")
-        seen.add(t.text)
-        return t.text
+        text = t[1]
+        if text in seen:
+            raise _error_at(t, f"{duplicate} {text}")
+        seen.add(text)
+        return text
 
     # -- types ---------------------------------------------------------------
 
@@ -128,18 +130,17 @@ class _P:
         return t
 
     def _basic_name(self) -> str:
-        t = self.toks[self.i]
-        if t.kind == "uident" and t.text in _BASIC:
+        kind, text, _, _ = self.toks[self.i]
+        if kind == "uident" and text in _BASIC:
             self.i += 1
-            return t.text
+            return text
         if self.eat("("):
             self.expect("sym", ")")
             return "Unit"
         raise self.err("message payload must be a basic type")
 
     def type_atom(self) -> S.Type:
-        t = self.toks[self.i]
-        kind, text = t.kind, t.text
+        kind, text, _, _ = self.toks[self.i]
         if kind == "uident":
             self.i += 1
             if text == "Skip":
@@ -171,7 +172,7 @@ class _P:
             return S.TVar(text)
         elif text == "rec":
             self.i += 1
-            var = self.expect("lident", what="recursion variable").text
+            var = self.expect("lident", what="recursion variable")[1]
             self.expect("sym", ".")
             return S.Rec(var, self.type_())
         raise self.err(f"expected a type, found {text!r}")
@@ -200,9 +201,9 @@ class _P:
             kind = S.SL  # default kind for a polymorphic variable
             if self.eat(":"):
                 kt = self.expect("uident", what="kind")
-                if kt.text not in S.KIND_NAMES:
-                    raise _error_at(kt, f"unknown kind {kt.text}")
-                kind = S.KIND_NAMES[kt.text]
+                if kt[1] not in S.KIND_NAMES:
+                    raise _error_at(kt, f"unknown kind {kt[1]}")
+                kind = S.KIND_NAMES[kt[1]]
             binders.append((name, kind))
             if not self.eat(","):
                 break
@@ -218,7 +219,7 @@ class _P:
         toks = self.toks
         while True:
             t = toks[self.i]
-            if t.text != "let":
+            if t[1] != "let":
                 break
             self.i += 1
             x = self._binder()
@@ -226,7 +227,7 @@ class _P:
             self.expect("sym", "=")
             bound = self.expr()
             self.expect("kw", "in")
-            spine.append(((t.line, t.col), x, y, bound))
+            spine.append((t[2:], x, y, bound))
         body = self._expr_head(t)
         for pos, x, y, bound in reversed(spine):
             body = (S.Let(x, bound, body, pos=pos) if y is None
@@ -236,7 +237,7 @@ class _P:
     def _expr_head(self, t: Token) -> S.Expr:
         """An expression that starts with `t`, the next token, which is not
         `let`."""
-        kind, text = t.kind, t.text
+        kind, text, line, col = t
         if kind == "kw":
             if text == "if":
                 self.i += 1
@@ -244,17 +245,17 @@ class _P:
                 self.expect("kw", "then")
                 then = self.expr()
                 self.expect("kw", "else")
-                return S.If(cond, then, self.expr(), pos=(t.line, t.col))
+                return S.If(cond, then, self.expr(), pos=(line, col))
             if text == "case":
                 self.i += 1
                 scrut = self.expr()
                 self.expect("kw", "of")
-                return S.Case(scrut, tuple(self._case_branches()), pos=(t.line, t.col))
+                return S.Case(scrut, tuple(self._case_branches()), pos=(line, col))
             if text == "match":
                 self.i += 1
                 scrut = self.expr()
                 self.expect("kw", "with")
-                return S.Match(scrut, tuple(self._match_branches()), pos=(t.line, t.col))
+                return S.Match(scrut, tuple(self._match_branches()), pos=(line, col))
         elif text == "\\" and kind == "sym":
             self.i += 1
             param = self._binder()
@@ -263,7 +264,7 @@ class _P:
             else:
                 self.expect("sym", "-o", what="-> or -o")
                 mult = S.LINEAR
-            return S.Lam(mult, param, self.expr(), pos=(t.line, t.col))
+            return S.Lam(mult, param, self.expr(), pos=(line, col))
         return self._binop()
 
     def _binop(self) -> S.Expr:
@@ -276,11 +277,11 @@ class _P:
         left = self._app()
         while True:
             op = toks[self.i]
-            prec = _PRECEDENCE.get(op.text, 0) if op.kind == "sym" else 0
+            prec = _PRECEDENCE.get(op[1], 0) if op[0] == "sym" else 0
             while waiting and waiting[-1][2] >= prec:
-                lhs, lop, _ = waiting.pop()
-                pos = (lop.line, lop.col)
-                left = S.App(S.App(S.Var(lop.text, pos=pos), lhs, pos=pos), left, pos=pos)
+                lhs, (_, name, line, col), _ = waiting.pop()
+                pos = (line, col)
+                left = S.App(S.App(S.Var(name, pos=pos), lhs, pos=pos), left, pos=pos)
             if not prec:
                 return left
             self.i += 1
@@ -288,40 +289,42 @@ class _P:
             left = self._app()
 
     def _binder(self) -> str:
-        t = self.toks[self.i]
-        if t.kind == "lident" or t.text == "_" and t.kind == "sym":
+        kind, text, _, _ = self.toks[self.i]
+        if kind == "lident" or text == "_" and kind == "sym":
             self.i += 1
-            return t.text
+            return text
         raise self.expected("binder")
 
     def _branch_pattern(self) -> int | None:
         """The binder count of a `Name binder* ->` ahead, else None. Such a
         pattern begins the next branch of the enclosing case (any count) or
         match (exactly one); application must not swallow it."""
-        if self.peek().kind != "uident":
+        if self.peek()[0] != "uident":
             return None
         j = 1
-        while self.peek(j).kind == "lident" or (self.peek(j).kind == "sym" and self.peek(j).text == "_"):
+        while True:
+            kind, text, _, _ = self.peek(j)
+            if not (kind == "lident" or kind == "sym" and text == "_"):
+                break
             j += 1
-        return j - 1 if self.peek(j).kind == "sym" and self.peek(j).text == "->" else None
+        return j - 1 if kind == "sym" and text == "->" else None
 
     def _app(self) -> S.Expr:
         toks = self.toks
         t = toks[self.i]
-        head = self._prefix(t) if t.kind == "kw" else self._atom()
+        head = self._prefix(t) if t[0] == "kw" else self._atom()
         while True:
-            t = toks[self.i]
-            kind = t.kind
+            kind, text, line, col = toks[self.i]
             if not (kind in _ARGUMENT_KINDS
-                    or kind == "sym" and t.text == "("
+                    or kind == "sym" and text == "("
                     or kind == "uident" and self._branch_pattern() is None):
                 return head
-            head = S.App(head, self._atom(), pos=(t.line, t.col))
+            head = S.App(head, self._atom(), pos=(line, col))
 
     def _prefix(self, t: Token) -> S.Expr:
         """The expression a keyword `t`, the next token, starts inside an
         application."""
-        text, pos = t.text, (t.line, t.col)
+        text, pos = t[1], t[2:]
         if text in _BEFORE_ATOM:
             self.i += 1
             return _BEFORE_ATOM[text](self._atom(), pos=pos)
@@ -330,54 +333,54 @@ class _P:
             return S.New(self.type_(), pos=pos)
         if text == "select":
             self.i += 1
-            label = self.expect("uident", what="choice label").text
+            label = self.expect("uident", what="choice label")[1]
             return S.Select(label, self._atom(), pos=pos)
         return self._atom()
 
     def _atom(self) -> S.Expr:
         toks = self.toks
         t = toks[self.i]
-        kind = t.kind
+        kind, text, line, col = t
         if kind == "lident":
             self.i += 1
             nxt = toks[self.i]
-            if nxt.text == "[" and nxt.kind == "sym":
+            if nxt[1] == "[" and nxt[0] == "sym":
                 self.i += 1
                 args = [self.type_()]
                 while self.eat(","):
                     args.append(self.type_())
                 self.expect("sym", "]")
-                return S.TypeApp(t.text, tuple(args), pos=(t.line, t.col))
-            return S.Var(t.text, pos=(t.line, t.col))
+                return S.TypeApp(text, tuple(args), pos=(line, col))
+            return S.Var(text, pos=(line, col))
         if kind == "int":
             self.i += 1
             # the length goes first: `int` refuses a string of over 4,300 digits
-            digits = t.text.lstrip("0") or "0"
+            digits = text.lstrip("0") or "0"
             if len(digits) > _INT_DIGITS or int(digits) > S.INT_MAX:
                 raise _error_at(t, "integer literal out of range")
-            return S.Lit(int(digits), pos=(t.line, t.col))
+            return S.Lit(int(digits), pos=(line, col))
         if kind == "uident":
             self.i += 1
-            if t.text == "True":
-                return S.Lit(True, pos=(t.line, t.col))
-            if t.text == "False":
-                return S.Lit(False, pos=(t.line, t.col))
-            return S.Var(t.text, pos=(t.line, t.col))
-        if kind == "sym" and t.text == "(":
+            if text == "True":
+                return S.Lit(True, pos=(line, col))
+            if text == "False":
+                return S.Lit(False, pos=(line, col))
+            return S.Var(text, pos=(line, col))
+        if kind == "sym" and text == "(":
             self.i += 1
             if self.eat(")"):
-                return S.Lit((), pos=(t.line, t.col))
+                return S.Lit((), pos=(line, col))
             first = self.expr()
             if self.eat(","):
                 second = self.expr()
                 self.expect("sym", ")")
-                return S.PairE(first, second, pos=(t.line, t.col))
+                return S.PairE(first, second, pos=(line, col))
             self.expect("sym", ")")
             return first
         if kind == "char":
             self.i += 1
-            return S.Lit(t.text, pos=(t.line, t.col))
-        raise self.err(f"expected an expression, found {t.text!r}")
+            return S.Lit(text, pos=(line, col))
+        raise self.err(f"expected an expression, found {text!r}")
 
     def _case_branches(self) -> list[tuple[str, tuple[str, ...], S.Expr]]:
         branches: list[tuple[str, tuple[str, ...], S.Expr]] = []
@@ -385,7 +388,7 @@ class _P:
         while True:
             ctor = self.fresh("uident", "constructor pattern", seen, "duplicate case branch")
             params: list[str] = []
-            while self.peek().kind == "lident" or self.at("sym", "_"):
+            while self.at("lident") or self.at("sym", "_"):
                 params.append(self._binder())
             self.expect("sym", "->")
             branches.append((ctor, tuple(params), self.expr()))
@@ -438,39 +441,39 @@ def _split_declarations(tokens: list[Token], heads: list[int]) -> list[list[Toke
 def _starts_declaration(tokens: list[Token], head: int, stop: int) -> bool:
     """Whether the line `tokens[head:stop]` starts `type`, `data`,
     `name :` or `name binders... =`."""
-    t = tokens[head]
-    if t.kind != "lident":
-        return t.text == "type" or t.text == "data"
+    kind, text, _, _ = tokens[head]
+    if kind != "lident":
+        return text == "type" or text == "data"
     for i in range(head + 1, stop):
-        t = tokens[i]
-        if t.kind == "sym":
-            if t.text == "=" or t.text == ":" and i == head + 1:
+        kind, text, _, _ = tokens[i]
+        if kind == "sym":
+            if text == "=" or text == ":" and i == head + 1:
                 return True
-            if t.text != "_":
+            if text != "_":
                 return False
-        elif t.kind != "lident":
+        elif kind != "lident":
             return False
     return False
 
 
 def _parse_decl(chunk: list[Token], prog: S.Program, diags: list[Diagnostic]) -> None:
-    chunk.append(Token("eof", "", chunk[-1].line, chunk[-1].col))
+    _, _, line, col = chunk[-1]
+    chunk.append(("eof", "", line, col))
     _within_stack(_P(chunk), lambda p: _declaration(p, prog, diags))
 
 
 def _declaration(p: _P, prog: S.Program, diags: list[Diagnostic]) -> None:
-    head = p.peek()
-    pos = (head.line, head.col)
+    pos = p.peek()[2:]
 
     def check_unique(name: str) -> bool:
         for table in (prog.abbrevs, prog.datatypes, prog.definitions):
             if name in table:
-                diags.append(Diagnostic(head.line, head.col, f"duplicate top-level name {name}"))
+                diags.append(Diagnostic(*pos, f"duplicate top-level name {name}"))
                 return False
         return True
 
     if p.eat("type", "kw"):
-        name = p.expect("uident", what="type name").text
+        name = p.expect("uident", what="type name")[1]
         p.expect("sym", "=")
         body = p.type_()
         p.end()
@@ -478,7 +481,7 @@ def _declaration(p: _P, prog: S.Program, diags: list[Diagnostic]) -> None:
             prog.abbrevs[name] = S.TypeAbbrev(name, body, pos)
         return
     if p.eat("data", "kw"):
-        name = p.expect("uident", what="datatype name").text
+        name = p.expect("uident", what="datatype name")[1]
         p.expect("sym", "=")
         ctors: dict[str, tuple[S.Type, ...]] = {}
         seen: set[str] = set()
@@ -495,13 +498,12 @@ def _declaration(p: _P, prog: S.Program, diags: list[Diagnostic]) -> None:
             prog.datatypes[name] = S.DataDecl(name, ctors, pos)
         return
 
-    name_tok = p.expect("lident", what="declaration")
-    name = name_tok.text
+    name = p.expect("lident", what="declaration")[1]
     if p.eat(":"):
         scheme = p.scheme()
         p.end()
         if name in prog.signatures:
-            diags.append(Diagnostic(head.line, head.col, f"duplicate signature for {name}"))
+            diags.append(Diagnostic(*pos, f"duplicate signature for {name}"))
             return
         prog.signatures[name] = S.SigDecl(name, scheme, pos)
         return

@@ -40,6 +40,8 @@ from itertools import count
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
+from .diagnostics import TOO_DEEP, Diagnostic, DiagnosticError
+
 # ---------------------------------------------------------------------------
 # Node bases
 
@@ -431,7 +433,16 @@ _SEMI_LEVEL = 1
 _ATOM_LEVEL = 2
 
 
-def pretty(t: Type, level: int = _ARROW_LEVEL) -> str:
+def pretty(t: Type) -> str:
+    """`t` as source text. A type nested deeper than the printer can follow
+    on the Python stack raises DiagnosticError(TOO_DEEP)."""
+    try:
+        return _pretty(t, _ARROW_LEVEL)
+    except RecursionError:
+        raise DiagnosticError(Diagnostic(0, 0, TOO_DEEP)) from None
+
+
+def _pretty(t: Type, level: int) -> str:
     match t:
         case Basic("Unit"):
             return "()"
@@ -446,19 +457,19 @@ def pretty(t: Type, level: int = _ARROW_LEVEL) -> str:
         case Message(polarity, payload):
             return f"{polarity}{payload}" if payload != "Unit" else f"{polarity}()"
         case Choice(view, branches):
-            inner = ", ".join(f"{lab}: {pretty(ty)}" for lab, ty in branches)
+            inner = ", ".join(f"{lab}: {_pretty(ty, _ARROW_LEVEL)}" for lab, ty in branches)
             return f"{view}{{{inner}}}"
         case Pair(fst, snd):
-            return f"({pretty(fst)}, {pretty(snd)})"
+            return f"({_pretty(fst, _ARROW_LEVEL)}, {_pretty(snd, _ARROW_LEVEL)})"
         case Semi(lhs, rhs):
-            s = f"{pretty(lhs, _ATOM_LEVEL)};{pretty(rhs, _SEMI_LEVEL)}"
+            s = f"{_pretty(lhs, _ATOM_LEVEL)};{_pretty(rhs, _SEMI_LEVEL)}"
             return f"({s})" if level > _SEMI_LEVEL else s
         case Arrow(mult, dom, cod):
             op = "->" if mult == UNRESTRICTED else "-o"
-            s = f"{pretty(dom, _SEMI_LEVEL)} {op} {pretty(cod, _ARROW_LEVEL)}"
+            s = f"{_pretty(dom, _SEMI_LEVEL)} {op} {_pretty(cod, _ARROW_LEVEL)}"
             return f"({s})" if level > _ARROW_LEVEL else s
         case Rec(var, body):
-            s = f"rec {var}. {pretty(body, _ARROW_LEVEL)}"
+            s = f"rec {var}. {_pretty(body, _ARROW_LEVEL)}"
             return f"({s})" if level > _ARROW_LEVEL else s
     raise TypeError(f"not a type: {t!r}")
 

@@ -1,6 +1,7 @@
 """The command-line front end and its exit-code contract."""
 
 import os
+import random
 import re
 import subprocess
 import sys
@@ -118,6 +119,28 @@ class TestCheck:
         assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
         done = run_cli("run", str(deep))
         assert (done.returncode, done.stdout, done.stderr) == (0, "999\n", "")
+
+    @pytest.mark.parametrize("name", sorted(os.listdir(PROGRAMS)))
+    def test_single_character_mutants_exit_with_a_documented_code(self, name, tmp_path, capsys):
+        # the mutations include the first characters of the two-character
+        # symbols, a quote, a backslash and a newline
+        with open(os.path.join(PROGRAMS, name), encoding="utf-8") as fh:
+            source = fh.read()
+        rng = random.Random(f"cli-mutants:{name}")
+        path = tmp_path / name
+        codes = set()
+        for _ in range(150):
+            i = rng.randrange(len(source))
+            path.write_text(source[:i] + rng.choice("qZ;:()!?&{}[]|,=.-<>o'\\\n0é")
+                            + source[i + 1:], encoding="utf-8")
+            try:
+                code = main(["check", str(path)])
+            except SystemExit as exc:
+                code = exc.code
+            assert code in {0, 1, 2, 3, 64}, (code, path.read_text(encoding="utf-8"))
+            assert "Traceback" not in capsys.readouterr().err
+            codes.add(code)
+        assert 1 in codes
 
 
 class TestRun:

@@ -245,7 +245,7 @@ class TestReporting:
         assert cli_main(["run", str(path)]) == 0
         out = capsys.readouterr().out
         assert out == literal + "\n"
-        assert [(t.kind, t.text) for t in lex(out)] == [("char", char), ("eof", "")]
+        assert [(kind, text) for kind, text, _, _ in lex(out)] == [("char", char), ("eof", "")]
 
 
 class TestChannels:

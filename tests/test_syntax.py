@@ -4,13 +4,12 @@ import dataclasses
 import random
 import re
 import typing
-from functools import partial
 
 import pytest
 
 from sluice import syntax as S
 from sluice.diagnostics import Diagnostic, DiagnosticError
-from sluice.lexer import KEYWORDS, Token, lex
+from sluice.lexer import KEYWORDS, lex
 from sluice.parser import parse_program, parse_scheme, parse_type
 from sluice.syntax import (
     Skip, Semi, Message, Choice, Rec, TVar, Basic, Arrow, Pair, DataRef,
@@ -134,14 +133,11 @@ _REFERENCE_SCAN = re.compile(r"""
 
 _REFERENCE_ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", "'": "'", "0": "\0"}
 
-_token = partial(tuple.__new__, Token)
-
-
-def reference_lex(source: str) -> list[Token]:
+def reference_lex(source: str) -> list[tuple[str, str, int, int]]:
     """The tokens of `source`, ending with an `eof` token. A column counts
     the characters since the last newline, except that a comment leaves the
     column where it began."""
-    tokens: list[Token] = []
+    tokens: list[tuple[str, str, int, int]] = []
     append = tokens.append
     line, line_start, comment_at = 1, 0, None
     for m in _REFERENCE_SCAN.finditer(source):
@@ -156,25 +152,25 @@ def reference_lex(source: str) -> list[Token]:
         if group == "word":
             text = m.group(group)
             if text in KEYWORDS:
-                append(_token(("kw", text, line, col)))
+                append(("kw", text, line, col))
             elif not text[0].isalpha():
                 raise DiagnosticError(Diagnostic(line, col, f"unexpected character {text[0]!r}"))
             elif text[0].isupper():
-                append(_token(("uident", text, line, col)))
+                append(("uident", text, line, col))
             else:
-                append(_token(("lident", text, line, col)))
+                append(("lident", text, line, col))
         elif group == "sym" or group == "int":
-            append(_token((group, m.group(group), line, col)))
+            append((group, m.group(group), line, col))
         elif group == "comment":
             comment_at = at
         elif group == "char":
             text = m.group(group)
-            append(_token(("char", _REFERENCE_ESCAPES[text[2]] if len(text) == 4 else text[1],
-                           line, col)))
+            append(("char", _REFERENCE_ESCAPES[text[2]] if len(text) == 4 else text[1],
+                    line, col))
         else:
             raise DiagnosticError(Diagnostic(line, col, _reference_malformed(source, at)))
     end = len(source) if comment_at is None else comment_at
-    append(Token("eof", "", line, end - line_start + 1))
+    append(("eof", "", line, end - line_start + 1))
     return tokens
 
 
@@ -210,7 +206,7 @@ def lexed(lex_fn, source):
 
 
 def tokens(source):
-    return [(t.kind, t.text, t.line, t.col) for t in lex(source)]
+    return lex(source)
 
 
 class TestLexer:
@@ -278,6 +274,25 @@ class TestLexer:
         for _ in range(20):
             sources.append("".join(rng.choice(pieces[:-2]) for _ in range(3000))
                            .replace(" '\n'", " 'a'"))
+        # each two-character symbol beside its first character, which the
+        # scan reads with an optional second one and the reference whole;
+        # `-o` against longer words; comments, digits and non-ASCII words
+        sources += [
+            "= == => === ==> =>= =>> x=y x==y x=>y",
+            "< <= << <<= <== a<b a<=b", "> >= >> >>= >=> a>b a>=b",
+            "& && &&& a&b a&&b", "| || ||| a|b a||b",
+            "- -> -o -- c\n-\n->-o-o-->", "a-b a->b a-ob a-o b a- -b",
+            "-o -ox -o' -o1 -o_ -oé -o( -o\n", "-o-o' --o -- -o",
+            "a -- c\nb -- c", "x --c", "---", "-- c", "-", "1-- c\n2-",
+            "x=--c\n=>--", "<--", "&--", "|-->",
+            "12ab 0x1F 3' 007_ x12y 1e5 9Z",
+            "λx Ñu éa-ob ǅ=λ xé -oλ λ->λ ü'", "é1 Λ_ ٣x", "²x",
+        ]
+        rng = random.Random(3301)
+        pieces = ["=", "==", "=>", "<", "<=", ">", ">=", "&", "&&", "|", "||", "-", "->",
+                  "-o", "--", "o", "x", "1", "'", "_", "é", " ", "\n"]
+        for _ in range(2000):
+            sources.append("".join(rng.choice(pieces) for _ in range(rng.randint(1, 12))))
         for source in sources:
             at = raw_newline_literal(source)
             if at is None:
@@ -445,6 +460,18 @@ class TestPretty:
                      "rec x. +{A: !Int;x, B: Skip}"]:
             t = parse_type(text)
             assert reassoc_semi(parse_type(pretty(t))) == reassoc_semi(t)
+
+    @pytest.mark.parametrize("depth, prints", [(300, True), (400, False), (900, False)])
+    def test_a_nest_too_deep_to_print_is_a_diagnostic(self, depth, prints):
+        # built as syntax: from source text the parser stops sooner
+        t = Message(S.OUT, "Int")
+        for _ in range(depth):
+            t = Choice(S.INTERNAL, (("A", t),))
+        if prints:
+            assert pretty(t) == "+{A: " * depth + "!Int" + "}" * depth
+        else:
+            with pytest.raises(DiagnosticError, match="^nesting too deep$"):
+                pretty(t)
 
 
 class TestParseProgram:

@@ -890,6 +890,55 @@ class TestSession:
         assert checked_searches == 2 * ["past", "root", "past"]
 
 
+class TestIdentityQueries:
+    """`GlobalEnv.equivalent` answers a query of one object against itself
+    without the session: every type the checker compares is kinded already."""
+
+    @staticmethod
+    def session_queries(monkeypatch):
+        """The list every later `Session.equivalent` call appends its two
+        types to."""
+        queries = []
+        original = Session.equivalent
+
+        def counting(session, t1, t2, env, **options):
+            queries.append((t1, t2))
+            return original(session, t1, t2, env, **options)
+
+        monkeypatch.setattr(Session, "equivalent", counting)
+        return queries
+
+    def test_a_let_chain_asks_the_session_nothing(self, monkeypatch):
+        queries = self.session_queries(monkeypatch)
+        lets = ["let x0 = 0 in"] + [f"let x{i} = x{i - 1} + 1 in" for i in range(1, 50)]
+        check_against(Ctx(fresh_env(), {}), parse_expr(" ".join(lets + ["x49"])), S.INT)
+        assert queries == []
+        # as a program, only the body's type against the signature's is asked
+        assert check_source("main : Int\nmain =\n" + "\n".join(lets + ["x49"]) + "\n") == []
+        assert queries == [(S.INT, Basic("Int"))]
+
+    def test_a_mismatched_argument_is_still_reported(self, monkeypatch):
+        queries = self.session_queries(monkeypatch)
+        diags = check_source("f : Int -> Int\nf x = x\nmain : Int\nmain = f True\n")
+        assert [d.render() for d in diags] == [
+            "<input>:4:10: error: in main: argument type Bool does not match parameter type Int"]
+        assert (S.BOOL, Basic("Int")) in queries
+
+    @pytest.mark.parametrize("arg, why", [
+        ("Int;Skip", "sequential composition requires session types; "
+                     "left operand Int has kind TU"),
+        ("rec x. x", "non-contractive recursive type rec x. x"),
+        ("beta", "unbound type variable beta"),
+    ])
+    def test_an_ill_kinded_type_argument_is_still_rejected(self, arg, why):
+        # the argument is substituted into `a -> a`, so its two copies in
+        # the instance are one object
+        diags = check_source("id : forall a:TU => a -> a\nid x = x\n"
+                             f"main : Int\nmain = let _ = id[{arg}] in 1\n")
+        assert [d.render() for d in diags] == [
+            f"<input>:4:16: error: in main: bad type argument for a: {why}"]
+
+
 class TestCheckAgainst:
     def test_accepts_up_to_the_laws(self):
         ctx = linear_ctx({}, c="Skip;!Int")

@@ -393,7 +393,7 @@ def frontend_parts(source: str) -> tuple[str, str, str, str]:
     is recorded by its type, since the record must hold whatever the front
     end does, crashes included."""
     try:
-        tokens = repr([(t.kind, t.text, t.line, t.col) for t in lex(source)])
+        tokens = repr(lex(source))
     except DiagnosticError as exc:
         tokens = exc.diag.render()
     try:
