@@ -23,7 +23,10 @@ def dual(t: Type) -> Type:
             return Message(IN if polarity == OUT else OUT, payload)
         case Choice(view, branches):
             flipped = INTERNAL if view == EXTERNAL else EXTERNAL
-            return Choice(flipped, tuple((lab, dual(ty)) for lab, ty in branches))
+            duals = []
+            for lab, ty in branches:
+                duals.append((lab, dual(ty)))
+            return Choice(flipped, tuple(duals))
         case Rec(var, body):
             return Rec(var, dual(body))
         case DataRef(name):

@@ -47,7 +47,6 @@ new ones are normed together.
 from __future__ import annotations
 
 import itertools
-from functools import partial
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -82,10 +81,6 @@ def step(g: Grammar, w: Word) -> dict[Terminal, Word]:
 
 # ---------------------------------------------------------------------------
 # Translation
-
-# Terminal((tag, arg)) without NamedTuple.__new__'s Python frame
-_terminal = partial(tuple.__new__, Terminal)
-
 
 class _Builder:
     """Translates closed types (free variables are rigid) into
@@ -146,29 +141,29 @@ class _Builder:
         an arrow or a pair has one action per component, and a basic type or
         a datatype name one with an empty continuation. This one worklist
         loop fills in every nonterminal's productions."""
-        word, pending, terminal = self.word, self.pending, _terminal
+        word, pending = self.word, self.pending
         while pending:  # filling one nonterminal may queue more
             prods, t, env = pending.pop()
             cls = t.__class__
             if cls is Message:
-                prods[terminal((t.polarity, t.payload))] = EPSILON
+                prods[t.polarity, t.payload] = EPSILON
             elif cls is Choice:
                 view = t.view
                 for lab, ty in t.branches:
-                    prods[terminal((view, lab))] = word(ty, env)
+                    prods[view, lab] = word(ty, env)
             elif cls is TVar:
-                prods[terminal((S.VAR, t.name))] = EPSILON
+                prods[S.VAR, t.name] = EPSILON
             elif cls is DataRef:  # a datatype: names are queued as their heads
-                prods[terminal(("#", t.name))] = EPSILON
+                prods["#", t.name] = EPSILON
             elif cls is Basic:
-                prods[terminal(("=", t.name))] = EPSILON
+                prods["=", t.name] = EPSILON
             elif cls is Arrow:
                 tag = "-o" if t.mult == S.LINEAR else "->"
-                prods[terminal((tag, "dom"))] = word(t.dom, env)
-                prods[terminal((tag, "cod"))] = word(t.cod, env)
+                prods[tag, "dom"] = word(t.dom, env)
+                prods[tag, "cod"] = word(t.cod, env)
             elif cls is Pair:
-                prods[terminal(("*", "fst"))] = word(t.fst, env)
-                prods[terminal(("*", "snd"))] = word(t.snd, env)
+                prods["*", "fst"] = word(t.fst, env)
+                prods["*", "snd"] = word(t.snd, env)
             else:  # a `rec`, or the head of an abbreviation name
                 actions = S.head(t, self.names) if cls is Rec else t
                 for a, k in actions.items():
@@ -253,10 +248,9 @@ def dump(g: Grammar, starts: list[Word] | None = None) -> str:
         for i, w in enumerate(starts):
             lines.append(f"start{i} = {format_word(w)}")
     for nt in g.nonterminals():
-        for a in sorted(g.productions[nt]):
-            rhs = g.productions[nt][a]
+        for (tag, arg), rhs in sorted(g.productions[nt].items()):
             tail = (" " + format_word(rhs)) if rhs else ""
-            lines.append(f"X{nt} -> {a}{tail}")
+            lines.append(f"X{nt} -> {tag}{arg}{tail}")
     for nt in g.nonterminals():
         if g.norms:
             n = g.norms.get(nt)

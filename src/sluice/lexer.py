@@ -79,8 +79,8 @@ ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", "'": "'", "0": "\0"}
 
 # A token is a plain tuple `(kind, text, line, col)`: `kind` is one of
 # 'lident', 'uident', 'int', 'char', 'kw', 'sym' and 'eof'. A tuple costs a
-# fraction of a `NamedTuple` to build, and the parser reads it by unpacking
-# or by index.
+# fraction of a tuple class with named fields to build, and the parser reads
+# it by unpacking or by index.
 Token = tuple[str, str, int, int]
 
 

@@ -22,7 +22,7 @@ from .diagnostics import TOO_DEEP, Diagnostic, DiagnosticError
 from .lexer import Token, lex
 from . import syntax as S
 
-_BASIC = {"Int": "Int", "Bool": "Bool", "Char": "Char"}
+_BASIC = {name: t for name, t in S.BASICS.items() if name != "Unit"}  # Unit is `()`
 
 # Binary operators by precedence, loosest first; all group to the left.
 _PRECEDENCE = {"||": 1, "&&": 2, "==": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
@@ -145,8 +145,9 @@ class _P:
             self.i += 1
             if text == "Skip":
                 return S.Skip()
-            if text in _BASIC:
-                return S.Basic(text)
+            basic = _BASIC.get(text)
+            if basic is not None:
+                return basic
             return S.DataRef(text)
         if kind == "sym":
             if text == "!" or text == "?":

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError, dataclass
 from itertools import count
 from operator import attrgetter
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .diagnostics import TOO_DEEP, Diagnostic, DiagnosticError
 
@@ -226,10 +226,11 @@ class TVar(_Frozen):
 
 Type = Union[Basic, Arrow, Pair, DataRef, Skip, Semi, Message, Choice, Rec, TVar]
 
-UNIT = Basic("Unit")
-INT = Basic("Int")
-BOOL = Basic("Bool")
-CHAR = Basic("Char")
+# The one node of each basic type. The parser and the typechecker build none
+# of their own, so two basic types that agree are one object, which
+# `typecheck.GlobalEnv.equivalent` answers without the session.
+BASICS = {name: Basic(name) for name in BASIC_NAMES}
+INT, BOOL, CHAR, UNIT = BASICS.values()
 
 
 class Scheme(_Frozen):
@@ -274,7 +275,10 @@ def type_names(t: Type) -> set[str]:
         case Semi(a, b) | Arrow(_, a, b) | Pair(a, b):
             return type_names(a) | type_names(b)
         case Choice(_, branches):
-            return set().union(*(type_names(ty) for _, ty in branches))
+            names: set[str] = set()
+            for _, ty in branches:
+                names |= type_names(ty)
+            return names
         case Rec(_, body):
             return type_names(body)
     return set()
@@ -297,7 +301,10 @@ def _subst(t: Type, mapping: dict[str, Type], free: dict[str, frozenset[str]]) -
     if cls is Semi:
         return Semi(_subst(t.lhs, mapping, free), _subst(t.rhs, mapping, free))
     if cls is Choice:
-        return Choice(t.view, tuple((lab, _subst(ty, mapping, free)) for lab, ty in t.branches))
+        branches = []
+        for lab, ty in t.branches:
+            branches.append((lab, _subst(ty, mapping, free)))
+        return Choice(t.view, tuple(branches))
     if cls is TVar:
         return mapping.get(t.name, t)
     if cls is Rec:
@@ -338,18 +345,11 @@ def seq(a: Type, b: Type) -> Type:
 VAR = "$"
 
 
-class Terminal(NamedTuple):
-    """A first action of a session type. Messages are tagged with their
-    polarity and choice labels with the choice's view; a free type variable
-    is a rigid action tagged VAR, so open types compare by name. It is a
-    NamedTuple, so hashing and comparing it (every grammar dict and every
-    `step`) run in C."""
-
-    tag: str
-    arg: str
-
-    def __str__(self) -> str:
-        return f"{self.tag}{self.arg}"
+# A first action of a session type is a plain pair `(tag, arg)`: messages
+# are tagged with their polarity and choice labels with the choice's view; a
+# free type variable is a rigid action tagged VAR, so open types compare by
+# name.
+Terminal = tuple[str, str]
 
 
 class NoHead(Exception):
@@ -405,12 +405,12 @@ def head(t: Type, names: Mapping[str, Type] | None = None) -> dict[Terminal, Typ
             t = subst(t.body, {t.var: t})
             continue
         if cls is Message:
-            actions = ((Terminal(t.polarity, t.payload), Skip()),)
+            actions = (((t.polarity, t.payload), Skip()),)
         elif cls is Choice:
             view = t.view
-            actions = ((Terminal(view, lab), ty) for lab, ty in t.branches)
+            actions = (((view, lab), ty) for lab, ty in t.branches)
         elif cls is TVar:
-            actions = ((Terminal(VAR, t.name), Skip()),)
+            actions = (((VAR, t.name), Skip()),)
         elif cls is DataRef and names and t.name in names:
             if fuel == 0:
                 raise Unfolding(f"names do not reach an action: {t.name}", start)
@@ -457,8 +457,10 @@ def _pretty(t: Type, level: int) -> str:
         case Message(polarity, payload):
             return f"{polarity}{payload}" if payload != "Unit" else f"{polarity}()"
         case Choice(view, branches):
-            inner = ", ".join(f"{lab}: {_pretty(ty, _ARROW_LEVEL)}" for lab, ty in branches)
-            return f"{view}{{{inner}}}"
+            inner = []
+            for lab, ty in branches:
+                inner.append(f"{lab}: {_pretty(ty, _ARROW_LEVEL)}")
+            return f"{view}{{{', '.join(inner)}}}"
         case Pair(fst, snd):
             return f"({_pretty(fst, _ARROW_LEVEL)}, {_pretty(snd, _ARROW_LEVEL)})"
         case Semi(lhs, rhs):
@@ -725,7 +727,3 @@ class Program:
     datatypes: dict[str, DataDecl]
     signatures: dict[str, SigDecl]
     definitions: dict[str, FunDef]
-
-    @property
-    def entry(self) -> Optional[FunDef]:
-        return self.definitions.get("main")

@@ -195,7 +195,7 @@ def synth(ctx: Ctx, e: Expr) -> Type:
     if cls is Receive:
         tc = synth(ctx, e.expr)
         (payload, cont), = _actions(env, tc, S.IN, e.pos).items()
-        return Pair(Basic(payload), cont)
+        return Pair(S.BASICS[payload], cont)
 
     if cls is Let or cls is LetPair:
         return _let_spine(ctx, e)
@@ -337,7 +337,7 @@ def _actions(env: GlobalEnv, t: Type, tag: str, pos: S.Pos | None) -> dict[str, 
         raise  # a channel type, reported by `check_program`
     except S.NoHead:
         raise _fail(f"expected a channel, got {S.pretty(t)}", pos)
-    actions = {a.arg: cont for a, cont in head.items() if a.tag == tag}
+    actions = {arg: cont for (a_tag, arg), cont in head.items() if a_tag == tag}
     if not actions:
         raise _fail(f"channel of type {S.pretty(t)} {_NO_ACTION[tag]}", pos)
     return actions

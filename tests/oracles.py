@@ -103,10 +103,7 @@ def k_bisimilar_types(t1: Type, t2: Type, depth: int) -> bool:
 def _word_step(g):
     from sluice.grammar import step as gstep
 
-    def step_fn(w):
-        return {(a.tag, a.arg): w2 for a, w2 in gstep(g, w).items()}
-
-    return step_fn
+    return lambda w: gstep(g, w)
 
 
 def k_bisimilar_type_word(t: Type, g, w, depth: int) -> bool:

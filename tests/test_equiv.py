@@ -16,7 +16,7 @@ from sluice.equiv import (
     expand, index_rules, search, simplify,
 )
 from sluice.grammar import (
-    Grammar, Terminal, build, compute_norms, prune, step, truncate, word_norm,
+    Grammar, build, compute_norms, prune, step, truncate, word_norm,
 )
 from sluice.parser import parse_type
 from sluice.syntax import Basic, DataRef, Pair, Rec, Semi, TVar, SL, TU
@@ -63,7 +63,7 @@ class TestExpand:
         g, w = tree_grammar()
         (t,) = w
         succ = expand(g, {(w, w)})
-        node_word = g.productions[t][Terminal("+", "Node")]
+        node_word = g.productions[t][("+", "Node")]
         assert succ == frozenset({((), ()), (node_word, node_word)})
         assert len(node_word) == 4
 
@@ -173,9 +173,9 @@ class TestSimplify:
         g, w = tree_grammar()
         (t,) = w
         r = next(nt for nt in g.productions
-                 if Terminal("?", "Int") in g.productions[nt])
+                 if ("?", "Int") in g.productions[nt])
         m = next(nt for nt in g.productions
-                 if Terminal("!", "Int") in g.productions[nt])
+                 if ("!", "Int") in g.productions[nt])
         pair_small = ((r,), (r, m))
         pair_big = ((t, r), (t, r, m))
         out = simplify_alone(g, {pair_big, pair_small}, [])
@@ -187,9 +187,9 @@ class TestSimplify:
         g, w = tree_grammar()
         (t,) = w
         m = next(nt for nt in g.productions
-                 if Terminal("!", "Int") in g.productions[nt])
+                 if ("!", "Int") in g.productions[nt])
         r = next(nt for nt in g.productions
-                 if Terminal("?", "Int") in g.productions[nt])
+                 if ("?", "Int") in g.productions[nt])
         assert g.norms[m] == 1
         out = simplify_alone(g, {((m, t), (m, r))}, [])
         assert any(((t,), (r,)) in node for node in out)

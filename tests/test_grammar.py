@@ -6,7 +6,7 @@ from collections import deque
 from sluice import syntax as S
 from sluice.equiv import equivalent
 from sluice.grammar import (
-    Grammar, Terminal, _Builder, build, compute_norms, dump, prune, step,
+    Grammar, _Builder, build, compute_norms, dump, prune, step,
     truncate, word_norm, EPSILON,
 )
 from sluice.kinds import Walk
@@ -27,6 +27,10 @@ def keyed_alike(*types):
     return len({walk.facts(t, env)[6] for t in types}) == 1
 
 
+def _is_plain_pair(a) -> bool:
+    return a.__class__ is tuple and len(a) == 2 and all(x.__class__ is str for x in a)
+
+
 def canonical_shape(g: Grammar, start):
     """Renaming-independent description of the part of the grammar reachable
     from a start word: nonterminals are numbered in breadth-first discovery
@@ -43,7 +47,7 @@ def canonical_shape(g: Grammar, start):
     shape = []
     for nt in sorted(order, key=order.get):
         prods = tuple(
-            ((a.tag, a.arg), tuple(order[x] for x in g.productions[nt][a]))
+            (a, tuple(order[x] for x in g.productions[nt][a]))
             for a in sorted(g.productions[nt]))
         shape.append(prods)
     return tuple(order[x] for x in start), tuple(shape)
@@ -122,7 +126,7 @@ class TestBuild:
         start, shape = canonical_shape(g, w)
         assert start == (0,)
         assert shape == (((("!", "Int"), (0,)),),)
-        assert step(g, w) == {Terminal("!", "Int"): w}
+        assert step(g, w) == {("!", "Int"): w}
 
     def test_random_translation_matches_type_semantics(self):
         rng = random.Random(11)
@@ -201,9 +205,9 @@ class TestBuild:
         # U names a terminated protocol, so it is the empty word
         assert (wa, wb, wu) == ((0,), (1,), EPSILON)
         assert g.productions == {
-            0: {Terminal("!", "Int"): (1,)},
-            1: {Terminal("+", "More"): (2, 0), Terminal("+", "Done"): EPSILON},
-            2: {Terminal("?", "Int"): EPSILON},
+            0: {("!", "Int"): (1,)},
+            1: {("+", "More"): (2, 0), ("+", "Done"): EPSILON},
+            2: {("?", "Int"): EPSILON},
         }
 
     def test_functional_nonterminals(self):
@@ -214,13 +218,13 @@ class TestBuild:
         g, w = build(parse_type("(Int, D) -> Bool -o !Int"), names={"E": parse_type("?Int")})
         assert w == (0,)
         assert g.productions == {
-            0: {Terminal("->", "dom"): (1,), Terminal("->", "cod"): (2,)},
-            1: {Terminal("*", "fst"): (5,), Terminal("*", "snd"): (6,)},
-            2: {Terminal("-o", "dom"): (3,), Terminal("-o", "cod"): (4,)},
-            3: {Terminal("=", "Bool"): EPSILON},
-            4: {Terminal("!", "Int"): EPSILON},
-            5: {Terminal("=", "Int"): EPSILON},
-            6: {Terminal("#", "D"): EPSILON},
+            0: {("->", "dom"): (1,), ("->", "cod"): (2,)},
+            1: {("*", "fst"): (5,), ("*", "snd"): (6,)},
+            2: {("-o", "dom"): (3,), ("-o", "cod"): (4,)},
+            3: {("=", "Bool"): EPSILON},
+            4: {("!", "Int"): EPSILON},
+            5: {("=", "Int"): EPSILON},
+            6: {("#", "D"): EPSILON},
         }
 
     def test_a_long_chain_of_names_costs_no_stack(self):
@@ -251,8 +255,21 @@ class TestBuild:
             for nt, prods in g.productions.items():
                 assert isinstance(nt, int)
                 for a, delta in prods.items():
-                    assert isinstance(a, Terminal)
+                    assert _is_plain_pair(a)
                     assert all(x in g.productions for x in delta)
+
+    def test_first_actions_are_plain_pairs_of_strings(self):
+        # every key of `syntax.head` and of `step` is a `(tag, arg)` tuple,
+        # open types, names and functional types included
+        rng = random.Random(29)
+        names = {"A": parse_type("!Int;B"), "B": parse_type("+{More: ?Int;A, Done: Skip}")}
+        types = [parse_type("(Int, D) -> Bool -o !Int"), S.DataRef("A")]
+        types += [rand_session(rng, rng.randint(0, 5), ("a",)) for _ in range(100)]
+        for t in types[1:]:
+            assert all(_is_plain_pair(a) for a in S.head(t, names))
+        g, *words = build(*types, names=names)
+        for nt in g.productions:
+            assert all(_is_plain_pair(a) for a in step(g, (nt,)))
 
 
 class TestNorms:
@@ -313,7 +330,7 @@ class TestNorms:
 def _hand_grammar(prods) -> Grammar:
     table = {}
     for nt, a, arg, rhs in prods:
-        table.setdefault(nt, {})[Terminal(a, arg)] = tuple(rhs)
+        table.setdefault(nt, {})[(a, arg)] = tuple(rhs)
     return Grammar(table)
 
 
@@ -328,7 +345,7 @@ class TestPrune:
         g0 = Grammar({nt: dict(p) for nt, p in g.productions.items()}, dict(g.norms))
         w_before = (0, 1)
         prune(g)
-        assert g.productions[0][Terminal("!", "Int")] == (0,)
+        assert g.productions[0][("!", "Int")] == (0,)
         assert truncate(g, w_before) == (0,)
         assert k_bisimilar(g0, w_before, g, truncate(g, w_before), 20)
 
@@ -359,7 +376,7 @@ class TestPrune:
         compute_norms(g)
         g0 = Grammar({nt: dict(p) for nt, p in g.productions.items()}, dict(g.norms))
         prune(g)
-        assert g.productions[0][Terminal("!", "Int")] == (1,)
+        assert g.productions[0][("!", "Int")] == (1,)
         assert k_bisimilar(g0, (0,), g, (0,), 20)
 
     def test_pruning_preserves_bisimilarity(self):
@@ -390,8 +407,8 @@ class TestStep:
         g, w = build(TREE_C)
         succ = step(g, w)
         start, shape = canonical_shape(g, w)
-        leaf = succ[Terminal("+", "Leaf")]
-        node = succ[Terminal("+", "Node")]
+        leaf = succ[("+", "Leaf")]
+        node = succ[("+", "Node")]
         assert leaf == EPSILON
         assert len(node) == 4 and node[1] == w[0] and node[2] == w[0]
 
@@ -401,4 +418,4 @@ class TestStep:
 
     def test_unfolding_through_tail(self):
         g, w = build(LOOP)
-        assert step(g, w + w) == {Terminal("!", "Int"): w + w}
+        assert step(g, w + w) == {("!", "Int"): w + w}

@@ -6,7 +6,7 @@ import pytest
 
 from sluice import syntax as S
 from sluice.parser import parse_type
-from sluice.syntax import Basic, Choice, Message, Rec, Semi, Skip, TVar, Terminal
+from sluice.syntax import Basic, Choice, Message, Rec, Semi, Skip, TVar
 
 from gen import lawify, rand_regular, rand_session
 from oracles import _skip_elim, type_step
@@ -51,21 +51,21 @@ def test_head_agrees_with_the_oracle_semantics():
     for t in _seeded_types():
         mine = S.head(t)
         oracle = type_step(t)
-        assert {(a.tag, a.arg) for a in mine} == set(oracle), S.pretty(t)
+        assert set(mine) == set(oracle), S.pretty(t)
         for a, cont in mine.items():
-            assert _up_to_laws(cont) == _up_to_laws(oracle[(a.tag, a.arg)]), (
+            assert _up_to_laws(cont) == _up_to_laws(oracle[a]), (
                 S.pretty(t), str(a))
 
 
 def test_choice_continuations_are_composed():
     head = S.head(parse_type("(&{A: !Int, B: Skip};?Bool);!Char"))
-    assert head == {Terminal(S.EXTERNAL, "A"): parse_type("!Int;?Bool;!Char"),
-                    Terminal(S.EXTERNAL, "B"): parse_type("?Bool;!Char")}
+    assert head == {(S.EXTERNAL, "A"): parse_type("!Int;?Bool;!Char"),
+                    (S.EXTERNAL, "B"): parse_type("?Bool;!Char")}
 
 
 def test_terminated_and_open_heads():
     assert S.head(parse_type("Skip;(rec x. Skip);Skip")) == {}
-    assert S.head(Semi(TVar("a"), INT_OUT)) == {Terminal(S.VAR, "a"): INT_OUT}
+    assert S.head(Semi(TVar("a"), INT_OUT)) == {(S.VAR, "a"): INT_OUT}
 
 
 @pytest.mark.parametrize("t", [
@@ -85,8 +85,8 @@ def test_head_of_a_deep_right_nested_spine():
     for _ in range(DEPTH):
         t = Semi(INT_OUT, t)
     head = S.head(t)
-    assert list(head) == [Terminal(S.OUT, "Int")]
-    assert head[Terminal(S.OUT, "Int")] is t.rhs
+    assert list(head) == [(S.OUT, "Int")]
+    assert head[(S.OUT, "Int")] is t.rhs
 
 
 def test_head_of_a_deep_left_nested_spine():
@@ -94,7 +94,7 @@ def test_head_of_a_deep_left_nested_spine():
     for _ in range(DEPTH):
         t = Semi(t, INT_OUT)
     (action, cont), = S.head(t).items()
-    assert action == Terminal(S.OUT, "Int")
+    assert action == (S.OUT, "Int")
     # the continuation is the other DEPTH messages, walked without recursion
     semis = 0
     while isinstance(cont, Semi):
@@ -106,9 +106,9 @@ def test_head_of_a_deep_left_nested_spine():
 def test_names_unfold_through_their_table():
     names = {"A": parse_type("B"), "B": parse_type("!Int;A")}
     assert S.head(parse_type("A;?Bool"), names) == {
-        Terminal(S.OUT, "Int"): parse_type("A;?Bool")}
+        (S.OUT, "Int"): parse_type("A;?Bool")}
     assert S.head(parse_type("A;?Bool"), {"A": Skip()}) == {
-        Terminal(S.IN, "Bool"): Skip()}
+        (S.IN, "Bool"): Skip()}
 
 
 def test_looping_names_run_out_of_fuel():

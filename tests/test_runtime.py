@@ -223,6 +223,21 @@ class TestReporting:
         with pytest.raises(RuntimeAbort, match="^unbound name foo$"):
             run_unchecked("main : Int\nmain = 1 + foo 2\n")
 
+    @pytest.mark.parametrize("decls, body, message", [
+        ("", "1 2", "applying a non-function value 1"),
+        ("data D = A Int\n", "A 1 2", "constructor A applied to too many arguments"),
+        ("data D = A | B\n", "case B of A -> 1", "no case branch for B"),
+        ("", "let w, r = new !Int in let _ = send 1 w in match r with A r -> 0",
+         "protocol mismatch: expected a label"),
+        ("", "let w, r = new +{A: Skip} in let _ = select B w in match r with A r -> 0",
+         "no match branch for label B"),
+    ])
+    def test_an_ill_typed_program_aborts_with_a_message(self, decls, body, message):
+        # each of these is a type error the runtime, which never re-checks,
+        # meets as it runs
+        with pytest.raises(RuntimeAbort, match=f"^{message}$"):
+            run_unchecked(f"{decls}main : Int\nmain = {body}\n")
+
     def test_deadlock_parked_at_a_select(self, tmp_path, capsys):
         prog = checked_program(SELECT_DEADLOCK)
         for seed in range(20):

@@ -461,9 +461,11 @@ class TestPretty:
             t = parse_type(text)
             assert reassoc_semi(parse_type(pretty(t))) == reassoc_semi(t)
 
-    @pytest.mark.parametrize("depth, prints", [(300, True), (400, False), (900, False)])
+    @pytest.mark.parametrize("depth, prints", [(300, True), (400, True), (900, True),
+                                               (3000, False)])
     def test_a_nest_too_deep_to_print_is_a_diagnostic(self, depth, prints):
-        # built as syntax: from source text the parser stops sooner
+        # built as syntax: from source text the parser stops sooner; the
+        # printer follows the kinding walk's depth, one frame per level
         t = Message(S.OUT, "Int")
         for _ in range(depth):
             t = Choice(S.INTERNAL, (("A", t),))
@@ -474,6 +476,51 @@ class TestPretty:
                 pretty(t)
 
 
+class TestDeepChoiceNests:
+    """Every type routine takes one Python frame per level of a choice nest,
+    as the kinding walk does, so a nest the walk kinds (built as syntax) can
+    be dualised, searched for names, substituted into and unfolded."""
+
+    DEPTH = 900
+
+    @staticmethod
+    def nest(leaf, depth=DEPTH):
+        for _ in range(depth):
+            leaf = Choice(S.INTERNAL, (("A", leaf),))
+        return leaf
+
+    @staticmethod
+    def descend(t, view):
+        """The leaf under a single-branch nest whose every choice has `view`,
+        and the nest's depth."""
+        depth = 0
+        while isinstance(t, Choice):
+            assert t.view == view
+            (_, t), = t.branches
+            depth += 1
+        return t, depth
+
+    def test_dual(self):
+        from sluice.dual import dual
+
+        assert self.descend(dual(self.nest(TVar("y"))), S.EXTERNAL) == (TVar("y"), self.DEPTH)
+
+    def test_type_names(self):
+        assert S.type_names(self.nest(DataRef("D"))) == {"D"}
+
+    def test_subst(self):
+        t = S.subst(self.nest(TVar("y")), {"y": Message(S.OUT, "Int")})
+        assert self.descend(t, S.INTERNAL) == (Message(S.OUT, "Int"), self.DEPTH)
+
+    def test_a_deep_recursive_choice_equals_its_unfolding(self):
+        # `head` unfolds the `rec` through `subst`
+        from sluice.equiv import equivalent
+
+        r = Rec("x", Choice(S.INTERNAL, (("A", self.nest(TVar("x"))), ("B", Skip()))))
+        unfolded = Choice(S.INTERNAL, (("A", self.nest(r)), ("B", Skip())))
+        assert equivalent(r, unfolded)
+
+
 class TestParseProgram:
     def test_tree_listing_shape(self):
         prog, diags = parse_program(TREE_LISTING)
@@ -482,7 +529,7 @@ class TestParseProgram:
         assert len(prog.definitions) == 3
         assert len(prog.datatypes) == 1
         assert len(prog.abbrevs) == 3
-        assert prog.entry is not None
+        assert "main" in prog.definitions
 
     def test_empty_input_missing_main(self):
         prog, diags = parse_program("")

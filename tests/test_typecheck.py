@@ -1,5 +1,6 @@
 """Linear typechecking of expressions and programs."""
 
+import os
 import random
 import time
 
@@ -13,13 +14,13 @@ from sluice.diagnostics import TOO_DEEP, Diagnostic
 from sluice.equiv import Session, equivalent
 from sluice.kinds import KindError
 from sluice.parser import parse_program, parse_type
-from sluice.syntax import SL, Scheme, TVar, Basic, Pair, Terminal
+from sluice.syntax import SL, Scheme, TVar, Basic, Pair
 from sluice.typecheck import (
     BUILTINS, CheckError, Ctx, GlobalEnv, build_global_env, check_against,
     check_program, dump_types, synth,
 )
 
-from conftest import parse_expr
+from conftest import PROGRAMS, checked_program, parse_expr, program_source
 from gen import rand_session
 from verdict_corpus import frontend_inputs
 
@@ -441,7 +442,10 @@ class TestErrorPaths:
             raise KindError(Diagnostic(0, 0, TOO_DEEP))
 
         monkeypatch.setattr(E.Session, "equivalent", too_deep)
-        diags = check_source("f : Int -> Int\nf x = x\nmain : Int\nmain = f 1\n")
+        # pair types: two agreeing basic types are one shared node, which the
+        # checker compares without the session
+        diags = check_source("f : (Int, Int) -> (Int, Int)\nf x = x\n"
+                             "main : (Int, Int)\nmain = f (1, 2)\n")
         assert [(d.line, d.col, d.message) for d in diags] == [
             (2, 1, "in f: nesting too deep"), (4, 1, "in main: nesting too deep")]
 
@@ -847,7 +851,7 @@ class TestSession:
             def items(self):
                 yield next(iter(super().items()))
                 half_filled.extend(p for p in session.grammar.productions.values()
-                                   if list(p) == [Terminal("+", "Leaf")])
+                                   if list(p) == [("+", "Leaf")])
                 raise RecursionError
 
         monkeypatch.setattr(S, "head", lambda t, names=None: Failing(head(t, names)))
@@ -913,9 +917,19 @@ class TestIdentityQueries:
         lets = ["let x0 = 0 in"] + [f"let x{i} = x{i - 1} + 1 in" for i in range(1, 50)]
         check_against(Ctx(fresh_env(), {}), parse_expr(" ".join(lets + ["x49"])), S.INT)
         assert queries == []
-        # as a program, only the body's type against the signature's is asked
+        # as a program too: the body's type and the signature's are both the
+        # one `Int` node the parser and the checker share
         assert check_source("main : Int\nmain =\n" + "\n".join(lets + ["x49"]) + "\n") == []
-        assert queries == [(S.INT, Basic("Int"))]
+        assert queries == []
+
+    @pytest.mark.parametrize("name", sorted(os.listdir(PROGRAMS)))
+    def test_no_example_program_asks_about_two_basic_types(self, monkeypatch, name):
+        # the parser, the literals and `receive` share one node per basic
+        # type, so two basic types that agree are one object
+        queries = self.session_queries(monkeypatch)
+        checked_program(program_source(name))
+        assert queries
+        assert [q for q in queries if all(t.__class__ is Basic for t in q)] == []
 
     def test_a_mismatched_argument_is_still_reported(self, monkeypatch):
         queries = self.session_queries(monkeypatch)
@@ -970,7 +984,7 @@ def test_dump_types_reparses(tree_source):
 def test_expose_exposes_message():
     head = S.head(parse_type("(!Int;Skip);?Bool"))
     (action, cont), = head.items()
-    assert action == S.Terminal(S.OUT, "Int")
+    assert action == (S.OUT, "Int")
     assert equivalent(cont, parse_type("?Bool"))
 
 
